@@ -12,16 +12,26 @@ minimized under H_l >= 0 by full-batch projected gradient descent: one
 gradient step per layer per epoch (all layers stepped jointly from
 gradients at the current iterate), then an entrywise clamp at zero.
 
-With R = V - V E E^T the objective gradient with respect to the collapsed
-chain is dLoss/dE = -2 (V^T R E + R^T V E); the per-layer gradient follows
-by the chain rule as P_l^T (dLoss/dE) S_l^T where P_l and S_l are the
-prefix and suffix products around H_l. The latent code W_L needs no
-projection: it is a product of non-negative factors.
+V is never densified. With A = V E, M = V^T A, G = A^T A and C = E^T E,
+
+    Loss     = ||V||_F^2 - 2 tr(G) + tr(G C),
+    dLoss/dE = -2 (2 M - M C - E G),
+
+so an epoch costs one sparse product V E and one V^T A, O(nnz(V) k_L),
+plus O(n k_L^2) for G and the dense chain products over the p x k_l
+layers, in O(nnz(V) + (n + p) k_1) memory. The per-layer gradient
+follows by the chain rule as P_l^T (dLoss/dE) S_l^T where P_l and S_l
+are the prefix and suffix products around H_l. The expanded loss cancels catastrophically near
+exact reconstruction, so every reported loss (reconstruction_loss, the
+last training-trace entry, the finite-difference audit) is the direct
+residual summed over fixed-size row blocks of V. The latent code W_L
+needs no projection: it is a product of non-negative factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _mm, make_rng
@@ -75,10 +85,7 @@ class EncoderStack:
 
     def chain(self) -> np.ndarray:
         """Collapsed product E = H_1 ... H_L (p x k_L), left to right."""
-        e = self.layers[0].values
-        for h in self.layers[1:]:
-            e = _mm(e, h.values)
-        return e
+        return _prefix_chain([h.values for h in self.layers])[-1]
 
     def __repr__(self):
         return f"EncoderStack(p={self.p}, dims={list(self.layer_dims)})"
@@ -104,8 +111,11 @@ class AeTrainConfig:
         if any(b >= a for a, b in zip(layer_dims, layer_dims[1:])):
             raise ConfigError(
                 f"layer_dims must be strictly decreasing, got {layer_dims}")
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {learning_rate}")
+        if not (np.isfinite(rel_tol) and rel_tol >= 0):
+            raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         if max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {max_epochs}")
         if init_scheme not in self.INIT_SCHEMES:
@@ -121,17 +131,22 @@ class AeTrainConfig:
 
 
 def _as_rows(v, p: int) -> np.ndarray:
-    """Dense row block with p columns from a LabelMatrix, DenseMatrix or array."""
-    if isinstance(v, LabelMatrix):
-        if v.n_labels != p:
-            raise ShapeMismatchError(
-                f"input has {v.n_labels} labels, encoder expects {p}")
-        return np.asarray(v.to_csr().todense())
+    """Dense row block with p columns from a DenseMatrix or array."""
     a = v.values if isinstance(v, DenseMatrix) else np.ascontiguousarray(v, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p:
         raise ShapeMismatchError(
             f"input shape {a.shape} does not match encoder width p={p}")
     return a
+
+
+def _as_csr(v, p: int) -> sp.csr_matrix:
+    """CSR form with p columns of a LabelMatrix, DenseMatrix or array."""
+    if isinstance(v, LabelMatrix):
+        if v.n_labels != p:
+            raise ShapeMismatchError(
+                f"input has {v.n_labels} labels, encoder expects {p}")
+        return v.to_csr()
+    return sp.csr_matrix(_as_rows(v, p))
 
 
 def encode(v_or_rows, stack: EncoderStack) -> LatentMatrix:
@@ -140,10 +155,7 @@ def encode(v_or_rows, stack: EncoderStack) -> LatentMatrix:
     Row-independent: permuting input rows permutes output rows bitwise.
     """
     if isinstance(v_or_rows, LabelMatrix):
-        if v_or_rows.n_labels != stack.p:
-            raise ShapeMismatchError(
-                f"input has {v_or_rows.n_labels} labels, encoder expects {stack.p}")
-        w = np.asarray(v_or_rows.to_csr() @ stack.layers[0].values)
+        w = np.asarray(_as_csr(v_or_rows, stack.p) @ stack.layers[0].values)
         rest = stack.layers[1:]
     else:
         w = _as_rows(v_or_rows, stack.p)
@@ -165,36 +177,77 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     return DenseMatrix(a)
 
 
+# The direct residual is summed over row blocks of at most this many dense
+# entries, so its memory is bounded and its summation order depends on p only.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _prefix_chain(mats) -> list[np.ndarray]:
+    """[H_1, H_1 H_2, ..., E]: the left-to-right prefix products of the chain."""
+    out = [mats[0]]
+    for h in mats[1:]:
+        out.append(_mm(out[-1], h))
+    return out
+
+
+class _Objective:
+    """Loss = ||V - V E E^T||_F^2 and its chain gradient, V held as CSR.
+
+    ``expanded`` and ``chain_gradient`` are the training forms; ``residual``
+    is the oracle that every reported loss comes from.
+    """
+
+    __slots__ = ("vs", "sq_norm")
+
+    def __init__(self, vs: sp.csr_matrix):
+        self.vs = vs
+        self.sq_norm = float(np.einsum("i,i->", vs.data, vs.data, optimize=False))
+
+    def expanded(self, e: np.ndarray):
+        """(Loss, A, G, C) at chain E, with A = V E, G = A^T A, C = E^T E and
+        Loss = ||V||^2 - 2 tr(G) + tr(G C); C is symmetric, so tr(G C) is
+        the entrywise sum of G * C."""
+        a = np.asarray(self.vs @ e)
+        g = _mm(np.ascontiguousarray(a.T), a)
+        c = _mm(np.ascontiguousarray(e.T), e)
+        loss = (self.sq_norm - 2.0 * float(np.trace(g))
+                + float(np.einsum("ij,ij->", g, c, optimize=False)))
+        return loss, a, g, c
+
+    def chain_gradient(self, e, a, g, c) -> np.ndarray:
+        """dLoss/dE = -2 (2 M - M C - E G) with M = V^T A, from expanded(e)."""
+        m = np.asarray(self.vs.T @ a)
+        return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
+
+    def residual(self, e: np.ndarray) -> float:
+        """Loss summed directly as sum ||V_b - A_b E^T||^2 over row blocks V_b.
+
+        The expanded form cancels catastrophically near exact
+        reconstruction; this one stays accurate there.
+        """
+        n, p = self.vs.shape
+        a = np.asarray(self.vs @ e)
+        et = np.ascontiguousarray(e.T)
+        rows = max(1, _BLOCK_ENTRIES // p)
+        total = 0.0
+        for lo in range(0, n, rows):
+            r = self.vs[lo:lo + rows].toarray() - _mm(a[lo:lo + rows], et)
+            total += float(np.einsum("ij,ij->", r, r, optimize=False))
+        return total
+
+
 def reconstruction_loss(v, stack: EncoderStack) -> float:
     """|| V - decode(encode(V)) ||_F^2."""
-    vd = _as_rows(v, stack.p)
-    r = vd - decode(encode(vd, stack), stack).values
-    return float(np.einsum("ij,ij->", r, r, optimize=False))
+    return _Objective(_as_csr(v, stack.p)).residual(stack.chain())
 
 
-def _chain_gradient(vd: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """dLoss/dE = -2 (V^T R E + R^T V E) with R = V - V E E^T."""
-    ve = _mm(vd, e)
-    r = vd - _mm(ve, np.ascontiguousarray(e.T))
-    re = _mm(r, e)
-    rt = np.ascontiguousarray(r.T)
-    vt = np.ascontiguousarray(vd.T)
-    return -2.0 * (_mm(vt, re) + _mm(rt, ve))
-
-
-def _layer_gradients(vd: np.ndarray, layers) -> list[np.ndarray]:
-    """All per-layer gradients at the current iterate."""
-    mats = [h.values if isinstance(h, DenseMatrix) else h for h in layers]
-    e = mats[0]
-    prefixes = [None]                       # P_1 is the identity
-    for h in mats[1:]:
-        prefixes.append(e)
-        e = _mm(e, h)
-    g = _chain_gradient(vd, e)
+def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
+    """Per-layer gradients P_l^T g S_l^T from the chain gradient g, where
+    prefixes is _prefix_chain(mats)."""
     grads = []
     suffix = None                           # S_L is the identity
     for l in range(len(mats) - 1, -1, -1):
-        gl = g if prefixes[l] is None else _mm(np.ascontiguousarray(prefixes[l].T), g)
+        gl = g if l == 0 else _mm(np.ascontiguousarray(prefixes[l - 1].T), g)
         if suffix is not None:
             gl = _mm(gl, np.ascontiguousarray(suffix.T))
         grads.append(gl)
@@ -208,8 +261,12 @@ def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     if not 1 <= layer_index <= stack.depth:
         raise XlcError(
             f"layer_index {layer_index} out of range [1, {stack.depth}]")
-    vd = _as_rows(v, stack.p)
-    return DenseMatrix(_layer_gradients(vd, stack.layers)[layer_index - 1])
+    obj = _Objective(_as_csr(v, stack.p))
+    mats = [h.values for h in stack.layers]
+    chain = _prefix_chain(mats)
+    _, a, g, c = obj.expanded(chain[-1])
+    grads = _layer_gradients(mats, chain, obj.chain_gradient(chain[-1], a, g, c))
+    return DenseMatrix(grads[layer_index - 1])
 
 
 def _init_random(p, layer_dims, rng) -> list[np.ndarray]:
@@ -220,21 +277,19 @@ def _init_random(p, layer_dims, rng) -> list[np.ndarray]:
             for i in range(len(layer_dims))]
 
 
-def _rescale_init(vd: np.ndarray, layers: list[np.ndarray]) -> list[np.ndarray]:
+def _rescale_init(obj: _Objective, layers: list[np.ndarray]) -> list[np.ndarray]:
     """Scale a fresh stack by the least-squares scalar fitting V E E^T to V.
 
+    That scalar is s = <V, V E E^T> / ||V E E^T||^2 = tr(G) / tr(G C).
     Guarantees the starting loss is at most ||V||_F^2, so the all-zero
     stack (a fixpoint of the projected update) is never downhill from the
     start. Scale-free: each layer gets the L-th root of the chain factor.
     """
-    e = layers[0]
-    for h in layers[1:]:
-        e = _mm(e, h)
-    rec = _mm(_mm(vd, e), np.ascontiguousarray(e.T))
-    den = float(np.einsum("ij,ij->", rec, rec, optimize=False))
+    _, _, g, c = obj.expanded(_prefix_chain(layers)[-1])
+    den = float(np.einsum("ij,ij->", g, c, optimize=False))
     if den <= 0.0:
         return layers
-    s = float(np.einsum("ij,ij->", vd, rec, optimize=False)) / den
+    s = float(np.trace(g)) / den
     if s <= 0.0:
         return layers
     t = s ** (0.5 / len(layers))
@@ -260,16 +315,9 @@ def _init_nmf_greedy(v: LabelMatrix, layer_dims, rng) -> list[np.ndarray]:
     return layers
 
 
-def _fd_audit(vd: np.ndarray, layers: list[np.ndarray],
+def _fd_audit(obj: _Objective, layers: list[np.ndarray],
               grads: list[np.ndarray], step: float = 1e-5,
               rel_tol: float = 1e-4, per_layer: int = 8) -> None:
-    def loss_at(mats):
-        e = mats[0]
-        for h in mats[1:]:
-            e = _mm(e, h)
-        r = vd - _mm(_mm(vd, e), np.ascontiguousarray(e.T))
-        return float(np.einsum("ij,ij->", r, r, optimize=False))
-
     for l, (h, g) in enumerate(zip(layers, grads)):
         flat = np.arange(h.size)
         picks = flat if h.size <= per_layer else flat[:: max(1, h.size // per_layer)][:per_layer]
@@ -277,9 +325,9 @@ def _fd_audit(vd: np.ndarray, layers: list[np.ndarray],
             i, j = divmod(int(idx), h.shape[1])
             probe = [m.copy() for m in layers]
             probe[l][i, j] = h[i, j] + step
-            f_plus = loss_at(probe)
+            f_plus = obj.residual(_prefix_chain(probe)[-1])
             probe[l][i, j] = h[i, j] - step
-            f_minus = loss_at(probe)
+            f_minus = obj.residual(_prefix_chain(probe)[-1])
             fd = (f_plus - f_minus) / (2 * step)
             denom = max(abs(fd), abs(g[i, j]), 1e-8)
             if abs(fd - g[i, j]) / denom > rel_tol:
@@ -293,10 +341,13 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
 
     All layers take one step per epoch from gradients evaluated at the
     current iterate, then are clamped at zero. The loss is recorded per
-    epoch into the training trace (index 0 is the loss at initialization).
-    Stops when the relative loss change falls below cfg.rel_tol or when
-    max_epochs is reached; a non-finite loss raises TrainingDivergedError
-    with the epoch index (the usual cause is a too-large learning rate).
+    epoch into the training trace (index 0 is the loss at initialization);
+    the epochs use the expanded form of the loss, and the last entry is
+    replaced by the direct residual, so it equals reconstruction_loss of
+    the returned stack. Stops when the relative loss change falls below
+    cfg.rel_tol or when max_epochs is reached; a non-finite loss raises
+    TrainingDivergedError with the epoch index (the usual cause is a
+    too-large learning rate).
     """
     p = v.n_labels
     if cfg.layer_dims[0] >= p:
@@ -306,28 +357,24 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
         raise XlcError("V has a negative entry")
 
     rng = make_rng(cfg.seed)
-    vd = np.asarray(v.to_csr().todense())
+    obj = _Objective(v.to_csr())
     if cfg.init_scheme == "random-uniform":
-        layers = _rescale_init(vd, _init_random(p, cfg.layer_dims, rng))
+        layers = _rescale_init(obj, _init_random(p, cfg.layer_dims, rng))
     else:
         layers = _init_nmf_greedy(v, cfg.layer_dims, rng)
 
     lr = cfg.learning_rate
-
-    def loss_of(mats):
-        e = mats[0]
-        for h in mats[1:]:
-            e = _mm(e, h)
-        r = vd - _mm(_mm(vd, e), np.ascontiguousarray(e.T))
-        return float(np.einsum("ij,ij->", r, r, optimize=False))
-
-    trace = [loss_of(layers)]
+    chain = _prefix_chain(layers)
+    loss, a, g, c = obj.expanded(chain[-1])
+    trace = [loss]
     for epoch in range(1, cfg.max_epochs + 1):
-        grads = _layer_gradients(vd, layers)
+        grads = _layer_gradients(layers, chain,
+                                 obj.chain_gradient(chain[-1], a, g, c))
         if cfg.fd_check and epoch == 1:
-            _fd_audit(vd, layers, grads)
-        layers = [np.maximum(h - lr * g, 0.0) for h, g in zip(layers, grads)]
-        cur = loss_of(layers)
+            _fd_audit(obj, layers, grads)
+        layers = [np.maximum(h - lr * gl, 0.0) for h, gl in zip(layers, grads)]
+        chain = _prefix_chain(layers)
+        cur, a, g, c = obj.expanded(chain[-1])
         if not np.isfinite(cur):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}; "
@@ -336,5 +383,6 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
         trace.append(cur)
         if abs(prev - cur) <= cfg.rel_tol * max(prev, 1e-300):
             break
+    trace[-1] = obj.residual(chain[-1])
 
     return EncoderStack([DenseMatrix(h) for h in layers], training_trace=trace)

@@ -105,8 +105,9 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
             seen.add(j)
             x[i, j] = fv
 
-    v = LabelMatrix(n_rows, p,
-                    ((r, c, 1.0) for r, c in zip(lab_rows, lab_cols)))
+    v = LabelMatrix.from_coo(n_rows, p, np.array(lab_rows, dtype=np.int64),
+                             np.array(lab_cols, dtype=np.int64),
+                             np.ones(len(lab_rows)))
     return FeatureMatrix(x), v
 
 

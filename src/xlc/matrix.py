@@ -104,12 +104,37 @@ class LabelMatrix:
                  "label_names")
 
     def __init__(self, n_rows: int, n_labels: int, entries, label_names=None):
+        entries = list(entries)
+        self._set(n_rows, n_labels,
+                  np.array([e[0] for e in entries], dtype=np.int64),
+                  np.array([e[1] for e in entries], dtype=np.int64),
+                  np.array([e[2] for e in entries], dtype=np.float64),
+                  label_names)
+
+    @classmethod
+    def from_coo(cls, n_rows: int, n_labels: int, rows, cols, vals,
+                 label_names=None) -> "LabelMatrix":
+        """Build from parallel row-index, column-index and value arrays,
+        with the same checks and canonical form as the entry constructor."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not (rows.ndim == cols.ndim == vals.ndim == 1
+                and rows.shape == cols.shape == vals.shape):
+            raise ShapeMismatchError(
+                f"row, col and value arrays must be 1-D of one length, got "
+                f"shapes {rows.shape}, {cols.shape}, {vals.shape}")
+        if rows.size and not (np.issubdtype(rows.dtype, np.integer)
+                              and np.issubdtype(cols.dtype, np.integer)):
+            raise XlcError("row and col indices must be integers")
+        self = cls.__new__(cls)
+        self._set(n_rows, n_labels, rows.astype(np.int64), cols.astype(np.int64),
+                  vals, label_names)
+        return self
+
+    def _set(self, n_rows, n_labels, rows, cols, vals, label_names) -> None:
+        """Check int64/float64 COO arrays, drop zeros, sort row-major, store."""
         if n_rows < 0 or n_labels < 0:
             raise XlcError(f"negative dimensions {n_rows}x{n_labels}")
-        entries = list(entries)
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries], dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise XlcError("LabelMatrix values must be finite")
         if vals.size and vals.min() < 0.0:
@@ -162,9 +187,8 @@ class LabelMatrix:
     def from_dense_array(cls, a, label_names=None) -> "LabelMatrix":
         a = np.asarray(a, dtype=np.float64)
         r, c = np.nonzero(a)
-        return cls(a.shape[0], a.shape[1],
-                   zip(r.tolist(), c.tolist(), a[r, c].tolist()),
-                   label_names=label_names)
+        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c],
+                            label_names=label_names)
 
     def __repr__(self):
         return f"LabelMatrix({self.n_rows}x{self.n_labels}, nnz={self.nnz})"
@@ -225,6 +249,5 @@ def dense_to_sparse(a: DenseMatrix, tol: float = 0.0,
         raise NonNegativityError(
             f"entry {vals.min()} is below -tol ({-tol}); refusing to clamp")
     r, c = np.nonzero(np.abs(vals) > tol)
-    return LabelMatrix(a.rows, a.cols,
-                       zip(r.tolist(), c.tolist(), vals[r, c].tolist()),
-                       label_names=label_names)
+    return LabelMatrix.from_coo(a.rows, a.cols, r, c, vals[r, c],
+                                label_names=label_names)

@@ -166,7 +166,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     lr = float(hp.pop("learning_rate", 1e-3))
     max_epochs = int(hp.pop("max_epochs", 500))
     _reject_unknown(hp, ("mlp-1hidden",))
-    if hidden < 1 or lr <= 0 or max_epochs < 1:
+    if hidden < 1 or not (np.isfinite(lr) and lr > 0) or max_epochs < 1:
         raise ConfigError(
             f"mlp hyperparameters out of range: hidden={hidden}, "
             f"learning_rate={lr}, max_epochs={max_epochs}")

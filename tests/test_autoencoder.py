@@ -1,14 +1,19 @@
 """Tied-weight autoencoder: chain algebra, gradients, and training behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import planted_rank4_dense, random_label_matrix, svd_floor
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlc import (
     AeTrainConfig,
     ConfigError,
     DenseMatrix,
     EncoderStack,
+    FeatureMatrix,
     LabelMatrix,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -16,9 +21,11 @@ from xlc import (
     ae_gradient,
     decode,
     encode,
+    fit_regressor,
     reconstruction_loss,
     train_autoencoder,
 )
+from xlc.autoencoder import _Objective
 
 H1 = DenseMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])  # 3x2 selector-ish chain
 
@@ -184,6 +191,76 @@ def test_gradient_scales_quadratically_in_v():
     np.testing.assert_allclose(g2, 4.0 * g1, rtol=1e-12)
 
 
+def _to_layer(layers, i, g):
+    """Chain rule by brute force: P^T g S^T around layer i (0-based)."""
+    prefix = np.eye(layers[0].shape[0])
+    for h in layers[:i]:
+        prefix = prefix @ h
+    suffix = np.eye(layers[i].shape[1])
+    for h in layers[i + 1:]:
+        suffix = suffix @ h
+    return prefix.T @ g @ suffix.T
+
+
+def _orthonormal_selector(rows, cols, rng):
+    """Non-negative rows x cols matrix with orthonormal columns: each row
+    feeds exactly one column (disjoint supports, unit-normalized)."""
+    owner = rng.permutation(np.arange(rows) % cols)
+    h = np.zeros((rows, cols))
+    h[np.arange(rows), owner] = rng.uniform(0.5, 1.5, size=rows)
+    return h / np.linalg.norm(h, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_expanded_loss_and_gradient_match_dense_oracle(seed, near_exact):
+    # The expanded form is off by a few ulps of the terms it cancels
+    # (||V||^2 and ||V E E^T||^2 for the loss; 2M, M C and E G, all >= 0,
+    # for the gradient), whatever the loss is. Near exact reconstruction
+    # (V = X E^T with E^T E = I, plus a 1e-7 perturbation) the loss is ~1e-14
+    # of those terms, and only the direct residual still matches it to a
+    # relative tolerance.
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(2, 9)), int(rng.integers(3, 9))
+    dims = [int(rng.integers(2, p))]
+    if dims[0] > 2 and rng.random() < 0.5:
+        dims.append(int(rng.integers(1, dims[0])))
+    widths = [p] + dims
+    if near_exact:
+        layers = [_orthonormal_selector(a, b, rng) for a, b in zip(widths, widths[1:])]
+    else:
+        layers = [rng.uniform(size=(a, b)) for a, b in zip(widths, widths[1:])]
+    e = layers[0]
+    for h in layers[1:]:
+        e = e @ h
+    if near_exact:
+        dense = rng.uniform(0.0, 2.0, size=(n, dims[-1])) @ e.T
+        dense[dense > 0] += 1e-7 * rng.uniform(size=int((dense > 0).sum()))
+    else:
+        dense = rng.uniform(size=(n, p))
+        dense[rng.uniform(size=(n, p)) < 0.4] = 0.0
+    v = LabelMatrix.from_dense_array(dense)
+    stack = EncoderStack([DenseMatrix(h) for h in layers])
+
+    # dense oracle: R = V - V E E^T, dLoss/dE = -2 (V^T R E + R^T V E)
+    r = dense - dense @ e @ e.T
+    want_loss = float(np.sum(r * r))
+    want_chain = -2.0 * (dense.T @ r @ e + r.T @ dense @ e)
+
+    rec = dense @ e @ e.T
+    scale = float(np.sum(dense * dense) + np.sum(rec * rec))
+    loss = _Objective(v.to_csr()).expanded(stack.chain())[0]
+    assert abs(loss - want_loss) <= 1e-12 * scale
+    assert abs(reconstruction_loss(v, stack) - want_loss) <= 1e-6 * want_loss + 1e-20 * scale
+
+    m = dense.T @ dense @ e
+    terms = 2.0 * m + m @ (e.T @ e) + e @ (e.T @ m)
+    for i in range(len(layers)):
+        got = ae_gradient(v, stack, i + 1).values
+        want = _to_layer(layers, i, want_chain)
+        assert np.abs(got - want).max() <= 1e-12 * _to_layer(layers, i, terms).max()
+
+
 @pytest.mark.parametrize("layer_index", [0, 3, -1])
 def test_gradient_layer_index_out_of_range(layer_index):
     v, _ = random_label_matrix(4, 3, seed=0)
@@ -210,6 +287,28 @@ def test_train_config_validation():
         AeTrainConfig(layer_dims=[4], max_epochs=0)
     with pytest.raises(ConfigError):
         AeTrainConfig(layer_dims=[4], init_scheme="xavier")
+
+
+@pytest.mark.parametrize("build, value", [
+    ("ae-learning-rate", float("nan")),
+    ("ae-learning-rate", float("inf")),
+    ("ae-learning-rate", -1.0),
+    ("ae-rel-tol", float("nan")),
+    ("ae-rel-tol", float("inf")),
+    ("ae-rel-tol", -1.0),
+    ("mlp-learning-rate", float("nan")),
+    ("mlp-learning-rate", float("inf")),
+    ("mlp-learning-rate", 0.0),
+])
+def test_step_settings_must_be_finite_and_in_range(build, value):
+    with pytest.raises(ConfigError):
+        if build == "ae-learning-rate":
+            AeTrainConfig(layer_dims=[4], learning_rate=value)
+        elif build == "ae-rel-tol":
+            AeTrainConfig(layer_dims=[4], rel_tol=value)
+        else:
+            fit_regressor(FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 1))),
+                          "mlp-1hidden", {"learning_rate": value, "max_epochs": 1})
 
 
 def test_train_rejects_first_width_not_below_p():
@@ -289,3 +388,34 @@ def test_training_fd_check_passes_on_small_instance():
     cfg = AeTrainConfig(layer_dims=[3, 2], max_epochs=5, seed=3, fd_check=True)
     stack = train_autoencoder(v, cfg)
     assert stack.depth == 2
+
+
+@pytest.mark.parametrize("cfg", [
+    AeTrainConfig(layer_dims=[4], max_epochs=30, seed=0),
+    AeTrainConfig(layer_dims=[6, 3], max_epochs=30, seed=1, rel_tol=0.0),
+    AeTrainConfig(layer_dims=[4], init_scheme="nmf-greedy", seed=1, rel_tol=1e-12),
+])
+def test_training_trace_ends_at_reconstruction_loss_bitwise(planted_v, cfg):
+    v, _ = planted_v
+    stack = train_autoencoder(v, cfg)
+    assert stack.training_trace[-1] == reconstruction_loss(v, stack)
+
+
+def test_training_never_allocates_a_dense_label_matrix():
+    # criterion-7 shape: the traced peak of training, the loss and the
+    # gradient stays below the n x p x 8 bytes of one dense copy of V
+    n, p = 3379, 708
+    rng = np.random.default_rng(17)
+    r, c = np.nonzero(rng.random((n, p)) < 0.02)
+    v = LabelMatrix.from_coo(n, p, r, c, np.ones(r.size))
+    cfg = AeTrainConfig(layer_dims=[64, 16], learning_rate=3e-5, max_epochs=8, seed=17)
+    tracemalloc.start()
+    try:
+        stack = train_autoencoder(v, cfg)
+        reconstruction_loss(v, stack)
+        ae_gradient(v, stack, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stack.training_trace) == 9
+    assert peak < n * p * 8

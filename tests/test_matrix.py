@@ -149,17 +149,28 @@ def test_label_matrix_sorts_and_drops_zeros():
     v = LabelMatrix(3, 4, [(2, 1, 1.0), (0, 3, 2.0), (1, 0, 0.0)])
     assert v.entries == [(0, 3, 2.0), (2, 1, 1.0)]
     assert v.nnz == 2
+    # the array constructor canonicalizes to the same arrays
+    a = LabelMatrix.from_coo(3, 4, np.array([2, 0, 1]), np.array([1, 3, 0]),
+                             np.array([1.0, 2.0, 0.0]))
+    for got, want in ((a.entry_rows, v.entry_rows), (a.entry_cols, v.entry_cols),
+                      (a.entry_vals, v.entry_vals)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_label_matrix_rejects_duplicates():
     with pytest.raises(XlcError):
         LabelMatrix(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+    with pytest.raises(XlcError):
+        LabelMatrix.from_coo(2, 2, [0, 0], [0, 0], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("entry", [(-1, 0, 1.0), (2, 0, 1.0), (0, 2, 1.0)])
 def test_label_matrix_rejects_out_of_bounds(entry):
     with pytest.raises(XlcError):
         LabelMatrix(2, 2, [entry])
+    with pytest.raises(XlcError):
+        LabelMatrix.from_coo(2, 2, [entry[0]], [entry[1]], [entry[2]])
 
 
 def test_label_matrix_rejects_negative_and_non_finite():
@@ -167,6 +178,15 @@ def test_label_matrix_rejects_negative_and_non_finite():
         LabelMatrix(2, 2, [(0, 0, -1.0)])
     with pytest.raises(XlcError):
         LabelMatrix(2, 2, [(0, 0, float("nan"))])
+    with pytest.raises(NonNegativityError):
+        LabelMatrix.from_coo(2, 2, [0], [0], [-1.0])
+    with pytest.raises(XlcError):
+        LabelMatrix.from_coo(2, 2, [0], [0], [float("nan")])
+    # indices must be integer arrays of matching 1-D shape
+    with pytest.raises(XlcError):
+        LabelMatrix.from_coo(2, 2, [0.5], [0], [1.0])
+    with pytest.raises(ShapeMismatchError):
+        LabelMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 1.0])
 
 
 def test_label_matrix_rejects_wrong_name_count():
