@@ -48,7 +48,7 @@ class EncoderStack:
     decrease and start below the label count p; adjacent shapes chain.
     """
 
-    __slots__ = ("layers", "layer_dims", "p", "training_trace")
+    __slots__ = ("layers", "layer_dims", "p", "training_trace", "_chain_t")
 
     def __init__(self, layers, training_trace=()):
         layers = tuple(layers)
@@ -74,6 +74,7 @@ class EncoderStack:
         self.layer_dims = tuple(dims)
         self.p = p
         self.training_trace = tuple(float(x) for x in training_trace)
+        self._chain_t = None
 
     @property
     def depth(self) -> int:
@@ -86,6 +87,15 @@ class EncoderStack:
     def chain(self) -> np.ndarray:
         """Collapsed product E = H_1 ... H_L (p x k_L), left to right."""
         return _prefix_chain([h.values for h in self.layers])[-1]
+
+    def chain_t(self) -> np.ndarray:
+        """Read-only E^T (k_L x p), computed on first use and kept: the
+        layers are immutable, so it never goes stale."""
+        if self._chain_t is None:
+            et = np.ascontiguousarray(self.chain().T)
+            et.setflags(write=False)
+            self._chain_t = et
+        return self._chain_t
 
     def __repr__(self):
         return f"EncoderStack(p={self.p}, dims={list(self.layer_dims)})"
@@ -166,20 +176,30 @@ def encode(v_or_rows, stack: EncoderStack) -> LatentMatrix:
 
 
 def decode(w, stack: EncoderStack) -> DenseMatrix:
-    """Map latent rows back: w H_L^T ... H_1^T, shape n x p, entrywise >= 0."""
+    """Map latent rows back: w E^T = w H_L^T ... H_1^T, shape n x p,
+    entrywise >= 0.
+
+    One O(k_L p) product per row through the stack's cached E^T. Rows are
+    independent: a row of a decoded block is bitwise equal to that row
+    decoded alone.
+    """
     a = w.values if isinstance(w, DenseMatrix) else np.ascontiguousarray(w, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != stack.latent_dim:
         shape = a.shape if a.ndim == 2 else (len(a),)
         raise ShapeMismatchError(
             f"latent shape {shape} does not match k_L={stack.latent_dim}")
-    for h in reversed(stack.layers):
-        a = _mm(a, np.ascontiguousarray(h.values.T))
-    return DenseMatrix(a)
+    return DenseMatrix(_mm(a, stack.chain_t()))
 
 
-# The direct residual is summed over row blocks of at most this many dense
-# entries, so its memory is bounded and its summation order depends on p only.
+# The direct residual is summed, and the CLI serves predictions, over row
+# blocks of at most this many dense entries, so their memory is bounded; the
+# residual's summation order then depends on p only.
 _BLOCK_ENTRIES = 1 << 16
+
+# The expanded loss adds and subtracts terms of size ||V||^2, so its error
+# is a few ulps of ||V||^2 (at most 12 on 200 random exact low-rank inputs);
+# below this many, the training loop uses the direct residual instead.
+_NOISE_ULPS = 256
 
 
 def _prefix_chain(mats) -> list[np.ndarray]:
@@ -218,6 +238,13 @@ class _Objective:
         """dLoss/dE = -2 (2 M - M C - E G) with M = V^T A, from expanded(e)."""
         m = np.asarray(self.vs.T @ a)
         return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
+
+    def accurate(self, expanded_loss: float, e: np.ndarray) -> float:
+        """expanded_loss, or residual(e) when expanded_loss is below
+        _NOISE_ULPS ulps of ||V||^2 and so is rounding noise."""
+        if expanded_loss < _NOISE_ULPS * np.finfo(np.float64).eps * self.sq_norm:
+            return self.residual(e)
+        return expanded_loss
 
     def residual(self, e: np.ndarray) -> float:
         """Loss summed directly as sum ||V_b - A_b E^T||^2 over row blocks V_b.
@@ -342,9 +369,11 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     All layers take one step per epoch from gradients evaluated at the
     current iterate, then are clamped at zero. The loss is recorded per
     epoch into the training trace (index 0 is the loss at initialization);
-    the epochs use the expanded form of the loss, and the last entry is
-    replaced by the direct residual, so it equals reconstruction_loss of
-    the returned stack. Stops when the relative loss change falls below
+    the epochs use the expanded form of the loss, or the direct residual
+    where the expanded form is down to rounding noise (see _NOISE_ULPS),
+    and the last entry is always the direct residual, so it equals
+    reconstruction_loss of the returned stack and no entry is negative.
+    Stops when the relative change of those recorded losses falls below
     cfg.rel_tol or when max_epochs is reached; a non-finite loss raises
     TrainingDivergedError with the epoch index (the usual cause is a
     too-large learning rate).
@@ -366,7 +395,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     lr = cfg.learning_rate
     chain = _prefix_chain(layers)
     loss, a, g, c = obj.expanded(chain[-1])
-    trace = [loss]
+    trace = [obj.accurate(loss, chain[-1])]
     for epoch in range(1, cfg.max_epochs + 1):
         grads = _layer_gradients(layers, chain,
                                  obj.chain_gradient(chain[-1], a, g, c))
@@ -379,6 +408,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}; "
                 f"lower the learning rate (currently {lr})", epoch=epoch)
+        cur = obj.accurate(cur, chain[-1])
         prev = trace[-1]
         trace.append(cur)
         if abs(prev - cur) <= cfg.rel_tol * max(prev, 1e-300):

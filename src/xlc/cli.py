@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .autoencoder import AeTrainConfig, encode, train_autoencoder
+from .autoencoder import _BLOCK_ENTRIES, AeTrainConfig, encode, train_autoencoder
 from .dataio import (ModelContainer, load_dataset, load_label_names, load_model,
                      make_block_dataset, save_dataset, save_label_names, save_model)
 from .errors import ConfigError, XlcError
@@ -233,12 +233,20 @@ def _cmd_predict(opts: _Opts) -> int:
     reg = _need(container, "regressor")
     x, _ = load_dataset(data)
     lines = []
-    for i in range(x.rows):
-        pred = predict_labels(x.values[i], reg, stack, n=top_n)
-        ranked = " ".join(f"{j}:{s:.6g}" for j, s in pred.top_n)
-        lines.append(f"row {i}: {ranked}")
+    step = _block_rows(stack)
+    for lo in range(0, x.rows, step):
+        preds = predict_labels(x.values[lo:lo + step], reg, stack, n=top_n)
+        for i, pred in enumerate(preds, start=lo):
+            ranked = " ".join(f"{j}:{s:.6g}" for j, s in pred.top_n)
+            lines.append(f"row {i}: {ranked}")
     _emit(out, "\n".join(lines) + "\n")
     return 0
+
+
+def _block_rows(stack) -> int:
+    """Rows per predict_labels call: at most _BLOCK_ENTRIES decoded scores,
+    so serving memory stays bounded whatever the row count."""
+    return max(1, _BLOCK_ENTRIES // stack.p)
 
 
 def _cmd_explain(opts: _Opts) -> int:
@@ -297,6 +305,10 @@ def _cmd_eval(opts: _Opts) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, v = load_dataset(data)
+    if not ks:
+        raise ConfigError("--k needs at least one value")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"--k lists a value twice: {ks}")
     if any(k < 1 for k in ks):
         raise ConfigError(f"every k must be >= 1, got {ks}")
 
@@ -314,26 +326,24 @@ def _cmd_eval(opts: _Opts) -> int:
         raise ConfigError(f"unknown split {split!r}, expected train, "
                           f"test or all")
 
-    truth_by_row = [set() for _ in range(v.n_rows)]
-    for r, c in zip(v.entry_rows, v.entry_cols):
-        truth_by_row[r].add(int(c))
+    labels = v.to_csr()
+    used_rows = rows[np.diff(labels.indptr)[rows] > 0]
+    used, skipped = used_rows.size, rows.size - used_rows.size
+    if used == 0:
+        raise XlcError("no rows with labels to evaluate")
 
     n_max = max(ks)
     sums_p = {k: 0.0 for k in ks}
     sums_g = {k: 0.0 for k in ks}
-    used = skipped = 0
-    for i in rows:
-        truth = truth_by_row[i]
-        if not truth:
-            skipped += 1
-            continue
-        pred = predict_labels(x.values[i], reg, stack, n=n_max)
-        for k in ks:
-            sums_p[k] += precision_at_k(pred, truth, k)
-            sums_g[k] += ndcg_at_k(pred, truth, k)
-        used += 1
-    if used == 0:
-        raise XlcError("no rows with labels to evaluate")
+    step = _block_rows(stack)
+    for lo in range(0, used, step):
+        block = used_rows[lo:lo + step]
+        preds = predict_labels(x.values[block], reg, stack, n=n_max)
+        for i, pred in zip(block.tolist(), preds):
+            truth = labels.indices[labels.indptr[i]:labels.indptr[i + 1]].tolist()
+            for k in ks:
+                sums_p[k] += precision_at_k(pred, truth, k)
+                sums_g[k] += ndcg_at_k(pred, truth, k)
 
     lines = [f"rows evaluated: {used} ({skipped} empty-truth rows skipped)"]
     for k in ks:

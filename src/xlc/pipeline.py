@@ -4,6 +4,13 @@ Step two of the pipeline: a regressor maps pre-extracted feature vectors
 to the non-negative latent codes produced by the autoencoder, predictions
 are decoded back to full-length label score vectors, and rankings are
 scored with precision@k / nDCG@k.
+
+Serving works on one feature vector or on an r x d block of them. A block
+is regressed and decoded in one product each: decoding costs O(k_L p) per
+row through the stack's cached collapsed chain E^T. Ranking the top n of a
+row then costs O(p) to pick the candidates (every label scoring at least
+the row's n-th largest score) plus a sort of only those candidates, in
+the same (descending score, ascending index) order as rank_labels.
 """
 
 from __future__ import annotations
@@ -98,16 +105,60 @@ class RankedPrediction:
         scores = np.ascontiguousarray(scores, dtype=np.float64)
         if scores.ndim != 1:
             raise ShapeMismatchError(f"scores must be a vector, got shape {scores.shape}")
-        if not np.all(np.isfinite(scores)):
-            raise XlcError("scores contain a non-finite value")
-        if scores.size and scores.min() < 0:
-            raise XlcError("scores contain a negative value")
-        if n < 1:
-            raise ConfigError(f"top-N count must be >= 1, got {n}")
+        _check_scores(scores, n)
         scores.setflags(write=False)
         self.scores = scores
-        order = rank_labels(scores)
-        self.top_n = tuple((int(j), float(scores[j])) for j in order[:min(n, scores.size)])
+        self.top_n = _top_n(scores.reshape(1, -1), n)[0]
+
+    @classmethod
+    def _rows(cls, scores: np.ndarray, n: int) -> list["RankedPrediction"]:
+        """One prediction per row of an r x p score block, each holding a
+        read-only row view of the block."""
+        _check_scores(scores, n)
+        scores.setflags(write=False)
+        preds = []
+        for row, top in zip(scores, _top_n(scores, n)):
+            pred = cls.__new__(cls)
+            pred.scores, pred.top_n = row, top
+            preds.append(pred)
+        return preds
+
+
+def _check_scores(scores: np.ndarray, n: int) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise XlcError("scores contain a non-finite value")
+    if scores.size and scores.min() < 0:
+        raise XlcError("scores contain a negative value")
+    if n < 1:
+        raise ConfigError(f"top-N count must be >= 1, got {n}")
+
+
+def _top_n(scores: np.ndarray, n: int) -> list[tuple]:
+    """rank_labels(row)[:n] as (label, score) pairs, for each row of an
+    r x p score block.
+
+    np.partition finds each row's n-th largest score in O(p). Every label
+    scoring at least that much is a candidate, so all ties at the cutoff
+    are kept; candidates come in ascending label order, so rank_labels
+    over their scores breaks ties by ascending label index, and only the
+    candidates are sorted.
+    """
+    r, p = scores.shape
+    n = min(n, p)
+    if n == 0:
+        return [()] * r
+    cutoff = np.partition(scores, p - n, axis=1)[:, p - n:p - n + 1]
+    flat = np.flatnonzero(scores >= cutoff)
+    ends = np.searchsorted(flat, np.arange(1, r + 1) * p).tolist()
+    out = []
+    lo = 0
+    for i, (row, hi) in enumerate(zip(scores, ends)):
+        cand = flat[lo:hi] - i * p
+        s = row[cand]
+        best = rank_labels(s)[:n]
+        out.append(tuple(zip(cand[best].tolist(), s[best].tolist())))
+        lo = hi
+    return out
 
 
 def rank_labels(scores: np.ndarray) -> np.ndarray:
@@ -208,39 +259,56 @@ def _reject_unknown(hp: dict, kinds) -> None:
             f"unknown hyperparameters for {'/'.join(kinds)}: {sorted(hp)}")
 
 
-def _as_feature_row(x_row, d: int) -> np.ndarray:
-    a = np.ascontiguousarray(x_row, dtype=np.float64)
-    if a.ndim != 1 or a.size != d:
-        shape = a.shape if a.ndim != 1 else (a.size,)
+def _as_features(x, d: int) -> np.ndarray:
+    """A feature vector of length d or an r x d block, as float64."""
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim not in (1, 2) or a.shape[-1] != d:
         raise ShapeMismatchError(
-            f"feature vector shape {shape} does not match input_dim {d}")
+            f"feature shape {a.shape} does not match input_dim {d}")
     if not np.all(np.isfinite(a)):
         raise XlcError("feature vector contains a non-finite value")
     return a
 
 
-def predict_latent(x_row, m: RegressorModel) -> np.ndarray:
-    """Latent prediction for one feature vector, clamped at zero.
+def predict_latent(x, m: RegressorModel) -> np.ndarray:
+    """Latent prediction, clamped at zero: a length-k vector for one
+    feature vector, or an r x k block for an r x d block of them.
 
     The identity head can emit negatives; the clamp keeps the decoder
-    input inside the non-negative latent domain.
+    input inside the non-negative latent domain. Rows are independent: a
+    row of a block gives bitwise the same result as that row alone.
     """
-    a = _as_feature_row(x_row, m.input_dim)
-    return np.maximum(m.raw_outputs(a.reshape(1, -1))[0], 0.0)
+    a = _as_features(x, m.input_dim)
+    if a.ndim == 1:
+        return np.maximum(m.raw_outputs(a.reshape(1, -1))[0], 0.0)
+    return np.maximum(m.raw_outputs(a), 0.0)
 
 
-def predict_labels(x_row, m: RegressorModel, stack: EncoderStack,
-                   n: int = 25) -> RankedPrediction:
-    """Decode the predicted latent vector to a ranked label list."""
+def predict_labels(x, m: RegressorModel, stack: EncoderStack,
+                   n: int = 25) -> RankedPrediction | list[RankedPrediction]:
+    """Decode the predicted latent code to a ranked label list.
+
+    x is one feature vector, giving one RankedPrediction, or an r x d
+    block, giving a list of r of them that hold row views of one decoded
+    r x p block; each equals the prediction for its row alone, bitwise.
+    """
     if n < 1:
         raise ConfigError(f"top-N count must be >= 1, got {n}")
     if m.output_dim != stack.latent_dim:
         raise ShapeMismatchError(
             f"regressor outputs {m.output_dim} dims but decoder expects "
             f"{stack.latent_dim}")
-    latent = predict_latent(x_row, m)
-    scores = decode(latent.reshape(1, -1), stack).values[0]
-    return RankedPrediction(scores, n)
+    latent = predict_latent(x, m)
+    preds = RankedPrediction._rows(decode(np.atleast_2d(latent), stack).values, n)
+    return preds if latent.ndim == 2 else preds[0]
+
+
+def _top_labels(pred: RankedPrediction, k: int):
+    """The first k labels of rank_labels(pred.scores), read off top_n when
+    it holds them."""
+    if k <= len(pred.top_n) or len(pred.top_n) == pred.scores.size:
+        return [j for j, _ in pred.top_n[:k]]
+    return rank_labels(pred.scores)[:k].tolist()
 
 
 def precision_at_k(pred: RankedPrediction, truth, k: int) -> float:
@@ -248,8 +316,7 @@ def precision_at_k(pred: RankedPrediction, truth, k: int) -> float:
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     truth = {int(t) for t in truth}
-    order = rank_labels(pred.scores)
-    hits = sum(1 for j in order[:k] if int(j) in truth)
+    hits = sum(1 for j in _top_labels(pred, k) if j in truth)
     return hits / k
 
 
@@ -264,9 +331,8 @@ def ndcg_at_k(pred: RankedPrediction, truth, k: int) -> float:
     truth = {int(t) for t in truth}
     if not truth:
         raise XlcError("ndcg needs a non-empty truth set")
-    order = rank_labels(pred.scores)
-    dcg = sum(1.0 / np.log2(i + 2) for i, j in enumerate(order[:k])
-              if int(j) in truth)
+    dcg = sum(1.0 / np.log2(i + 2) for i, j in enumerate(_top_labels(pred, k))
+              if j in truth)
     ideal = sum(1.0 / np.log2(i + 2) for i in range(min(k, len(truth))))
     return float(dcg / ideal)
 

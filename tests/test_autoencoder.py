@@ -112,6 +112,22 @@ def test_decode_zero_and_round_trip_shape():
     assert decode(encode(v, stack), stack).values.shape == (6, 3)
 
 
+def test_decode_through_cached_chain_matches_layer_by_layer_oracle():
+    rng = np.random.default_rng(8)
+    layers = [rng.uniform(size=(30, 7)), rng.uniform(size=(7, 4)), rng.uniform(size=(4, 2))]
+    stack = EncoderStack([DenseMatrix(h) for h in layers])
+    w = rng.uniform(size=(5, 2))
+    oracle = w
+    for h in reversed(layers):
+        oracle = oracle @ h.T
+    np.testing.assert_allclose(decode(w, stack).values, oracle, rtol=1e-13)
+    # E^T is computed once, read-only, and rows decode independently
+    assert stack.chain_t() is stack.chain_t()
+    assert not stack.chain_t().flags.writeable
+    for i in range(5):
+        assert decode(w[i:i + 1], stack).values.tobytes() == decode(w, stack).values[i].tobytes()
+
+
 def test_decode_rejects_wrong_latent_width():
     with pytest.raises(ShapeMismatchError):
         decode(DenseMatrix(np.ones((2, 3))), EncoderStack([H1]))
@@ -370,6 +386,19 @@ def test_training_nmf_greedy_init_reaches_rank4_floor(planted_v):
     )
     stack = train_autoencoder(v, cfg)
     assert reconstruction_loss(v, stack) <= 1e-9 * np.linalg.norm(dense) ** 2
+
+
+@pytest.mark.parametrize("cfg", [
+    AeTrainConfig(layer_dims=[4], max_epochs=200, seed=0, rel_tol=1e-12),
+    AeTrainConfig(layer_dims=[4], init_scheme="nmf-greedy", seed=1, rel_tol=1e-12),
+])
+def test_training_does_not_stop_on_rounding_noise(planted_v, cfg):
+    # the planted matrix is exactly rank 4, so the expanded loss reaches its
+    # rounding noise; the trace and the stop test must not follow that noise
+    v, _ = planted_v
+    trace = train_autoencoder(v, cfg).training_trace
+    assert min(trace) >= 0.0
+    assert trace[-1] <= 1e-20
 
 
 def test_training_diverges_with_huge_learning_rate(planted_v):

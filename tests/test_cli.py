@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from xlc import load_dataset, load_model
+import xlc.cli
+from xlc import (FeatureMatrix, LabelMatrix, ModelContainer, RegressorModel,
+                 load_dataset, load_model, rank_labels, save_dataset, save_model)
 from xlc.cli import main
 
 
@@ -179,3 +182,57 @@ def test_mlp_kind_flag_round_trips(planted, tmp_path):
     stored = load_model(model)
     assert stored.regressor.kind == "mlp-1hidden"
     assert stored.config["reg_hidden"] == "8"
+
+
+@pytest.mark.parametrize("ks", [",", "1,3,1"])
+def test_eval_rejects_an_empty_or_repeating_k_list(planted, capsys, ks):
+    # a repeated k used to add its metrics twice into one sum (P@1 = 1.95)
+    data, _, model = planted
+    _run("fit-reg", "--data", data, "--model", model, "--kind", "ridge")
+    assert _run("eval", "--model", model, "--data", data, "--k", ks) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.rstrip("\n").splitlines()) == 1
+
+
+def test_predict_and_eval_match_a_per_row_reference_when_every_label_ties(
+        planted, tmp_path, monkeypatch):
+    # a regressor clamped to an all-zero latent scores every label 0, so the
+    # ranking is decided by the ascending-index tie-break alone; a small block
+    # bound makes the commands cross several block boundaries
+    _, _, model = planted
+    stack = load_model(model).encoder
+    p, d, n = stack.p, 3, 17
+    reg = RegressorModel("ridge-linear", d, stack.latent_dim,
+                         {"theta": np.zeros((d, stack.latent_dim)),
+                          "intercept": -np.ones(stack.latent_dim)})
+    tied = tmp_path / "tied.xlc"
+    save_model(tied, ModelContainer(encoder=stack, regressor=reg))
+    rng = np.random.default_rng(4)
+    truth = [sorted(rng.choice(p, size=i % 4, replace=False).tolist()) for i in range(n)]
+    rows = [i for i, t in enumerate(truth) for _ in t]
+    cols = [j for t in truth for j in t]
+    data = tmp_path / "tied.txt"
+    save_dataset(data, FeatureMatrix(rng.uniform(size=(n, d))),
+                 LabelMatrix.from_coo(n, p, rows, cols, np.ones(len(rows))))
+    monkeypatch.setattr(xlc.cli, "_BLOCK_ENTRIES", 3 * p)
+
+    order = rank_labels(np.zeros(p))
+    preds, report = tmp_path / "pred.txt", tmp_path / "eval.txt"
+    assert _run("predict", "--model", tied, "--data", data, "--top-n", 5,
+                "--out", preds) == 0
+    ranked = " ".join(f"{j}:{0.0:.6g}" for j in order[:5])
+    assert preds.read_text() == "".join(f"row {i}: {ranked}\n" for i in range(n))
+
+    ks = (1, 3, 5)
+    assert _run("eval", "--model", tied, "--data", data, "--k", "1,3,5",
+                "--split", "all", "--out", report) == 0
+    used = [set(t) for t in truth if t]
+    gain = [1.0 / np.log2(i + 2) for i in range(max(ks))]
+    p_at = {k: sum(sum(int(j) in t for j in order[:k]) / k for t in used) for k in ks}
+    g_at = {k: sum(sum(g for g, j in zip(gain, order[:k]) if int(j) in t)
+                   / sum(gain[:min(k, len(t))]) for t in used) for k in ks}
+    expected = [f"rows evaluated: {len(used)} ({n - len(used)} empty-truth rows skipped)"]
+    expected += [f"P@{k} = {p_at[k] / len(used):.6f}" for k in ks]
+    expected += [f"nDCG@{k} = {g_at[k] / len(used):.6f}" for k in ks]
+    assert report.read_text() == "\n".join(expected) + "\n"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import planted_rank4_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlc import (
     AeTrainConfig,
@@ -26,6 +28,7 @@ from xlc import (
     split_rows,
     train_autoencoder,
 )
+from xlc.pipeline import _top_n
 
 
 def _random_latents(n, k, seed):
@@ -159,12 +162,17 @@ def test_predict_latent_zero_model_gives_zero():
 def test_predict_latent_clamps_negative_raw_outputs():
     m = _const_model([-0.2, 0.5])
     np.testing.assert_array_equal(predict_latent(np.zeros(2), m), [0.0, 0.5])
+    np.testing.assert_array_equal(predict_latent(np.zeros((3, 2)), m), [[0.0, 0.5]] * 3)
 
 
 def test_predict_latent_dimension_mismatch():
     m = _const_model([0.0, 0.0])
     with pytest.raises(ShapeMismatchError):
         predict_latent(np.ones(3), m)
+    with pytest.raises(ShapeMismatchError):
+        predict_latent(np.ones((4, 3)), m)
+    with pytest.raises(ShapeMismatchError):
+        predict_latent(np.ones((1, 4, 2)), m)
 
 
 def test_predict_labels_zero_latent_tie_break():
@@ -182,6 +190,42 @@ def test_predict_labels_top_n_is_capped_at_p():
     assert len(pred.top_n) == 4
     scores = [s for _, s in pred.top_n]
     assert scores == sorted(scores, reverse=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partial_ranking_equals_full_ranking_on_tie_heavy_blocks(data):
+    r = data.draw(st.integers(1, 5), label="rows")
+    p = data.draw(st.integers(1, 12), label="labels")
+    cells = st.lists(st.integers(0, 3), min_size=r * p, max_size=r * p)
+    scores = np.array(data.draw(cells), dtype=np.float64).reshape(r, p)
+    zero = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    scores[np.array(zero)] = 0.0
+    n = data.draw(st.integers(1, p + 1), label="n")
+    for row, top in zip(scores, _top_n(scores, n)):
+        order = rank_labels(row)[:n]
+        assert top == tuple((int(j), float(row[j])) for j in order)
+
+
+def test_block_predict_labels_equals_per_row_bitwise():
+    rng = np.random.default_rng(5)
+    stack = EncoderStack([DenseMatrix(rng.uniform(size=(40, 6))),
+                          DenseMatrix(rng.uniform(size=(6, 3)))])
+    # negative intercepts clamp some latent units to zero, so rows tie too
+    m = RegressorModel("ridge-linear", 4, 3,
+                       {"theta": rng.normal(size=(4, 3)),
+                        "intercept": np.array([-0.5, 0.1, -2.0])})
+    x = rng.normal(size=(9, 4))
+    x[2] = 0.0
+    single = [predict_labels(row, m, stack, n=7) for row in x]
+    for cut in (1, 4, 8):
+        block = (predict_labels(x[:cut], m, stack, n=7)
+                 + predict_labels(x[cut:], m, stack, n=7))
+        assert len(block) == len(single)
+        for b, s in zip(block, single):
+            assert b.scores.tobytes() == s.scores.tobytes()
+            assert b.top_n == s.top_n
+            assert not b.scores.flags.writeable
 
 
 def test_ranking_invariant_under_positive_scaling():
@@ -204,6 +248,14 @@ def _pred_from_ranking(ranking, p):
     for pos, label in enumerate(ranking):
         scores[label] = float(len(ranking) - pos)
     return RankedPrediction(scores, n=p)
+
+
+def test_metrics_rank_past_top_n_when_k_exceeds_it():
+    full = _pred_from_ranking([3, 2, 1, 0], p=4)
+    short = RankedPrediction(full.scores, n=1)
+    for k in (1, 2, 3, 4, 6):
+        assert precision_at_k(short, {1, 3}, k) == precision_at_k(full, {1, 3}, k)
+        assert ndcg_at_k(short, {0, 2}, k) == ndcg_at_k(full, {0, 2}, k)
 
 
 def test_precision_hand_oracle():
