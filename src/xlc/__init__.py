@@ -6,9 +6,8 @@ ranked label predictions, and explain them through label hierarchies and
 local linear surrogates.
 """
 
-from .autoencoder import (AeTrainConfig, EncoderStack, LatentMatrix,
-                          ae_gradient, decode, encode, reconstruction_loss,
-                          train_autoencoder)
+from .autoencoder import (AeTrainConfig, EncoderStack, ae_gradient, decode,
+                          encode, reconstruction_loss, train_autoencoder)
 from .dataio import (ModelContainer, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset,
                      save_label_names, save_model)
@@ -18,9 +17,7 @@ from .errors import (ConfigError, DatasetFormatError, ModelFormatError,
 from .interpret import (ExplainConfig, Explanation, HierarchyNode, LimeConfig,
                         SurrogateExplanation, explain_prediction,
                         extract_hierarchy, lime_explain, render_hierarchy)
-from .matrix import (DenseMatrix, LabelMatrix, RngSeed, dense_to_sparse,
-                     frobenius_norm_sq, make_rng, matmul, project_nonneg,
-                     sparse_to_dense)
+from .matrix import DenseMatrix, LabelMatrix, RngSeed, make_rng
 from .nmf import NmfConfig, NmfFactors, nmf_factorize, nmf_objective
 from .pipeline import (FeatureMatrix, RankedPrediction, RegressorModel,
                        fit_regressor, ndcg_at_k, precision_at_k,
@@ -32,16 +29,15 @@ __version__ = "1.0.0"
 __all__ = [
     "AeTrainConfig", "ConfigError", "DatasetFormatError", "DenseMatrix",
     "EncoderStack", "ExplainConfig", "Explanation", "FeatureMatrix",
-    "HierarchyNode", "LabelMatrix", "LatentMatrix", "LimeConfig",
-    "ModelContainer", "ModelFormatError", "NmfConfig", "NmfFactors",
-    "NonNegativityError", "RankedPrediction", "RegressorModel", "RngSeed",
-    "ShapeMismatchError", "SurrogateExplanation", "TrainingDivergedError",
-    "XlcError", "ae_gradient", "decode", "dense_to_sparse", "encode",
-    "explain_prediction", "extract_hierarchy", "fit_regressor",
-    "frobenius_norm_sq", "lime_explain", "load_dataset", "load_label_names",
-    "load_model", "make_block_dataset", "make_rng", "matmul", "ndcg_at_k",
+    "HierarchyNode", "LabelMatrix", "LimeConfig", "ModelContainer",
+    "ModelFormatError", "NmfConfig", "NmfFactors", "NonNegativityError",
+    "RankedPrediction", "RegressorModel", "RngSeed", "ShapeMismatchError",
+    "SurrogateExplanation", "TrainingDivergedError", "XlcError", "ae_gradient",
+    "decode", "encode", "explain_prediction", "extract_hierarchy",
+    "fit_regressor", "lime_explain", "load_dataset", "load_label_names",
+    "load_model", "make_block_dataset", "make_rng", "ndcg_at_k",
     "nmf_factorize", "nmf_objective", "precision_at_k", "predict_labels",
-    "predict_latent", "project_nonneg", "rank_labels", "reconstruction_loss",
-    "render_hierarchy", "save_dataset", "save_label_names", "save_model",
-    "sparse_to_dense", "split_rows", "train_autoencoder", "__version__",
+    "predict_latent", "rank_labels", "reconstruction_loss", "render_hierarchy",
+    "save_dataset", "save_label_names", "save_model", "split_rows",
+    "train_autoencoder", "__version__",
 ]

@@ -34,11 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, _mm, make_rng
+from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 from .nmf import NmfConfig, nmf_factorize
-
-# A latent representation is just a dense non-negative n x k_L block.
-LatentMatrix = DenseMatrix
 
 
 class EncoderStack:
@@ -159,7 +156,7 @@ def _as_csr(v, p: int) -> sp.csr_matrix:
     return sp.csr_matrix(_as_rows(v, p))
 
 
-def encode(v_or_rows, stack: EncoderStack) -> LatentMatrix:
+def encode(v_or_rows, stack: EncoderStack) -> DenseMatrix:
     """W_L = V H_1 ... H_L. Non-negative whenever the input rows are.
 
     Row-independent: permuting input rows permutes output rows bitwise.
@@ -190,11 +187,6 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
             f"latent shape {shape} does not match k_L={stack.latent_dim}")
     return DenseMatrix(_mm(a, stack.chain_t()))
 
-
-# The direct residual is summed, and the CLI serves predictions, over row
-# blocks of at most this many dense entries, so their memory is bounded; the
-# residual's summation order then depends on p only.
-_BLOCK_ENTRIES = 1 << 16
 
 # The expanded loss adds and subtracts terms of size ||V||^2, so its error
 # is a few ulps of ||V||^2 (at most 12 on 200 random exact low-rank inputs);
@@ -247,20 +239,13 @@ class _Objective:
         return expanded_loss
 
     def residual(self, e: np.ndarray) -> float:
-        """Loss summed directly as sum ||V_b - A_b E^T||^2 over row blocks V_b.
+        """Loss summed directly over row blocks as ||V - (V E) E^T||^2.
 
         The expanded form cancels catastrophically near exact
         reconstruction; this one stays accurate there.
         """
-        n, p = self.vs.shape
-        a = np.asarray(self.vs @ e)
-        et = np.ascontiguousarray(e.T)
-        rows = max(1, _BLOCK_ENTRIES // p)
-        total = 0.0
-        for lo in range(0, n, rows):
-            r = self.vs[lo:lo + rows].toarray() - _mm(a[lo:lo + rows], et)
-            total += float(np.einsum("ij,ij->", r, r, optimize=False))
-        return total
+        return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e),
+                                 np.ascontiguousarray(e.T))
 
 
 def reconstruction_loss(v, stack: EncoderStack) -> float:

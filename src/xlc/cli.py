@@ -15,12 +15,13 @@ import sys
 
 import numpy as np
 
-from .autoencoder import _BLOCK_ENTRIES, AeTrainConfig, encode, train_autoencoder
+from .autoencoder import AeTrainConfig, encode, train_autoencoder
 from .dataio import (ModelContainer, load_dataset, load_label_names, load_model,
                      make_block_dataset, save_dataset, save_label_names, save_model)
 from .errors import ConfigError, XlcError
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
+from .matrix import _BLOCK_ENTRIES
 from .nmf import NmfConfig, nmf_factorize, nmf_objective
 from .pipeline import (FeatureMatrix, fit_regressor, ndcg_at_k, precision_at_k,
                        predict_labels, split_rows)

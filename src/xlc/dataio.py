@@ -163,7 +163,7 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
     if not 0.0 <= noise < 0.5:
         raise ConfigError(f"noise must be in [0, 0.5), got {noise}")
     p = blocks * labels_per_block
-    rng = make_rng(seed if isinstance(seed, RngSeed) else RngSeed(seed))
+    rng = make_rng(seed)
     block_of = rng.integers(0, blocks, size=rows)
     dense = np.zeros((rows, p))
     for i in range(rows):

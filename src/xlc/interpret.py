@@ -137,7 +137,7 @@ class LimeConfig:
                 f"= {k_features + 2}")
         if k_features < 1:
             raise ConfigError(f"k_features must be >= 1, got {k_features}")
-        if kernel_width is not None and kernel_width <= 0:
+        if kernel_width is not None and not kernel_width > 0:
             raise ConfigError(f"kernel_width must be > 0, got {kernel_width}")
         self.num_samples = int(num_samples)
         self.kernel_width = None if kernel_width is None else float(kernel_width)

@@ -40,10 +40,11 @@ class RngSeed:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """PCG64 generator from an RngSeed or a plain int."""
-    if isinstance(seed, RngSeed):
-        seed = seed.seed
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    """PCG64 generator from an RngSeed or a plain int, which must be a valid
+    RngSeed."""
+    if not isinstance(seed, RngSeed):
+        seed = RngSeed(seed)
+    return np.random.Generator(np.random.PCG64(seed.seed))
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -78,14 +79,6 @@ class DenseMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(np.eye(n))
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
@@ -204,50 +197,24 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b, optimize=False)
 
 
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Exact matrix product a @ b with the deterministic kernel.
+# The low-rank residual is summed, and the CLI serves predictions, over row
+# blocks of at most this many dense entries, so their memory is bounded; the
+# residual's summation order then depends on p only.
+_BLOCK_ENTRIES = 1 << 16
 
-    Raises ShapeMismatchError when a.cols != b.rows.
+
+def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray) -> float:
+    """||V - A B||_F^2 for CSR V (n x p), A (n x k) and B (k x p), summed
+    directly as sum ||V_b - A_b B||^2 over row blocks V_b of at most
+    _BLOCK_ENTRIES dense entries, so V is never densified whole.
+
+    Unlike the expanded ||V||^2 - 2 <V, A B> + ||A B||^2, it stays accurate
+    near exact reconstruction.
     """
-    if a.cols != b.rows:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return DenseMatrix(_mm(a.values, b.values))
-
-
-def frobenius_norm_sq(a: DenseMatrix) -> float:
-    """Sum of squared entries; 0 iff every entry is 0."""
-    v = a.values
-    return float(np.einsum("ij,ij->", v, v, optimize=False))
-
-
-def project_nonneg(a: DenseMatrix) -> DenseMatrix:
-    """Entrywise max(value, 0) — Euclidean projection onto the non-negative
-    orthant. Idempotent."""
-    return DenseMatrix(np.maximum(a.values, 0.0))
-
-
-def sparse_to_dense(v: LabelMatrix) -> DenseMatrix:
-    """Expand a LabelMatrix into an equivalent DenseMatrix."""
-    a = np.zeros((v.n_rows, v.n_labels))
-    a[v.entry_rows, v.entry_cols] = v.entry_vals
-    return DenseMatrix(a)
-
-
-def dense_to_sparse(a: DenseMatrix, tol: float = 0.0,
-                    label_names=None) -> LabelMatrix:
-    """Convert dense to sparse, dropping |value| <= tol.
-
-    Small negatives in [-tol, 0) are clamped to 0 (dropped). Any entry
-    below -tol raises NonNegativityError. With tol=0 the round trip
-    sparse -> dense -> sparse reproduces the entry set exactly.
-    """
-    if tol < 0:
-        raise XlcError(f"tol must be >= 0, got {tol}")
-    vals = a.values
-    if vals.size and vals.min() < -tol:
-        raise NonNegativityError(
-            f"entry {vals.min()} is below -tol ({-tol}); refusing to clamp")
-    r, c = np.nonzero(np.abs(vals) > tol)
-    return LabelMatrix.from_coo(a.rows, a.cols, r, c, vals[r, c],
-                                label_names=label_names)
+    n, p = vs.shape
+    rows = max(1, _BLOCK_ENTRIES // p)
+    total = 0.0
+    for lo in range(0, n, rows):
+        r = vs[lo:lo + rows].toarray() - _mm(a[lo:lo + rows], b)
+        total += float(np.einsum("ij,ij->", r, r, optimize=False))
+    return total

@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NonNegativityError, ShapeMismatchError, XlcError
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, _mm, make_rng
+from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 
 
 class NmfConfig:
     """Settings for one factorization run.
 
-    k must satisfy 1 <= k < min(n, p); epsilon guards update denominators.
+    k must satisfy 1 <= k < min(n, p); epsilon guards update denominators
+    and must be finite and > 0; rel_tol must be finite and >= 0.
     """
 
     __slots__ = ("k", "max_iters", "rel_tol", "epsilon", "seed")
@@ -27,10 +28,10 @@ class NmfConfig:
             raise ConfigError(f"k must be >= 1, got {k}")
         if max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-        if epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-        if rel_tol < 0:
-            raise ConfigError(f"rel_tol must be >= 0, got {rel_tol}")
+        if not (np.isfinite(epsilon) and epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+        if not (np.isfinite(rel_tol) and rel_tol >= 0):
+            raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         self.k = int(k)
         self.max_iters = int(max_iters)
         self.rel_tol = float(rel_tol)
@@ -63,18 +64,12 @@ class NmfFactors:
         self.objective_trace = trace
 
 
-def _objective_dense(v_csr, wh: np.ndarray) -> float:
-    # 0.5 * ||V - WH||_F^2 with V available sparsely
-    resid = v_csr.toarray() - wh
-    return 0.5 * float(np.einsum("ij,ij->", resid, resid, optimize=False))
-
-
 def nmf_objective(v: LabelMatrix, f: NmfFactors) -> float:
     """0.5 * ||V - WH||_F^2."""
     if f.w.rows != v.n_rows or f.h.cols != v.n_labels:
         raise ShapeMismatchError(
             f"factors give {f.w.rows}x{f.h.cols}, V is {v.n_rows}x{v.n_labels}")
-    return _objective_dense(v.to_csr(), _mm(f.w.values, f.h.values))
+    return 0.5 * _lowrank_sq_error(v.to_csr(), f.w.values, f.h.values)
 
 
 def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
@@ -88,7 +83,9 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     multiplicative updates never lock at zero.
 
     Stops when the relative objective change drops below cfg.rel_tol or
-    after cfg.max_iters iterations.
+    after cfg.max_iters iterations. V stays in CSR form: the updates use
+    sparse products and the objective is summed over bounded row blocks,
+    exactly as nmf_objective computes it.
     """
     n, p = v.n_rows, v.n_labels
     if cfg.k >= min(n, p):
@@ -116,7 +113,7 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
         hht = _mm(h, h.T.copy())
         w *= vht / (_mm(w, hht) + eps)
 
-        obj = _objective_dense(vs, _mm(w, h))
+        obj = 0.5 * _lowrank_sq_error(vs, w, h)
         trace.append(obj)
         if prev is not None and abs(prev - obj) <= cfg.rel_tol * max(prev, 1e-300):
             break

@@ -191,8 +191,8 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
 
     if kind == "ridge-linear":
         lam = float(hp.pop("lam", 1e-3))
-        if lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {lam}")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {lam}")
         _reject_unknown(hp, ("ridge-linear",))
         x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
         w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
@@ -221,7 +221,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
         raise ConfigError(
             f"mlp hyperparameters out of range: hidden={hidden}, "
             f"learning_rate={lr}, max_epochs={max_epochs}")
-    rng = make_rng(seed if isinstance(seed, RngSeed) else RngSeed(seed))
+    rng = make_rng(seed)
     bound = np.sqrt(1.0 / max(d, 1))
     w1 = rng.uniform(-bound, bound, size=(d, hidden))
     b1 = np.zeros(hidden)
@@ -348,7 +348,7 @@ def split_rows(n_rows: int, test_frac: float = 0.2,
         raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
     if n_rows < 2:
         raise ConfigError(f"need at least 2 rows to split, got {n_rows}")
-    rng = make_rng(seed if isinstance(seed, RngSeed) else RngSeed(seed))
+    rng = make_rng(seed)
     perm = rng.permutation(n_rows)
     n_test = int(n_rows * test_frac)
     if n_test < 1 or n_test >= n_rows:

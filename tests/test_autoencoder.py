@@ -15,6 +15,7 @@ from xlc import (
     EncoderStack,
     FeatureMatrix,
     LabelMatrix,
+    NmfConfig,
     ShapeMismatchError,
     TrainingDivergedError,
     XlcError,
@@ -315,16 +316,30 @@ def test_train_config_validation():
     ("mlp-learning-rate", float("nan")),
     ("mlp-learning-rate", float("inf")),
     ("mlp-learning-rate", 0.0),
+    ("nmf-rel-tol", float("nan")),
+    ("nmf-rel-tol", float("inf")),
+    ("nmf-rel-tol", -1.0),
+    ("nmf-epsilon", float("nan")),
+    ("nmf-epsilon", float("inf")),
+    ("nmf-epsilon", 0.0),
+    ("ridge-lam", float("nan")),
+    ("ridge-lam", float("inf")),
 ])
 def test_step_settings_must_be_finite_and_in_range(build, value):
+    x, w = FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 1)))
     with pytest.raises(ConfigError):
         if build == "ae-learning-rate":
             AeTrainConfig(layer_dims=[4], learning_rate=value)
         elif build == "ae-rel-tol":
             AeTrainConfig(layer_dims=[4], rel_tol=value)
+        elif build == "nmf-rel-tol":
+            NmfConfig(k=2, rel_tol=value)
+        elif build == "nmf-epsilon":
+            NmfConfig(k=2, epsilon=value)
+        elif build == "ridge-lam":
+            fit_regressor(x, w, "ridge-linear", {"lam": value})
         else:
-            fit_regressor(FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 1))),
-                          "mlp-1hidden", {"learning_rate": value, "max_epochs": 1})
+            fit_regressor(x, w, "mlp-1hidden", {"learning_rate": value, "max_epochs": 1})
 
 
 def test_train_rejects_first_width_not_below_p():

@@ -209,6 +209,8 @@ def test_lime_config_validation():
         LimeConfig(k_features=0)
     with pytest.raises(ConfigError):
         LimeConfig(kernel_width=0.0)
+    with pytest.raises(ConfigError):
+        LimeConfig(kernel_width=float("nan"))
 
 
 def test_lime_nonzero_baseline_shifts_neighborhood():

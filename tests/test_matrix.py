@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import random_label_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlc import (
@@ -13,45 +14,28 @@ from xlc import (
     RngSeed,
     ShapeMismatchError,
     XlcError,
-    dense_to_sparse,
-    frobenius_norm_sq,
     make_rng,
-    matmul,
-    project_nonneg,
-    sparse_to_dense,
 )
+from xlc.matrix import _BLOCK_ENTRIES, _lowrank_sq_error, _mm
 
 
 # ---------------------------------------------------------------- matmul
 
 
 def test_matmul_hand_oracle():
-    a = DenseMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    b = DenseMatrix([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    out = matmul(a, b)
-    assert out.values.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert _mm(a, b).tolist() == [[2.0, 0.0], [0.0, 1.0]]
 
 
 def test_matmul_identity_is_noop():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 5))
-    out = matmul(DenseMatrix(a), DenseMatrix(np.eye(5)))
-    np.testing.assert_array_equal(out.values, a)
+    np.testing.assert_array_equal(_mm(a, np.eye(5)), a)
 
 
 def test_matmul_zero_factor():
-    a = DenseMatrix(np.zeros((3, 2)))
-    b = DenseMatrix(np.ones((2, 4)))
-    assert not matmul(a, b).values.any()
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    a = DenseMatrix(np.ones((2, 3)))
-    b = DenseMatrix(np.ones((4, 2)))
-    with pytest.raises(ShapeMismatchError) as exc:
-        matmul(a, b)
-    msg = str(exc.value)
-    assert "2x3" in msg and "4x2" in msg
+    assert not _mm(np.zeros((3, 2)), np.ones((2, 4))).any()
 
 
 @settings(max_examples=50, deadline=None)
@@ -60,86 +44,100 @@ def test_matmul_associativity(seed):
     # ||(AB)C - A(BC)|| <= 1e-9 * (1 + ||A|| ||B|| ||C||)
     rng = np.random.default_rng(seed)
     n, m, k, q = rng.integers(1, 7, size=4)
-    a = DenseMatrix(rng.normal(size=(n, m)))
-    b = DenseMatrix(rng.normal(size=(m, k)))
-    c = DenseMatrix(rng.normal(size=(k, q)))
-    left = matmul(matmul(a, b), c).values
-    right = matmul(a, matmul(b, c)).values
+    a = rng.normal(size=(n, m))
+    b = rng.normal(size=(m, k))
+    c = rng.normal(size=(k, q))
+    left = _mm(_mm(a, b), c)
+    right = _mm(a, _mm(b, c))
     bound = 1e-9 * (
         1.0
-        + np.linalg.norm(a.values)
-        * np.linalg.norm(b.values)
-        * np.linalg.norm(c.values)
+        + np.linalg.norm(a)
+        * np.linalg.norm(b)
+        * np.linalg.norm(c)
     )
     assert np.linalg.norm(left - right) <= bound
 
 
-# ---------------------------------------------------------------- frobenius
+# ---------------------------------------------------------------- low-rank residual
+
+
+def _sq_norm(dense):
+    # ||V||^2 as the residual of V against a zero rank-1 product
+    n, p = dense.shape
+    return _lowrank_sq_error(sp.csr_matrix(dense), np.zeros((n, 1)), np.zeros((1, p)))
 
 
 def test_frobenius_hand_oracles():
-    assert frobenius_norm_sq(DenseMatrix([[3.0, 4.0]])) == 25.0
-    assert frobenius_norm_sq(DenseMatrix(np.eye(3))) == 3.0
-    assert frobenius_norm_sq(DenseMatrix(np.zeros((2, 5)))) == 0.0
+    assert _sq_norm(np.array([[3.0, 4.0]])) == 25.0
+    assert _sq_norm(np.eye(3)) == 3.0
+    assert _sq_norm(np.zeros((2, 5))) == 0.0
 
 
 def test_frobenius_matches_numpy():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 4))
-    got = frobenius_norm_sq(DenseMatrix(a))
-    assert got == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
+    assert _sq_norm(a) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-12)
 
 
-# ---------------------------------------------------------------- projection
+@st.composite
+def _lowrank_cases(draw):
+    # p is either small (many rows per block, n often not a multiple of
+    # them) or above _BLOCK_ENTRIES (one row per block)
+    p = draw(st.sampled_from([1, 7, 700, _BLOCK_ENTRIES + 3]))
+    n_max = 4 if p > _BLOCK_ENTRIES else 3 * (_BLOCK_ENTRIES // p) + 5
+    n = draw(st.integers(0, n_max))
+    k = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, p, k, density, seed
 
 
-def test_project_nonneg_clamps_only_negatives():
-    a = DenseMatrix([[-1.0, 0.5], [0.0, -2.0]])
-    out = project_nonneg(a)
-    assert out.values.tolist() == [[0.0, 0.5], [0.0, 0.0]]
-    # input untouched
-    assert a.values.tolist() == [[-1.0, 0.5], [0.0, -2.0]]
-
-
-def test_project_nonneg_idempotent_and_contractive():
-    rng = np.random.default_rng(5)
-    a = DenseMatrix(rng.normal(size=(5, 5)))
-    once = project_nonneg(a)
-    twice = project_nonneg(once)
-    np.testing.assert_array_equal(once.values, twice.values)
-    assert frobenius_norm_sq(once) <= frobenius_norm_sq(a)
+@settings(max_examples=40, deadline=None)
+@given(_lowrank_cases())
+@example((0, 7, 2, 0.3, 1))
+@example((50, 700, 2, 0.0, 2))                    # all-zero V
+@example((200, 700, 3, 0.3, 3))                   # 93-row blocks, last one partial
+@example((3, _BLOCK_ENTRIES + 3, 2, 0.01, 4))     # one row per block
+def test_lowrank_sq_error_matches_dense_oracle(case):
+    n, p, k, density, seed = case
+    rng = np.random.default_rng(seed)
+    r, c = np.nonzero(rng.random((n, p)) < density)
+    v = LabelMatrix.from_coo(n, p, r, c, rng.integers(1, 4, size=r.size))
+    a = rng.normal(size=(n, k))
+    b = np.ascontiguousarray(rng.normal(size=(k, p)))
+    dense = v.to_csr().toarray()
+    want = float(np.sum((dense - a @ b) ** 2))
+    got = _lowrank_sq_error(v.to_csr(), a, b)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+    if density == 0.0:
+        # all-zero V: the residual is ||A B||^2
+        assert got == pytest.approx(float(np.sum((a @ b) ** 2)), rel=1e-11)
 
 
 # ---------------------------------------------------------------- sparse conversions
 
 
-def test_dense_to_sparse_drops_below_tolerance():
-    v = dense_to_sparse(DenseMatrix([[1e-9, 0.5]]), tol=1e-8)
-    assert v.entries == [(0, 1, 0.5)]
-
-
 def test_dense_to_sparse_rejects_true_negatives():
     with pytest.raises(NonNegativityError):
-        dense_to_sparse(DenseMatrix([[-0.1, 0.5]]), tol=1e-8)
-
-
-def test_dense_to_sparse_negative_within_tol_is_dropped():
-    # entries in (-tol, 0) are treated as numerical noise, not violations
-    v = dense_to_sparse(DenseMatrix([[-1e-9, 0.5]]), tol=1e-8)
-    assert v.entries == [(0, 1, 0.5)]
+        LabelMatrix.from_dense_array([[-0.1, 0.5]])
 
 
 def test_sparse_to_dense_hand_oracle():
     v = LabelMatrix(1, 3, [(0, 2, 1.0)])
-    assert sparse_to_dense(v).values.tolist() == [[0.0, 0.0, 1.0]]
+    assert v.to_csr().toarray().tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_sparse_round_trip_exact():
     rng = np.random.default_rng(7)
     dense = rng.uniform(size=(8, 6))
     dense[dense < 0.6] = 0.0
-    v = dense_to_sparse(DenseMatrix(dense), tol=0.0)
-    np.testing.assert_array_equal(sparse_to_dense(v).values, dense)
+    v = LabelMatrix.from_dense_array(dense)
+    np.testing.assert_array_equal(v.to_csr().toarray(), dense)
+    # the canonical entry set survives a second round trip bitwise
+    w = LabelMatrix.from_dense_array(v.to_csr().toarray())
+    for got, want in ((w.entry_rows, v.entry_rows), (w.entry_cols, v.entry_cols),
+                      (w.entry_vals, v.entry_vals)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------- LabelMatrix
@@ -205,6 +203,11 @@ def test_label_matrix_csr_matches_dense():
 def test_rng_seed_rejects_negative():
     with pytest.raises(XlcError):
         RngSeed(-1)
+    # make_rng validates a plain int seed through RngSeed
+    for bad in (-1, 2**64):
+        with pytest.raises(XlcError):
+            make_rng(bad)
+    make_rng(2**64 - 1)
 
 
 def test_make_rng_streams_are_bitwise_reproducible():

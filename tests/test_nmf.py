@@ -1,5 +1,7 @@
 """Multiplicative-update NMF: recovery oracles, monotone trace, objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_label_matrix, svd_floor
@@ -87,6 +89,26 @@ def test_objective_matches_dense_brute_force():
     f = nmf_factorize(v, NmfConfig(k=2, seed=8, max_iters=20))
     expected = 0.5 * np.linalg.norm(dense - f.w.values @ f.h.values) ** 2
     assert nmf_objective(v, f) == pytest.approx(expected, abs=1e-12)
+    # the loop records the same objective, summed in the same order
+    assert nmf_objective(v, f) == f.objective_trace[-1]
+
+
+def test_factorize_never_allocates_a_dense_label_matrix():
+    # one dense copy of V at this shape is n x p x 8 bytes = 18.3 MiB; the
+    # traced peak of the factorization and the objective stays far below it
+    n, p = 3000, 800
+    rng = np.random.default_rng(23)
+    r, c = np.nonzero(rng.random((n, p)) < 0.01)
+    v = LabelMatrix.from_coo(n, p, r, c, np.ones(r.size))
+    tracemalloc.start()
+    try:
+        f = nmf_factorize(v, NmfConfig(k=8, max_iters=3, rel_tol=0.0, seed=23))
+        nmf_objective(v, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.objective_trace) == 3
+    assert peak < n * p * 8 // 4
 
 
 def test_objective_zero_w_is_half_norm():
