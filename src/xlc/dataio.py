@@ -32,10 +32,18 @@ FORMAT_VERSION = 1
 
 # ---------------------------------------------------------------- datasets
 
+def _read_text(path, error) -> str:
+    """The whole UTF-8 text file; undecodable bytes raise `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
 def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
     """Parse a dataset file; every error names the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path, DatasetFormatError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -131,8 +139,7 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
 
 
 def load_label_names(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path, DatasetFormatError)
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n") if text else []
@@ -332,21 +339,21 @@ def _parse_nmf(buf: bytes) -> NmfFactors:
     return NmfFactors(DenseMatrix(w), DenseMatrix(h), trace)
 
 
-_SECTION_WRITERS = (
-    ("encoder", lambda c: c.encoder, _encoder_payload),
-    ("regressor", lambda c: c.regressor, _regressor_payload),
-    ("config", lambda c: c.config or None, _config_payload),
-    ("label_names", lambda c: c.label_names, _names_payload),
-    ("nmf", lambda c: c.nmf, _nmf_payload),
+_SECTIONS = (                   # (name, pack, parse), in file order
+    ("encoder", _encoder_payload, _parse_encoder),
+    ("regressor", _regressor_payload, _parse_regressor),
+    ("config", _config_payload, _parse_config),
+    ("label_names", _names_payload, _parse_names),
+    ("nmf", _nmf_payload, _parse_nmf),
 )
 
 
 def save_model(path, container: ModelContainer) -> None:
     """Write the container; section payloads carry individual CRC-32s."""
     sections = []
-    for name, get, pack in _SECTION_WRITERS:
-        value = get(container)
-        if value is not None:
+    for name, pack, _ in _SECTIONS:
+        value = getattr(container, name)
+        if value is not None and not (name == "config" and not value):
             sections.append((name, pack(value)))
     out = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(sections))]
     for name, payload in sections:
@@ -357,15 +364,6 @@ def save_model(path, container: ModelContainer) -> None:
     blob = b"".join(out)
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-_SECTION_PARSERS = {
-    "encoder": ("encoder", _parse_encoder),
-    "regressor": ("regressor", _parse_regressor),
-    "config": ("config", _parse_config),
-    "label_names": ("label_names", _parse_names),
-    "nmf": ("nmf", _parse_nmf),
-}
 
 
 def load_model(path) -> ModelContainer:
@@ -382,6 +380,7 @@ def load_model(path) -> ModelContainer:
             f"{path}: format version {version} is newer than supported "
             f"version {FORMAT_VERSION}")
     off = 12
+    parsers = {name: parse for name, _, parse in _SECTIONS}
     fields = {}
     for _ in range(n_sections):
         if off + 2 > len(buf):
@@ -390,7 +389,10 @@ def load_model(path) -> ModelContainer:
         off += 2
         if off + nlen + 12 > len(buf):
             raise ModelFormatError(f"{path}: truncated section header")
-        name = buf[off:off + nlen].decode("utf-8")
+        try:
+            name = buf[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: section name at byte {off} is not UTF-8")
         off += nlen
         plen, crc = struct.unpack_from("<QI", buf, off)
         off += 12
@@ -400,9 +402,11 @@ def load_model(path) -> ModelContainer:
         off += plen
         if zlib.crc32(payload) != crc:
             raise ModelFormatError(f"{path}: checksum mismatch in section {name!r}")
-        if name not in _SECTION_PARSERS:
+        if name not in parsers:
             warnings.warn(f"{path}: skipping unknown section {name!r}")
             continue
-        field, parse = _SECTION_PARSERS[name]
-        fields[field] = parse(payload)
+        try:
+            fields[name] = parsers[name](payload)
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: section {name!r} holds non-UTF-8 text")
     return ModelContainer(**fields)

@@ -139,11 +139,18 @@ class LimeConfig:
             raise ConfigError(f"k_features must be >= 1, got {k_features}")
         if kernel_width is not None and not kernel_width > 0:
             raise ConfigError(f"kernel_width must be > 0, got {kernel_width}")
+        try:
+            b = np.asarray(baseline, dtype=np.float64)
+        except (TypeError, ValueError):
+            b = None
+        if b is None or b.ndim > 1 or not np.all(np.isfinite(b)):
+            raise ConfigError(
+                f"baseline must be a finite scalar or vector, got {baseline!r}")
         self.num_samples = int(num_samples)
         self.kernel_width = None if kernel_width is None else float(kernel_width)
         self.k_features = int(k_features)
         self.seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
-        self.baseline = baseline
+        self.baseline = b
 
 
 class SurrogateExplanation:
@@ -204,12 +211,13 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     d = x.size
     k = min(cfg.k_features, d)
     kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
-    baseline = np.broadcast_to(
-        np.asarray(cfg.baseline, dtype=np.float64), (d,))
+    if cfg.baseline.ndim == 1 and cfg.baseline.size != d:
+        raise ShapeMismatchError(
+            f"baseline has {cfg.baseline.size} values for {d} features")
 
     rng = make_rng(cfg.seed)
     z = (rng.random((cfg.num_samples, d)) < 0.5).astype(np.float64)
-    masked = z * x + (1.0 - z) * baseline
+    masked = z * x + (1.0 - z) * cfg.baseline
     y = np.empty(cfg.num_samples)
     for s in range(cfg.num_samples):
         y[s] = float(predict_fn(masked[s]))

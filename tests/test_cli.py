@@ -118,6 +118,65 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert (x.cols, v.n_labels) == (2, 6)
 
 
+@pytest.mark.parametrize("line", ["bogus_key=1", "blokcs=2"])
+def test_unknown_config_key_names_path_and_line(tmp_path, capsys, line):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"blocks=2\n{line}\n")
+    assert _run("gen-synth", "--config", cfg, "--rows", 4,
+                "--labels-per-block", 2, "--out", tmp_path / "d.txt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: ")
+    assert len(err.rstrip("\n").splitlines()) == 1
+
+
+# required options come first, so resolution reaches the bad value
+_GEN = ("gen-synth", "--blocks", 2, "--labels-per-block", 2, "--out", "d.txt")
+_EVAL = ("eval", "--model", "m.xlc", "--data", "d.txt")
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (_GEN, "rows=abc", "gen.cfg:1: --rows"),
+    (_GEN + ("--rows", "abc"), None, "--rows"),
+    (_EVAL + ("--k", "1,x"), None, "--k"),
+    (("fit-reg", "--data", "d.txt", "--model", "m.xlc"), "kind=lasso", "gen.cfg:1: --kind"),
+    (_EVAL, "split=bogus", "gen.cfg:1: --split"),
+])
+def test_bad_option_value_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                              argv, config, named):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "gen.cfg").write_text(config + "\n")
+        argv += ("--config", "gen.cfg")
+    assert _run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: expected ")
+    assert len(err.rstrip("\n").splitlines()) == 1
+
+
+def test_non_utf8_config_file_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes(b"blocks=2\nrows=\xff\n")
+    assert _run("gen-synth", "--config", cfg, "--out", tmp_path / "d.txt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8")
+    assert len(err.rstrip("\n").splitlines()) == 1
+
+
+def test_fd_check_from_config_reaches_train_config(tmp_path, monkeypatch):
+    data = tmp_path / "d.txt"
+    assert _run("gen-synth", "--blocks", 2, "--rows", 6, "--labels-per-block", 2,
+                "--seed", 0, "--out", data) == 0
+    seen = []
+    real = xlc.cli.train_autoencoder
+    monkeypatch.setattr(xlc.cli, "train_autoencoder",
+                        lambda v, cfg: seen.append(cfg.fd_check) or real(v, cfg))
+    cfg = tmp_path / "ae.cfg"
+    cfg.write_text("fd_check=yes\nepochs=3\n")
+    assert _run("train-ae", "--config", cfg, "--data", data, "--dims", 2,
+                "--out", tmp_path / "m.xlc") == 0
+    assert seen == [True]
+
+
 def test_cli_determinism_byte_identical(planted, tmp_path):
     data, names, model = planted
     model2 = tmp_path / "model2.xlc"

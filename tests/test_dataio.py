@@ -110,6 +110,20 @@ def test_label_names_reject_newlines(tmp_path):
         save_label_names(tmp_path / "n.txt", ["ok", "bad\nname"])
 
 
+def test_load_dataset_rejects_non_utf8_bytes(tmp_path):
+    f = tmp_path / "d.txt"
+    f.write_bytes(b"1 2 3\n0 0:1.0 1:\xff\n")
+    with pytest.raises(DatasetFormatError, match="d.txt: not UTF-8"):
+        load_dataset(f)
+
+
+def test_load_label_names_rejects_non_utf8_bytes(tmp_path):
+    f = tmp_path / "names.txt"
+    f.write_bytes(b"garlic\non\xe9on\n")
+    with pytest.raises(DatasetFormatError, match="names.txt: not UTF-8"):
+        load_label_names(f)
+
+
 # ---------------------------------------------------------------- generator
 
 
@@ -261,6 +275,25 @@ def test_model_unknown_section_skipped_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="sidecar"):
         c = load_model(path)
     assert c.config == {"k": "3"}
+
+
+def test_model_non_utf8_section_name_or_text_rejected(tmp_path):
+    # no CRC covers a section name, so one flipped byte there reaches the
+    # decoder; a text payload with a matching CRC must fail the same way
+    path = tmp_path / "m.xlc"
+    save_model(path, ModelContainer(config={"k": "3"}))
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"config")] ^= 0x80
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="section name .* not UTF-8"):
+        load_model(path)
+
+    name, payload = b"label_names", b"on\xe9on"
+    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
+                     + struct.pack("<H", len(name)) + name
+                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    with pytest.raises(ModelFormatError, match="'label_names' holds non-UTF-8"):
+        load_model(path)
 
 
 def test_config_rejects_unserializable_keys(tmp_path):

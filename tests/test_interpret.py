@@ -10,6 +10,7 @@ from xlc import (
     ExplainConfig,
     LimeConfig,
     RegressorModel,
+    ShapeMismatchError,
     XlcError,
     explain_prediction,
     extract_hierarchy,
@@ -211,6 +212,15 @@ def test_lime_config_validation():
         LimeConfig(kernel_width=0.0)
     with pytest.raises(ConfigError):
         LimeConfig(kernel_width=float("nan"))
+    # a NaN baseline used to surface as "predict_fn returned a non-finite value"
+    for baseline in (float("nan"), [0.0, float("inf")], np.zeros((2, 2)), "abc"):
+        with pytest.raises(ConfigError):
+            LimeConfig(baseline=baseline)
+    # a per-feature baseline of the wrong length used to fail in np.broadcast_to
+    cfg = LimeConfig(num_samples=20, k_features=2, baseline=[0.0, 1.0, 2.0])
+    with pytest.raises(ShapeMismatchError, match="3 values for 2 features"):
+        lime_explain(np.array([2.0, 2.0]), linear_fn([1.0, 1.0]), cfg)
+    lime_explain(np.array([2.0, 2.0, 2.0]), linear_fn([1.0, 1.0, 1.0]), cfg)
 
 
 def test_lime_nonzero_baseline_shifts_neighborhood():
