@@ -133,41 +133,27 @@ class AeTrainConfig:
         self.learning_rate = float(learning_rate)
         self.rel_tol = float(rel_tol)
         self.init_scheme = init_scheme
-        self.seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
+        self.seed = RngSeed(seed)
         self.fd_check = bool(fd_check)
 
 
-def _as_rows(v, p: int) -> np.ndarray:
-    """Dense row block with p columns from a DenseMatrix or array."""
-    a = v.values if isinstance(v, DenseMatrix) else np.ascontiguousarray(v, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != p:
+def _as_csr(v: LabelMatrix, p: int) -> sp.csr_matrix:
+    """CSR form of a LabelMatrix with p labels."""
+    if not isinstance(v, LabelMatrix):
+        raise XlcError(f"expected a LabelMatrix, got {type(v).__name__}")
+    if v.n_labels != p:
         raise ShapeMismatchError(
-            f"input shape {a.shape} does not match encoder width p={p}")
-    return a
+            f"input has {v.n_labels} labels, encoder expects {p}")
+    return v.to_csr()
 
 
-def _as_csr(v, p: int) -> sp.csr_matrix:
-    """CSR form with p columns of a LabelMatrix, DenseMatrix or array."""
-    if isinstance(v, LabelMatrix):
-        if v.n_labels != p:
-            raise ShapeMismatchError(
-                f"input has {v.n_labels} labels, encoder expects {p}")
-        return v.to_csr()
-    return sp.csr_matrix(_as_rows(v, p))
-
-
-def encode(v_or_rows, stack: EncoderStack) -> DenseMatrix:
-    """W_L = V H_1 ... H_L. Non-negative whenever the input rows are.
+def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
+    """W_L = V H_1 ... H_L, entrywise >= 0.
 
     Row-independent: permuting input rows permutes output rows bitwise.
     """
-    if isinstance(v_or_rows, LabelMatrix):
-        w = np.asarray(_as_csr(v_or_rows, stack.p) @ stack.layers[0].values)
-        rest = stack.layers[1:]
-    else:
-        w = _as_rows(v_or_rows, stack.p)
-        rest = stack.layers
-    for h in rest:
+    w = np.asarray(_as_csr(v, stack.p) @ stack.layers[0].values)
+    for h in stack.layers[1:]:
         w = _mm(w, h.values)
     return DenseMatrix(w)
 
@@ -180,7 +166,7 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     independent: a row of a decoded block is bitwise equal to that row
     decoded alone.
     """
-    a = w.values if isinstance(w, DenseMatrix) else np.ascontiguousarray(w, dtype=np.float64)
+    a = w.values if isinstance(w, DenseMatrix) else np.asarray(w, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != stack.latent_dim:
         shape = a.shape if a.ndim == 2 else (len(a),)
         raise ShapeMismatchError(
@@ -220,8 +206,8 @@ class _Objective:
         Loss = ||V||^2 - 2 tr(G) + tr(G C); C is symmetric, so tr(G C) is
         the entrywise sum of G * C."""
         a = np.asarray(self.vs @ e)
-        g = _mm(np.ascontiguousarray(a.T), a)
-        c = _mm(np.ascontiguousarray(e.T), e)
+        g = _mm(a.T, a)
+        c = _mm(e.T, e)
         loss = (self.sq_norm - 2.0 * float(np.trace(g))
                 + float(np.einsum("ij,ij->", g, c, optimize=False)))
         return loss, a, g, c
@@ -244,8 +230,7 @@ class _Objective:
         The expanded form cancels catastrophically near exact
         reconstruction; this one stays accurate there.
         """
-        return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e),
-                                 np.ascontiguousarray(e.T))
+        return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e), e.T)
 
 
 def reconstruction_loss(v, stack: EncoderStack) -> float:
@@ -259,9 +244,9 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
     grads = []
     suffix = None                           # S_L is the identity
     for l in range(len(mats) - 1, -1, -1):
-        gl = g if l == 0 else _mm(np.ascontiguousarray(prefixes[l - 1].T), g)
+        gl = g if l == 0 else _mm(prefixes[l - 1].T, g)
         if suffix is not None:
-            gl = _mm(gl, np.ascontiguousarray(suffix.T))
+            gl = _mm(gl, suffix.T)
         grads.append(gl)
         suffix = mats[l] if suffix is None else _mm(mats[l], suffix)
     grads.reverse()
@@ -323,7 +308,7 @@ def _init_nmf_greedy(v: LabelMatrix, layer_dims, rng) -> list[np.ndarray]:
         h /= np.where(norms > 0, norms, 1.0)
         layers.append(h)
         w = np.asarray(current.to_csr() @ h)
-        current = LabelMatrix.from_dense_array(np.maximum(w, 0.0))
+        current = LabelMatrix.from_dense_array(w)
     return layers
 
 
@@ -367,8 +352,6 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     if cfg.layer_dims[0] >= p:
         raise ConfigError(
             f"first layer width {cfg.layer_dims[0]} must be < p={p}")
-    if v.entry_vals.size and v.entry_vals.min() < 0:
-        raise XlcError("V has a negative entry")
 
     rng = make_rng(cfg.seed)
     obj = _Objective(v.to_csr())

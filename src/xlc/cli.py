@@ -176,8 +176,6 @@ def _cmd_fit_reg(o) -> int:
     container = load_model(o.model)
     stack = _need(container, "encoder")
     x, v = load_dataset(o.data)
-    if x.rows != v.n_rows:
-        raise XlcError(f"feature rows {x.rows} != label rows {v.n_rows}")
     w = encode(v, stack)
     train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
                                      seed=o.split_seed)
@@ -267,13 +265,17 @@ def _cmd_eval(o) -> int:
     if o.split == "all":
         rows = np.arange(x.rows)
     else:
-        # the split defaults to the one fit-reg stored in the model
-        holdout = (float(container.config.get("holdout_frac", "0.2"))
-                   if o.holdout_frac is None else o.holdout_frac)
-        split_seed = (int(container.config.get("split_seed", "0"))
-                      if o.split_seed is None else o.split_seed)
-        train_idx, test_idx = split_rows(x.rows, test_frac=holdout,
-                                         seed=split_seed)
+        # the split defaults to the one fit-reg stored in the model, and
+        # for a model without one to fit-reg's own defaults
+        fit_reg = {flag.replace("-", "_"): (kind, default)
+                   for flag, kind, default in _COMMANDS["fit-reg"][2]}
+        for key in ("holdout_frac", "split_seed"):
+            raw, (kind, default) = container.config.get(key), fit_reg[key]
+            if getattr(o, key) is None:
+                setattr(o, key, default if raw is None
+                        else _convert(kind, raw, f"{o.model}: stored {key}"))
+        train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
+                                         seed=o.split_seed)
         rows = train_idx if o.split == "train" else test_idx
 
     labels = v.to_csr()

@@ -123,15 +123,14 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
     """Write the text format; reloading reproduces both matrices exactly."""
     if x.rows != v.n_rows:
         raise ConfigError(f"feature rows {x.rows} != label rows {v.n_rows}")
-    per_row_labels = [[] for _ in range(v.n_rows)]
-    for r, c in zip(v.entry_rows, v.entry_cols):
-        per_row_labels[r].append(int(c))
+    labels = v.to_csr()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{x.rows} {x.cols} {v.n_labels}\n")
         for i in range(x.rows):
             parts = []
-            if per_row_labels[i]:
-                parts.append(",".join(str(c) for c in per_row_labels[i]))
+            cols = labels.indices[labels.indptr[i]:labels.indptr[i + 1]]
+            if cols.size:
+                parts.append(",".join(map(str, cols.tolist())))
             row = x.values[i]
             for j in np.nonzero(row)[0]:
                 parts.append(f"{j}:{float(row[j])!r}")
@@ -145,14 +144,24 @@ def load_label_names(path) -> list[str]:
     return text.split("\n") if text else []
 
 
-def save_label_names(path, names) -> None:
-    names = list(names)
+def _names_payload(names) -> bytes:
+    """The names joined by newlines, as UTF-8. A name that holds a newline
+    or that UTF-8 cannot encode (a lone surrogate) raises ConfigError."""
     for name in names:
         if "\n" in name:
             raise ConfigError(f"label name {name!r} contains a newline")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name in names:
-            fh.write(name + "\n")
+    try:
+        return "\n".join(names).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = names[exc.object.count("\n", 0, exc.start)]
+        raise ConfigError(f"label name {bad!r} cannot be encoded as UTF-8")
+
+
+def save_label_names(path, names) -> None:
+    names = list(names)
+    payload = _names_payload(names)
+    with open(path, "wb") as fh:
+        fh.write(payload + b"\n" if names else b"")
 
 
 def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
@@ -172,17 +181,14 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
     p = blocks * labels_per_block
     rng = make_rng(seed)
     block_of = rng.integers(0, blocks, size=rows)
-    dense = np.zeros((rows, p))
-    for i in range(rows):
-        b = int(block_of[i])
-        base = np.zeros(p)
-        base[b * labels_per_block:(b + 1) * labels_per_block] = 1.0
-        flips = rng.random(p) < noise
-        dense[i] = np.where(flips, 1.0 - base, base)
+    base = np.arange(p) // labels_per_block == block_of[:, None]
+    flips = rng.random((rows, p)) < noise
+    r, c = np.nonzero(base != flips)
     names = [f"block{b}_label{j}"
              for b in range(blocks) for j in range(labels_per_block)]
     x = FeatureMatrix.one_hot(block_of, blocks)
-    return x, LabelMatrix.from_dense_array(dense, label_names=names), names
+    v = LabelMatrix.from_coo(rows, p, r, c, np.ones(r.size), label_names=names)
+    return x, v, names
 
 
 # ----------------------------------------------------------- model format
@@ -313,13 +319,6 @@ def _parse_config(buf: bytes) -> dict:
             raise ModelFormatError(f"bad config line {line!r}")
         config[key] = val
     return config
-
-
-def _names_payload(names) -> bytes:
-    for name in names:
-        if "\n" in name:
-            raise ConfigError(f"label name {name!r} contains a newline")
-    return "\n".join(names).encode("utf-8")
 
 
 def _parse_names(buf: bytes) -> list[str]:

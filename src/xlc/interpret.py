@@ -16,7 +16,7 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import ConfigError, ShapeMismatchError, XlcError
 from .matrix import RngSeed, make_rng
-from .pipeline import RegressorModel, predict_latent
+from .pipeline import RegressorModel, _check_latent_dim, predict_latent, rank_labels
 
 
 class HierarchyNode:
@@ -109,9 +109,8 @@ def _expand(stack, layer, unit, weight, counts, labels) -> HierarchyNode:
         name = labels[unit] if labels is not None else None
         return HierarchyNode(0, unit, weight, label_name=name)
     col = stack.layers[layer - 1].values[:, unit]
-    order = np.lexsort((np.arange(col.size), -col))
     children = []
-    for idx in order:
+    for idx in rank_labels(col):
         if col[idx] <= 0 or len(children) == counts[0]:
             break
         children.append(
@@ -149,7 +148,7 @@ class LimeConfig:
         self.num_samples = int(num_samples)
         self.kernel_width = None if kernel_width is None else float(kernel_width)
         self.k_features = int(k_features)
-        self.seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
+        self.seed = RngSeed(seed)
         self.baseline = b
 
 
@@ -324,10 +323,7 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     prediction targets unit 0 by tie-break and is flagged degenerate.
     """
     cfg = cfg if cfg is not None else ExplainConfig()
-    if m.output_dim != stack.latent_dim:
-        raise ShapeMismatchError(
-            f"regressor outputs {m.output_dim} dims but decoder expects "
-            f"{stack.latent_dim}")
+    _check_latent_dim(m, stack)
     latent = predict_latent(x_row, m)
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break
     degenerate = bool(latent[unit] == 0.0)

@@ -5,12 +5,11 @@ Every other module builds on the two storage types here: ``LabelMatrix``
 and ``DenseMatrix`` (dense float64 — holds factors, latent codes, and
 reconstructions).
 
-Determinism contract: the dense contraction kernel is ``np.einsum`` without
-optimization, which runs single-threaded with a fixed left-to-right
-accumulation over the shared axis. It never dispatches to BLAS, so results
-do not depend on BLAS/OpenMP thread settings and are bitwise reproducible
-across runs on the same build. Sparse products go through scipy's
-sequential CSR kernels, which have the same property.
+Determinism contract: every dense product goes through ``_mm``, whose
+result depends only on the operand values and shapes, never on their memory
+layout or on thread settings, so it is bitwise reproducible across runs on
+the same build. Sparse products go through scipy's sequential CSR kernels,
+which do not depend on thread settings either.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ class RngSeed:
 
     __slots__ = ("seed",)
 
-    def __init__(self, seed: int):
-        seed = int(seed)
+    def __init__(self, seed: RngSeed | int):
+        seed = seed.seed if isinstance(seed, RngSeed) else int(seed)
         if not 0 <= seed < 2**64:
             raise XlcError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
@@ -42,9 +41,7 @@ class RngSeed:
 def make_rng(seed) -> np.random.Generator:
     """PCG64 generator from an RngSeed or a plain int, which must be a valid
     RngSeed."""
-    if not isinstance(seed, RngSeed):
-        seed = RngSeed(seed)
-    return np.random.Generator(np.random.PCG64(seed.seed))
+    return np.random.Generator(np.random.PCG64(RngSeed(seed).seed))
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -190,11 +187,15 @@ class LabelMatrix:
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic dense product of two float64 2-D arrays.
 
-    Single-threaded einsum contraction: for each output element the shared
-    axis is accumulated in a fixed left-to-right order, independent of any
-    worker/thread configuration.
+    The result depends only on the values and shapes of a and b, never on
+    their memory layout or on thread settings. einsum without optimization
+    runs single-threaded and never calls BLAS, but it picks its summation
+    kernel from the operand strides, so both operands are made C-contiguous
+    first. Callers may pass views such as ``a.T``; one that reuses an
+    operand across many calls makes it contiguous once itself.
     """
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
+    return np.einsum("ij,jk->ik", np.ascontiguousarray(a),
+                     np.ascontiguousarray(b), optimize=False)
 
 
 # The low-rank residual is summed, and the CLI serves predictions, over row
@@ -213,6 +214,7 @@ def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray) -> float:
     """
     n, p = vs.shape
     rows = max(1, _BLOCK_ENTRIES // p)
+    b = np.ascontiguousarray(b)         # reused by every block: copy it once
     total = 0.0
     for lo in range(0, n, rows):
         r = vs[lo:lo + rows].toarray() - _mm(a[lo:lo + rows], b)

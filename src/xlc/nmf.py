@@ -12,31 +12,29 @@ import numpy as np
 from .errors import ConfigError, NonNegativityError, ShapeMismatchError, XlcError
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 
+_EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
+
 
 class NmfConfig:
     """Settings for one factorization run.
 
-    k must satisfy 1 <= k < min(n, p); epsilon guards update denominators
-    and must be finite and > 0; rel_tol must be finite and >= 0.
+    k must satisfy 1 <= k < min(n, p); rel_tol must be finite and >= 0.
     """
 
-    __slots__ = ("k", "max_iters", "rel_tol", "epsilon", "seed")
+    __slots__ = ("k", "max_iters", "rel_tol", "seed")
 
     def __init__(self, k: int, max_iters: int = 5000, rel_tol: float = 1e-6,
-                 epsilon: float = 1e-12, seed: RngSeed | int = 0):
+                 seed: RngSeed | int = 0):
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         if max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-        if not (np.isfinite(epsilon) and epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
         if not (np.isfinite(rel_tol) and rel_tol >= 0):
             raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
         self.k = int(k)
         self.max_iters = int(max_iters)
         self.rel_tol = float(rel_tol)
-        self.epsilon = float(epsilon)
-        self.seed = seed if isinstance(seed, RngSeed) else RngSeed(seed)
+        self.seed = RngSeed(seed)
 
 
 class NmfFactors:
@@ -90,8 +88,6 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     n, p = v.n_rows, v.n_labels
     if cfg.k >= min(n, p):
         raise ConfigError(f"k={cfg.k} must be < min(n, p) = {min(n, p)}")
-    if v.entry_vals.size and v.entry_vals.min() < 0:
-        raise NonNegativityError("V has a negative entry")
 
     vs = v.to_csr()
     mean_v = float(vs.sum()) / max(n * p, 1)
@@ -100,18 +96,17 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     w = rng.uniform(0.1, 1.0, size=(n, cfg.k)) * scale
     h = rng.uniform(0.1, 1.0, size=(cfg.k, p)) * scale
 
-    eps = cfg.epsilon
     trace = []
     prev = None
     for _ in range(cfg.max_iters):
         # H <- H * (W^T V) / (W^T W H + eps)
         wtv = np.asarray((vs.T @ w).T)          # (k, p), sequential CSC kernel
-        wtw = _mm(w.T.copy(), w)
-        h *= wtv / (_mm(wtw, h) + eps)
+        wtw = _mm(w.T, w)
+        h *= wtv / (_mm(wtw, h) + _EPSILON)
         # W <- W * (V H^T) / (W H H^T + eps)
         vht = np.asarray(vs @ h.T)              # (n, k)
-        hht = _mm(h, h.T.copy())
-        w *= vht / (_mm(w, hht) + eps)
+        hht = _mm(h, h.T)
+        w *= vht / (_mm(w, hht) + _EPSILON)
 
         obj = 0.5 * _lowrank_sq_error(vs, w, h)
         trace.append(obj)

@@ -105,7 +105,12 @@ class RankedPrediction:
         scores = np.ascontiguousarray(scores, dtype=np.float64)
         if scores.ndim != 1:
             raise ShapeMismatchError(f"scores must be a vector, got shape {scores.shape}")
-        _check_scores(scores, n)
+        if not np.all(np.isfinite(scores)):
+            raise XlcError("scores contain a non-finite value")
+        if scores.size and scores.min() < 0:
+            raise XlcError("scores contain a negative value")
+        if n < 1:
+            raise ConfigError(f"top-N count must be >= 1, got {n}")
         scores.setflags(write=False)
         self.scores = scores
         self.top_n = _top_n(scores.reshape(1, -1), n)[0]
@@ -113,8 +118,8 @@ class RankedPrediction:
     @classmethod
     def _rows(cls, scores: np.ndarray, n: int) -> list["RankedPrediction"]:
         """One prediction per row of an r x p score block, each holding a
-        read-only row view of the block."""
-        _check_scores(scores, n)
+        read-only row view of the block. The block comes from decode, so it
+        is finite and >= 0, and n >= 1."""
         scores.setflags(write=False)
         preds = []
         for row, top in zip(scores, _top_n(scores, n)):
@@ -122,15 +127,6 @@ class RankedPrediction:
             pred.scores, pred.top_n = row, top
             preds.append(pred)
         return preds
-
-
-def _check_scores(scores: np.ndarray, n: int) -> None:
-    if not np.all(np.isfinite(scores)):
-        raise XlcError("scores contain a non-finite value")
-    if scores.size and scores.min() < 0:
-        raise XlcError("scores contain a negative value")
-    if n < 1:
-        raise ConfigError(f"top-N count must be >= 1, got {n}")
 
 
 def _top_n(scores: np.ndarray, n: int) -> list[tuple]:
@@ -198,8 +194,8 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
         w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
         xc = xv - x_mean
         wc = wv - w_mean
-        gram = _mm(np.ascontiguousarray(xc.T), xc) + lam * np.eye(d)
-        rhs = _mm(np.ascontiguousarray(xc.T), wc)
+        gram = _mm(xc.T, xc) + lam * np.eye(d)
+        rhs = _mm(xc.T, wc)
         try:
             theta = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
@@ -241,10 +237,10 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
                 raise TrainingDivergedError(
                     f"mlp loss became non-finite at epoch {epoch}; "
                     f"lower the learning rate (currently {lr})", epoch=epoch)
-            g_w2 = _mm(np.ascontiguousarray(act.T), err)
+            g_w2 = _mm(act.T, err)
             g_b2 = err.sum(axis=0)
-            back = _mm(err, np.ascontiguousarray(w2.T)) * (pre > 0)
-            g_w1 = _mm(np.ascontiguousarray(xv.T), back)
+            back = _mm(err, w2.T) * (pre > 0)
+            g_w1 = _mm(xv.T, back)
             g_b1 = back.sum(axis=0)
             w1 = w1 - lr * g_w1
             b1 = b1 - lr * g_b1
@@ -261,7 +257,7 @@ def _reject_unknown(hp: dict, kinds) -> None:
 
 def _as_features(x, d: int) -> np.ndarray:
     """A feature vector of length d or an r x d block, as float64."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != d:
         raise ShapeMismatchError(
             f"feature shape {a.shape} does not match input_dim {d}")
@@ -284,6 +280,15 @@ def predict_latent(x, m: RegressorModel) -> np.ndarray:
     return np.maximum(m.raw_outputs(a), 0.0)
 
 
+def _check_latent_dim(m: RegressorModel, stack: EncoderStack) -> None:
+    """Raise ShapeMismatchError unless the regressor's outputs are the
+    stack's latent codes."""
+    if m.output_dim != stack.latent_dim:
+        raise ShapeMismatchError(
+            f"regressor outputs {m.output_dim} dims but decoder expects "
+            f"{stack.latent_dim}")
+
+
 def predict_labels(x, m: RegressorModel, stack: EncoderStack,
                    n: int = 25) -> RankedPrediction | list[RankedPrediction]:
     """Decode the predicted latent code to a ranked label list.
@@ -294,10 +299,7 @@ def predict_labels(x, m: RegressorModel, stack: EncoderStack,
     """
     if n < 1:
         raise ConfigError(f"top-N count must be >= 1, got {n}")
-    if m.output_dim != stack.latent_dim:
-        raise ShapeMismatchError(
-            f"regressor outputs {m.output_dim} dims but decoder expects "
-            f"{stack.latent_dim}")
+    _check_latent_dim(m, stack)
     latent = predict_latent(x, m)
     preds = RankedPrediction._rows(decode(np.atleast_2d(latent), stack).values, n)
     return preds if latent.ndim == 2 else preds[0]

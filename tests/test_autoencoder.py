@@ -90,6 +90,18 @@ def test_encode_shape_mismatch():
         encode(v, EncoderStack([H1]))
 
 
+@pytest.mark.parametrize("dense", [
+    np.ones((2, 3)), DenseMatrix(np.ones((2, 3))), [[1.0, 0.0, 1.0]]])
+def test_label_inputs_must_be_a_label_matrix(dense):
+    stack = EncoderStack([H1])
+    for call in (lambda: encode(dense, stack),
+                 lambda: reconstruction_loss(dense, stack),
+                 lambda: ae_gradient(dense, stack, 1)):
+        with pytest.raises(XlcError, match="expected a LabelMatrix, got "
+                                           + type(dense).__name__):
+            call()
+
+
 def test_encode_row_permutation_equivariance_bitwise():
     v, dense = random_label_matrix(8, 5, seed=12)
     stack = EncoderStack([DenseMatrix(np.random.default_rng(0).uniform(size=(5, 3)))])
@@ -319,9 +331,6 @@ def test_train_config_validation():
     ("nmf-rel-tol", float("nan")),
     ("nmf-rel-tol", float("inf")),
     ("nmf-rel-tol", -1.0),
-    ("nmf-epsilon", float("nan")),
-    ("nmf-epsilon", float("inf")),
-    ("nmf-epsilon", 0.0),
     ("ridge-lam", float("nan")),
     ("ridge-lam", float("inf")),
 ])
@@ -334,8 +343,6 @@ def test_step_settings_must_be_finite_and_in_range(build, value):
             AeTrainConfig(layer_dims=[4], rel_tol=value)
         elif build == "nmf-rel-tol":
             NmfConfig(k=2, rel_tol=value)
-        elif build == "nmf-epsilon":
-            NmfConfig(k=2, epsilon=value)
         elif build == "ridge-lam":
             fit_regressor(x, w, "ridge-linear", {"lam": value})
         else:

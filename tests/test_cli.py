@@ -204,6 +204,26 @@ def test_eval_uses_split_stored_at_fit_time(planted, tmp_path):
     assert "rows evaluated: 9 " in report.read_text()  # 30 * 0.3
 
 
+@pytest.mark.parametrize("key, raw", [("holdout_frac", "abc"), ("split_seed", "1.5")])
+def test_eval_rejects_a_bad_stored_split(planted, capsys, key, raw):
+    data, _, model = planted
+    _run("fit-reg", "--data", data, "--model", model, "--kind", "ridge")
+    container = load_model(model)
+    container.config[key] = raw
+    save_model(model, container)
+    capsys.readouterr()
+    assert _run("eval", "--model", model, "--data", data) == 1
+    err = capsys.readouterr().err
+    assert len(err.rstrip("\n").splitlines()) == 1
+    assert f"{model}: stored {key}: expected" in err and repr(raw) in err
+    # a model without a stored split takes fit-reg's defaults
+    for k in ("holdout_frac", "split_seed"):
+        del container.config[k]
+    save_model(model, container)
+    assert _run("eval", "--model", model, "--data", data) == 0
+    assert "rows evaluated: 6 " in capsys.readouterr().out      # 30 * 0.2
+
+
 def test_missing_file_is_a_one_line_error(tmp_path, capsys):
     assert _run("train-ae", "--data", tmp_path / "absent.txt", "--dims", "2",
                 "--out", tmp_path / "m.xlc") == 1

@@ -21,6 +21,7 @@ from xlc import (
     load_label_names,
     load_model,
     make_block_dataset,
+    make_rng,
     nmf_factorize,
     save_dataset,
     save_label_names,
@@ -106,8 +107,13 @@ def test_label_names_round_trip(tmp_path):
 
 
 def test_label_names_reject_newlines(tmp_path):
-    with pytest.raises(ConfigError):
-        save_label_names(tmp_path / "n.txt", ["ok", "bad\nname"])
+    # and names UTF-8 cannot encode (a lone surrogate), in both writers
+    for bad in ("bad\nname", "a\udcff"):
+        with pytest.raises(ConfigError, match="label name"):
+            save_label_names(tmp_path / "n.txt", ["ok", bad])
+        with pytest.raises(ConfigError, match="label name"):
+            save_model(tmp_path / "m.xlc", ModelContainer(label_names=["ok", bad]))
+    assert not (tmp_path / "n.txt").exists() and not (tmp_path / "m.xlc").exists()
 
 
 def test_load_dataset_rejects_non_utf8_bytes(tmp_path):
@@ -143,11 +149,30 @@ def test_make_block_dataset_shapes_and_noise_zero():
         np.testing.assert_array_equal(dense[i], expected)
 
 
+def _block_dataset_reference(blocks, rows, labels_per_block, noise, seed):
+    """The generator's stream, drawn one row at a time: block indices,
+    then p uniforms per row, each below noise flipping that label."""
+    p = blocks * labels_per_block
+    rng = make_rng(seed)
+    block_of = rng.integers(0, blocks, size=rows)
+    dense = np.zeros((rows, p))
+    for i in range(rows):
+        b = int(block_of[i])
+        base = np.zeros(p)
+        base[b * labels_per_block:(b + 1) * labels_per_block] = 1.0
+        flips = rng.random(p) < noise
+        dense[i] = np.where(flips, 1.0 - base, base)
+    return block_of, dense
+
+
 def test_make_block_dataset_deterministic_and_noise_flips_bits():
     x1, v1, _ = make_block_dataset(4, 30, 5, noise=0.2, seed=3)
     x2, v2, _ = make_block_dataset(4, 30, 5, noise=0.2, seed=3)
     np.testing.assert_array_equal(x1.values, x2.values)
     assert v1.entries == v2.entries
+    block_of, dense = _block_dataset_reference(4, 30, 5, noise=0.2, seed=3)
+    np.testing.assert_array_equal(x1.values, np.eye(4)[block_of])
+    np.testing.assert_array_equal(np.asarray(v1.to_csr().todense()), dense)
     _, v3, _ = make_block_dataset(4, 30, 5, noise=0.2, seed=4)
     assert v1.entries != v3.entries
 

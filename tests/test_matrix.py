@@ -58,6 +58,27 @@ def test_matmul_associativity(seed):
     assert np.linalg.norm(left - right) <= bound
 
 
+def _layouts(a):
+    """The values of a as C-ordered, Fortran-ordered, transposed-view and
+    strided-slice arrays."""
+    n, m = a.shape
+    strided = np.zeros((2 * n, 3 * m))
+    strided[::2, ::3] = a
+    return (a, np.asfortranarray(a), np.ascontiguousarray(a.T).T, strided[::2, ::3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.integers(1, 40))
+def test_matmul_bits_do_not_depend_on_operand_layout(seed, n, m, q):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, m)), rng.normal(size=(m, q))
+    want = _mm(a, b)
+    for a2 in _layouts(a):
+        for b2 in _layouts(b):
+            np.testing.assert_array_equal(_mm(a2, b2), want)
+
+
 # ---------------------------------------------------------------- low-rank residual
 
 
@@ -214,6 +235,8 @@ def test_make_rng_streams_are_bitwise_reproducible():
     a = make_rng(RngSeed(42)).uniform(size=100)
     b = make_rng(42).uniform(size=100)
     np.testing.assert_array_equal(a, b)
+    assert RngSeed(RngSeed(5)) == RngSeed(5)
+    np.testing.assert_array_equal(make_rng(RngSeed(RngSeed(42))).uniform(size=100), a)
     c = make_rng(43).uniform(size=100)
     assert (a != c).any()
 

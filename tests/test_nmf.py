@@ -79,11 +79,6 @@ def test_k_out_of_range_rejected(k):
         nmf_factorize(v, NmfConfig(k=k, seed=0))
 
 
-def test_epsilon_must_be_positive():
-    with pytest.raises(ConfigError):
-        NmfConfig(k=2, epsilon=0.0)
-
-
 def test_objective_matches_dense_brute_force():
     v, dense = random_label_matrix(6, 5, seed=8)
     f = nmf_factorize(v, NmfConfig(k=2, seed=8, max_iters=20))
