@@ -15,7 +15,7 @@ import numpy as np
 
 from .autoencoder import EncoderStack
 from .errors import ConfigError, ShapeMismatchError, XlcError
-from .matrix import RngSeed, make_rng
+from .matrix import RngSeed, _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, predict_latent, rank_labels
 
 
@@ -185,24 +185,81 @@ class SurrogateExplanation:
         }
 
 
-def _wls_fit(design: np.ndarray, y: np.ndarray, pi: np.ndarray):
-    """Weighted least squares with intercept; returns (coefs, intercept,
-    weighted residual sum of squares)."""
-    root = np.sqrt(pi)
-    a = np.concatenate([np.ones((design.shape[0], 1)), design], axis=1)
-    sol, *_ = np.linalg.lstsq(a * root[:, None], y * root, rcond=None)
-    resid = y - a @ sol
-    return sol[1:], float(sol[0]), float((pi * resid * resid).sum())
+class _RowBlock:
+    """A predict_fn that maps the whole S x d block of masked inputs to its
+    S outputs in one call; row s of the result equals, bitwise, the output
+    for row s alone."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+
+def _forward_select(z: np.ndarray, y: np.ndarray, pi: np.ndarray, k: int,
+                    ss_tot: float):
+    """Greedy weighted least-squares forward selection of up to k columns
+    of z, with an intercept; returns (selected, intercept, coefs).
+
+    Modified Gram-Schmidt under the pi-weighted inner product <a, b> =
+    sum(pi a b): q is the newest pi-orthonormal basis vector (the
+    intercept's first), zt holds every candidate column with the basis
+    projected out and r is the residual, so adding candidate j lowers the
+    weighted rss by gain_j = <r, zt_j>^2 / <zt_j, zt_j>. Each step takes the
+    first argmax of the gain (ties go to the lower index) while it lowers
+    rss by more than 1e-15 ss_tot. A candidate whose projected norm has
+    collapsed to rounding zero lies in the span already chosen and gains
+    nothing. The vectors stay unscaled, so the rounding error of each sample
+    is relative to its own values however small its weight. Every step is
+    O(S d) work through _mm; the coefficients come from back-substitution
+    on the R factor the steps built.
+    """
+    s, d = z.shape
+    pi_row = pi.reshape(1, -1)
+    zt = z.copy()
+    floor = s * np.finfo(np.float64).eps * np.sqrt(_mm(pi_row, zt * zt)[0])
+    r = y.copy()
+    one_norm = np.sqrt(float(pi.sum()))
+    q = np.full(s, 1.0 / one_norm)
+    selected: list[int] = []
+    r_rows, qty = [], []
+    while True:
+        pq = (pi * q).reshape(1, -1)
+        c = _mm(pq, zt)[0]
+        r_rows.append(c)
+        zt -= np.multiply.outer(q, c)
+        if selected:
+            zt[:, selected[-1]] = 0.0
+        qty.append(_mm(pq, r.reshape(-1, 1))[0])
+        r -= qty[-1] * q
+        if len(selected) == k:
+            break
+        norm = np.sqrt(_mm(pi_row, zt * zt)[0])
+        live = norm > floor
+        gain = np.zeros(d)
+        gain[live] = (_mm((pi * r).reshape(1, -1), zt)[0][live] / norm[live]) ** 2
+        j = int(np.argmax(gain))
+        if not gain[j] > 1e-15 * ss_tot:
+            break
+        selected.append(j)
+        q = zt[:, j] / norm[j]
+    # R of the design [1, z[:, selected]]
+    rf = np.zeros((len(r_rows), len(r_rows)))
+    rf[0, 0] = one_norm
+    rf[:, 1:] = np.array(r_rows)[:, selected]
+    beta = _back_substitute(rf, np.array(qty))[:, 0]
+    return selected, float(beta[0]), beta[1:]
 
 
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
     Draws num_samples binary masks (each feature kept with probability
-    1/2), evaluates predict_fn on the masked inputs, weighs samples by
-    exp(-hamming(z, all-ones)^2 / kernel_width^2), picks k_features
-    greedily by weighted residual reduction, then refits by weighted
-    least squares on the selected set. Deterministic given the seed.
+    1/2), evaluates predict_fn on the masked inputs, one row per call,
+    weighs samples by exp(-hamming(z, all-ones)^2 / kernel_width^2), picks
+    k_features greedily by weighted residual reduction and fits weighted
+    least squares on the selected set (see _forward_select). Deterministic
+    given the seed.
     """
     x = np.ascontiguousarray(x_row, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -217,9 +274,12 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     rng = make_rng(cfg.seed)
     z = (rng.random((cfg.num_samples, d)) < 0.5).astype(np.float64)
     masked = z * x + (1.0 - z) * cfg.baseline
-    y = np.empty(cfg.num_samples)
-    for s in range(cfg.num_samples):
-        y[s] = float(predict_fn(masked[s]))
+    if isinstance(predict_fn, _RowBlock):
+        y = np.asarray(predict_fn.fn(masked), dtype=np.float64)
+    else:
+        y = np.empty(cfg.num_samples)
+        for s in range(cfg.num_samples):
+            y[s] = float(predict_fn(masked[s]))
     if not np.all(np.isfinite(y)):
         raise XlcError("predict_fn returned a non-finite value")
 
@@ -235,26 +295,13 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
         return SurrogateExplanation((), y_bar, 0.0, "predict_fn",
                                     degenerate=True)
 
-    selected: list[int] = []
-    best_rss = ss_tot
-    for _ in range(k):
-        best_j, best_j_rss = -1, best_rss
-        for j in range(d):
-            if j in selected:
-                continue
-            _, _, rss = _wls_fit(z[:, selected + [j]], y, pi)
-            if rss < best_j_rss - 1e-15 * ss_tot:
-                best_j, best_j_rss = j, rss
-        if best_j < 0:
-            break
-        selected.append(best_j)
-        best_rss = best_j_rss
-
+    selected, intercept, coefs = _forward_select(z, y, pi, k, ss_tot)
     if not selected:
         # nothing reduced the residual: report an honest zero-weight fit
         return SurrogateExplanation((), y_bar, 0.0, "predict_fn",
                                     degenerate=True)
-    coefs, intercept, rss = _wls_fit(z[:, selected], y, pi)
+    resid = y - intercept - _mm(z[:, selected], coefs.reshape(-1, 1))[:, 0]
+    rss = float((pi * resid * resid).sum())
     order = sorted(range(len(selected)),
                    key=lambda i: (-abs(coefs[i]), selected[i]))
     pairs = [(selected[i], coefs[i]) for i in order]
@@ -328,10 +375,8 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break
     degenerate = bool(latent[unit] == 0.0)
 
-    def unit_output(row):
-        return predict_latent(row, m)[unit]
-
-    surrogate = lime_explain(x_row, unit_output, cfg.lime)
+    block = _RowBlock(lambda rows: predict_latent(rows, m)[:, unit])
+    surrogate = lime_explain(x_row, block, cfg.lime)
     surrogate = SurrogateExplanation(
         surrogate.feature_weights, surrogate.intercept,
         surrogate.local_fit_r2, f"latent unit {unit}", surrogate.degenerate)

@@ -8,8 +8,10 @@ reconstructions).
 Determinism contract: every dense product goes through ``_mm``, whose
 result depends only on the operand values and shapes, never on their memory
 layout or on thread settings, so it is bitwise reproducible across runs on
-the same build. Sparse products go through scipy's sequential CSR kernels,
-which do not depend on thread settings either.
+the same build. Dense solves go through ``_cholesky_solve`` and
+``_back_substitute``, which are built on ``_mm``; no LAPACK call is made.
+Sparse products go through scipy's sequential CSR kernels, which do not
+depend on thread settings either.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ class RngSeed:
 
     def __eq__(self, other):
         return isinstance(other, RngSeed) and other.seed == self.seed
+
+    def __hash__(self):
+        return hash(self.seed)
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -196,6 +201,38 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     return np.einsum("ij,jk->ik", np.ascontiguousarray(a),
                      np.ascontiguousarray(b), optimize=False)
+
+
+def _back_substitute(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve U X = B for an upper-triangular n x n U with a nonzero
+    diagonal and an n x m B, one row at a time from the bottom, each row's
+    dot products through _mm."""
+    n = u.shape[0]
+    u = np.ascontiguousarray(u)
+    x = np.empty((n, b.shape[1]))
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - _mm(u[i:i + 1, i + 1:], x[i + 1:])[0]) / u[i, i]
+    return x
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B for a symmetric positive-definite n x n A and an n x m B.
+
+    Factors A = U^T U, row j of U from rows 0..j-1 through one _mm, then
+    solves U^T Y = B and U X = Y with _back_substitute (the lower solve runs
+    it on the row- and column-reversed U^T). No LAPACK or BLAS call takes
+    part, so X obeys the determinism contract. Raises XlcError when a pivot
+    is not positive, i.e. A is singular or indefinite to working precision.
+    """
+    n = a.shape[0]
+    u = np.zeros((n, n))
+    for j in range(n):
+        row = a[j, j:] - _mm(u[:j, j:j + 1].T, u[:j, j:])[0]
+        if not row[0] > 0.0:
+            raise XlcError(f"matrix is not positive definite: pivot {j} is {row[0]}")
+        u[j, j:] = row / np.sqrt(row[0])
+    y = _back_substitute(u.T[::-1, ::-1], b[::-1])[::-1]
+    return _back_substitute(u, y)
 
 
 # The low-rank residual is summed, and the CLI serves predictions, over row

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autoencoder import EncoderStack, decode
 from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
-from .matrix import DenseMatrix, RngSeed, _mm, make_rng
+from .matrix import DenseMatrix, RngSeed, _cholesky_solve, _mm, make_rng
 
 
 class FeatureMatrix(DenseMatrix):
@@ -197,12 +197,12 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
         gram = _mm(xc.T, xc) + lam * np.eye(d)
         rhs = _mm(xc.T, wc)
         try:
-            theta = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
+            theta = _cholesky_solve(gram, rhs)
+        except XlcError as exc:
             raise XlcError(
                 f"normal equations are singular with lam={lam}; "
                 f"use a positive lam") from exc
-        intercept = w_mean - x_mean @ theta
+        intercept = w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
         return RegressorModel(kind, d, k,
                               {"theta": theta, "intercept": intercept})
 

@@ -1,13 +1,18 @@
 """Command-line surface, exercised in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xlc.cli
-from xlc import (FeatureMatrix, LabelMatrix, ModelContainer, RegressorModel,
-                 load_dataset, load_model, rank_labels, save_dataset, save_model)
+from xlc import (DenseMatrix, EncoderStack, FeatureMatrix, LabelMatrix,
+                 ModelContainer, RegressorModel, load_dataset, load_model,
+                 rank_labels, save_dataset, save_model)
 from xlc.cli import main
 
 
@@ -315,3 +320,33 @@ def test_predict_and_eval_match_a_per_row_reference_when_every_label_ties(
     expected += [f"P@{k} = {p_at[k] / len(used):.6f}" for k in ks]
     expected += [f"nDCG@{k} = {g_at[k] / len(used):.6f}" for k in ks]
     assert report.read_text() == "\n".join(expected) + "\n"
+
+
+def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path):
+    # Dense features (several nonzeros per row, unlike gen-synth's one-hot
+    # rows) at d=400: a LAPACK solve of the ridge normal equations gives
+    # different bits with 1 and 2 BLAS threads at this size.
+    rng = np.random.default_rng(0)
+    n, d, p = 1500, 400, 12
+    x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
+    x[rng.random((n, d)) < 0.8] = 0.0
+    v = LabelMatrix.from_dense_array((rng.random((n, p)) < 0.2).astype(float))
+    data, base = tmp_path / "dense.txt", tmp_path / "base.xlc"
+    save_dataset(data, FeatureMatrix(x), v)
+    h = DenseMatrix(rng.uniform(0.0, 1.0, size=(p, 4)))
+    save_model(base, ModelContainer(encoder=EncoderStack([h])))
+    env = dict(os.environ, PYTHONPATH=str(Path(xlc.__file__).parents[1]))
+    outputs = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        model = tmp_path / f"ridge{threads}.xlc"
+        report = tmp_path / f"explain{threads}.json"
+        for argv in (("fit-reg", "--data", data, "--model", base, "--kind", "ridge",
+                      "--out", model),
+                     ("explain", "--model", model, "--data", data, "--row", 0,
+                      "--json-out", report)):
+            subprocess.run([sys.executable, "-m", "xlc.cli", *map(str, argv)],
+                           env=env, check=True, capture_output=True)
+        outputs.append((model.read_bytes(), report.read_bytes()))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]

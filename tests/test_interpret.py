@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xlc.interpret
 from xlc import (
     ConfigError,
     DenseMatrix,
@@ -15,8 +18,10 @@ from xlc import (
     explain_prediction,
     extract_hierarchy,
     lime_explain,
+    predict_latent,
     render_hierarchy,
 )
+from xlc.interpret import _forward_select
 
 # 6 labels -> 2 units, block-diagonal: unit 0 draws on labels 0-2, unit 1 on 3-5
 BLOCK_H1 = DenseMatrix(
@@ -236,6 +241,110 @@ def test_lime_nonzero_baseline_shifts_neighborhood():
     assert dict(e1.feature_weights)[0] == pytest.approx(1.0, rel=1e-6)
 
 
+def _wls_rss(design, y, pi):
+    """Oracle: weighted least squares with intercept by np.linalg.lstsq.
+
+    Returns (coefs, intercept, weighted rss, delta). lstsq is backward
+    stable for the sqrt(pi)-scaled system, so its weighted residual vector
+    is off by up to about delta = 100 s eps (|A| |sol| + |b|), measured on
+    the scaled A and b; when one weight dwarfs the rest that can exceed
+    the whole rss.
+    """
+    root = np.sqrt(pi)
+    a = np.concatenate([np.ones((design.shape[0], 1)), design], axis=1)
+    aw, bw = a * root[:, None], y * root
+    sol, *_ = np.linalg.lstsq(aw, bw, rcond=None)
+    resid = y - a @ sol
+    delta = 100 * y.size * np.finfo(np.float64).eps * (
+        np.linalg.norm(aw) * np.linalg.norm(sol) + np.linalg.norm(bw))
+    return sol[1:], sol[0], float((pi * resid * resid).sum()), delta
+
+
+def _agree(fit_a, fit_b, margin=0.0):
+    """Whether two oracle rss values are equal up to their rounding (plus
+    margin): (rss, delta) pairs."""
+    (ra, da), (rb, db) = fit_a, fit_b
+    delta = da + db
+    return abs(ra - rb) <= margin + 2 * delta * (np.sqrt(ra) + np.sqrt(rb)) + delta**2
+
+
+def _oracle_step(z, y, pi, chosen, best_rss, ss_tot):
+    """One step of forward selection by one lstsq fit per candidate:
+    (the pick, or -1 to stop, and each candidate's (rss, delta))."""
+    fits = {j: _wls_rss(z[:, chosen + [j]], y, pi)[2:]
+            for j in range(z.shape[1]) if j not in chosen}
+    pick, pick_rss = -1, best_rss
+    for j, (r, _) in fits.items():
+        if r < pick_rss - 1e-15 * ss_tot:
+            pick, pick_rss = j, r
+    return pick, fits
+
+
+@st.composite
+def _selection_cases(draw):
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    s = draw(st.integers(k + 2, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    width = draw(st.sampled_from([None, 0.5, 2.0, 10.0]))
+    target = draw(st.sampled_from(["linear", "interaction", "steps"]))
+    return d, k, s, seed, width, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(_selection_cases())
+def test_forward_selection_matches_an_lstsq_oracle(case):
+    d, k, s, seed, width, target = case
+    rng = np.random.default_rng(seed)
+    z = (rng.random((s, d)) < 0.5).astype(float)
+    coefs = rng.normal(size=d) * (rng.random(d) < 0.6)
+    y = z @ coefs + 0.1 * rng.normal(size=s)
+    if target == "interaction":
+        y = y + 2.0 * z[:, 0] * z[:, -1]
+    elif target == "steps":
+        y = np.round(y)
+    kw = 0.75 * np.sqrt(d) if width is None else width
+    ham = d - z.sum(axis=1)
+    pi = np.exp(-(ham * ham) / (kw * kw))
+    y_bar = (pi * y).sum() / pi.sum()
+    ss_tot = float((pi * (y - y_bar) ** 2).sum())
+    if not ss_tot > 0.0:
+        return
+    selected, intercept, got = _forward_select(z, y, pi, min(k, d), ss_tot)
+
+    # walk the oracle along the chosen path; a different pick (or stop) is
+    # allowed only where the oracle's two choices agree within rounding
+    chosen, best = [], (ss_tot, 0.0)
+    for step in range(min(k, d)):
+        pick, fits = _oracle_step(z, y, pi, chosen, best[0], ss_tot)
+        mine = selected[step] if step < len(selected) else -1
+        if mine != pick:
+            assert _agree(fits[mine] if mine >= 0 else best,
+                          fits[pick] if pick >= 0 else best,
+                          margin=1e-15 * ss_tot), (step, mine, pick)
+            break
+        if pick < 0:
+            break
+        chosen.append(pick)
+        best = fits[pick]
+    else:
+        assert len(selected) == len(chosen)
+
+    if selected:
+        want, want_icpt, *want_fit = _wls_rss(z[:, selected], y, pi)
+        rss = float((pi * (y - intercept - z[:, selected] @ got) ** 2).sum())
+        assert rss <= want_fit[0] or _agree((rss, 0.0), want_fit)
+        # both solves are normwise forward stable for least squares:
+        # |dx| / |x| <= c eps (cond + cond^2 |r| / (|A| |x|)) on the scaled system
+        aw = np.sqrt(pi)[:, None] * np.concatenate([np.ones((s, 1)), z[:, selected]], axis=1)
+        cond, x_norm = np.linalg.cond(aw), np.linalg.norm(np.append(want, want_icpt))
+        bound = cond + cond**2 * np.sqrt(want_fit[0]) / (np.linalg.norm(aw) * x_norm)
+        if bound < 1e6:
+            tol = 1e-13 * bound * x_norm
+            assert np.abs(got - want).max() <= tol
+            assert abs(intercept - want_icpt) <= tol
+
+
 # ---------------------------------------------------------------- explain
 
 
@@ -291,3 +400,45 @@ def test_explain_dict_round_trips_through_json():
     assert blob["latent_unit"] == 0
     assert blob["hierarchy"]["unit"] == 0
     assert blob["surrogate"]["feature_weights"][0]["feature"] == 0
+
+
+def _random_model(kind="ridge-linear", d=12, k=3, seed=0):
+    rng = np.random.default_rng(seed)
+    stack = EncoderStack([DenseMatrix(rng.uniform(0.0, 1.0, size=(6, k)))])
+    if kind == "ridge-linear":
+        params = {"theta": rng.normal(size=(d, k)), "intercept": rng.uniform(0.5, 1.0, k)}
+    else:
+        params = {"w1": rng.normal(size=(d, 7)), "b1": rng.normal(size=7),
+                  "w2": rng.normal(size=(7, k)), "b2": rng.uniform(0.5, 1.0, k)}
+    model = RegressorModel(kind, d, k, params)
+    return stack, model, rng.uniform(0.0, 2.0, size=d)
+
+
+@pytest.mark.parametrize("kind", RegressorModel.KINDS)
+def test_explain_surrogate_equals_per_row_lime_bitwise(kind):
+    stack, model, x = _random_model(kind)
+    lime = LimeConfig(num_samples=300, k_features=4, seed=8)
+    exp = explain_prediction(x, model, stack, ExplainConfig(lime=lime))
+    unit = exp.latent_unit
+    ref = lime_explain(x, lambda row: predict_latent(row, model)[unit], lime)
+    assert exp.surrogate.feature_weights == ref.feature_weights
+    assert exp.surrogate.intercept == ref.intercept
+    assert exp.surrogate.local_fit_r2 == ref.local_fit_r2
+    assert exp.surrogate.degenerate == ref.degenerate
+
+
+def test_explain_predicts_the_sample_block_in_one_call(monkeypatch):
+    stack, model, x = _random_model()
+    calls = []
+    real = xlc.interpret.predict_latent
+    monkeypatch.setattr(xlc.interpret, "predict_latent",
+                        lambda rows, m: calls.append(np.shape(rows)) or real(rows, m))
+    explain_prediction(x, model, stack,
+                       ExplainConfig(lime=LimeConfig(num_samples=250, seed=1)))
+    # once for the latent code, once for the whole mask block
+    assert calls == [(12,), (250, 12)]
+    # a plain callable still sees one row per call
+    rows = []
+    lime_explain(x, lambda row: rows.append(row.shape) or float(row.sum()),
+                 LimeConfig(num_samples=40, k_features=2, seed=1))
+    assert rows == [(12,)] * 40

@@ -16,7 +16,7 @@ from xlc import (
     XlcError,
     make_rng,
 )
-from xlc.matrix import _BLOCK_ENTRIES, _lowrank_sq_error, _mm
+from xlc.matrix import _BLOCK_ENTRIES, _cholesky_solve, _lowrank_sq_error, _mm
 
 
 # ---------------------------------------------------------------- matmul
@@ -77,6 +77,51 @@ def test_matmul_bits_do_not_depend_on_operand_layout(seed, n, m, q):
     for a2 in _layouts(a):
         for b2 in _layouts(b):
             np.testing.assert_array_equal(_mm(a2, b2), want)
+
+
+# ---------------------------------------------------------------- solves
+
+
+def test_cholesky_solve_hand_oracle():
+    # A = U^T U with U = [[2, 1], [0, sqrt(2)]]; every step is exact
+    a = np.array([[4.0, 2.0], [2.0, 3.0]])
+    assert _cholesky_solve(a, np.array([[2.0], [1.0]])).tolist() == [[0.5], [0.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from([0.0, 1e-3, 1.0]))
+def test_cholesky_solve_matches_lapack_on_spd_systems(seed, n, m, lam):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n + 3, n))
+    a = g.T @ g + lam * np.eye(n)
+    b = rng.normal(size=(n, m))
+    want = np.linalg.solve(a, b)
+    got = _cholesky_solve(a, b)
+    # both solvers are backward stable: forward error within n eps cond(A)
+    bound = 10 * n * np.finfo(np.float64).eps * np.linalg.cond(a)
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+    assert np.abs(a @ got - b).max() <= 1e-12 * np.abs(a).max() * np.abs(got).max() * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.data())
+def test_cholesky_solve_rejects_singular_and_indefinite(seed, n, data):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n + 3, n))
+    a = g.T @ g + np.eye(n)
+    # a zero row and column (a feature that centers to zero) gives an
+    # exactly-zero pivot; a negated diagonal entry a negative one
+    j = data.draw(st.integers(0, n - 1))
+    zeroed = a.copy()
+    zeroed[j, :] = zeroed[:, j] = 0.0
+    negated = a.copy()
+    negated[j, j] = -negated[j, j]
+    for bad in (zeroed, negated):
+        with pytest.raises(XlcError, match="not positive definite"):
+            _cholesky_solve(bad, np.ones((n, 2)))
+    with pytest.raises(XlcError):
+        _cholesky_solve(np.ones((2, 2)), np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------- low-rank residual
@@ -239,6 +284,12 @@ def test_make_rng_streams_are_bitwise_reproducible():
     np.testing.assert_array_equal(make_rng(RngSeed(RngSeed(42))).uniform(size=100), a)
     c = make_rng(43).uniform(size=100)
     assert (a != c).any()
+
+
+def test_rng_seed_is_hashable_and_equal_seeds_hash_equally():
+    assert hash(RngSeed(5)) == hash(RngSeed(RngSeed(5)))
+    assert len({RngSeed(5), RngSeed(5), RngSeed(6)}) == 2
+    assert {RngSeed(2**64 - 1): "a"}[RngSeed(2**64 - 1)] == "a"
 
 
 def test_dense_matrix_rejects_non_finite():
