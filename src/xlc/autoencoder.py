@@ -23,9 +23,14 @@ layers, in O(nnz(V) + (n + p) k_1) memory. The per-layer gradient
 follows by the chain rule as P_l^T (dLoss/dE) S_l^T where P_l and S_l
 are the prefix and suffix products around H_l. The expanded loss cancels catastrophically near
 exact reconstruction, so every reported loss (reconstruction_loss, the
-last training-trace entry, the finite-difference audit) is the direct
-residual summed over fixed-size row blocks of V. The latent code W_L
-needs no projection: it is a product of non-negative factors.
+last training-trace entry, the finite-difference audit) is the residual
+||V - A E^T||^2 of matrix._lowrank_sq_error: with A and E^T non-negative,
+its split form sums (v - (A E^T)_ij)^2 over V's entries and adds the
+off-support mass tr(G C) - sum over V's entries of (A E^T)_ij^2, in
+O(nnz(V) k_L + (n + p) k_L^2), and it falls back to the direct residual
+over fixed-size row blocks of V where that form is not certified
+accurate, as near exact reconstruction. The latent code W_L needs no
+projection: it is a product of non-negative factors.
 """
 
 from __future__ import annotations
@@ -192,7 +197,7 @@ class _Objective:
     """Loss = ||V - V E E^T||_F^2 and its chain gradient, V held as CSR.
 
     ``expanded`` and ``chain_gradient`` are the training forms; ``residual``
-    is the oracle that every reported loss comes from.
+    is the accurate form that every reported loss comes from.
     """
 
     __slots__ = ("vs", "sq_norm")
@@ -224,17 +229,23 @@ class _Objective:
             return self.residual(e)
         return expanded_loss
 
-    def residual(self, e: np.ndarray) -> float:
-        """Loss summed directly over row blocks as ||V - (V E) E^T||^2.
+    def residual(self, e: np.ndarray, a=None, g=None, c=None) -> float:
+        """Loss as ||V - A E^T||^2 with A = V E, by _lowrank_sq_error.
 
         The expanded form cancels catastrophically near exact
-        reconstruction; this one stays accurate there.
+        reconstruction; this one stays accurate there. a, g and c, when
+        given, are expanded(e)'s A, G and C, which equal what this would
+        compute bitwise, so they are reused.
         """
-        return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e), e.T)
+        if a is None:
+            return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e), e.T)
+        return _lowrank_sq_error(self.vs, a, e.T, grams=(g, c))
 
 
 def reconstruction_loss(v, stack: EncoderStack) -> float:
-    """|| V - decode(encode(V)) ||_F^2."""
+    """|| V - decode(encode(V)) ||_F^2, by _Objective.residual: the split
+    form of matrix._lowrank_sq_error in O(nnz(V) k_L + (n + p) k_L^2), or
+    the direct residual over row blocks of V where that is not certified."""
     return _Objective(_as_csr(v, stack.p)).residual(stack.chain())
 
 
@@ -339,10 +350,11 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     All layers take one step per epoch from gradients evaluated at the
     current iterate, then are clamped at zero. The loss is recorded per
     epoch into the training trace (index 0 is the loss at initialization);
-    the epochs use the expanded form of the loss, or the direct residual
-    where the expanded form is down to rounding noise (see _NOISE_ULPS),
-    and the last entry is always the direct residual, so it equals
-    reconstruction_loss of the returned stack and no entry is negative.
+    the epochs use the expanded form of the loss, or the residual of
+    _Objective.residual where the expanded form is down to rounding noise
+    (see _NOISE_ULPS), and the last entry is always that residual, from the
+    last epoch's A = V E, G and C, so it equals reconstruction_loss of the
+    returned stack bitwise and no entry is negative.
     Stops when the relative change of those recorded losses falls below
     cfg.rel_tol or when max_epochs is reached; a non-finite loss raises
     TrainingDivergedError with the epoch index (the usual cause is a
@@ -381,6 +393,6 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
         trace.append(cur)
         if abs(prev - cur) <= cfg.rel_tol * max(prev, 1e-300):
             break
-    trace[-1] = obj.residual(chain[-1])
+    trace[-1] = obj.residual(chain[-1], a, g, c)
 
     return EncoderStack([DenseMatrix(h) for h in layers], training_trace=trace)

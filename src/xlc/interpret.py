@@ -256,10 +256,10 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
 
     Draws num_samples binary masks (each feature kept with probability
     1/2), evaluates predict_fn on the masked inputs, one row per call,
-    weighs samples by exp(-hamming(z, all-ones)^2 / kernel_width^2), picks
-    k_features greedily by weighted residual reduction and fits weighted
-    least squares on the selected set (see _forward_select). Deterministic
-    given the seed.
+    weighs samples by exp(-hamming(z, all-ones)^2 / kernel_width^2),
+    rescaled so the largest weight is 1, picks k_features greedily by
+    weighted residual reduction and fits weighted least squares on the
+    selected set (see _forward_select). Deterministic given the seed.
     """
     x = np.ascontiguousarray(x_row, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -284,7 +284,10 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
         raise XlcError("predict_fn returned a non-finite value")
 
     ham = d - z.sum(axis=1)
-    pi = np.exp(-(ham * ham) / (kw * kw))
+    h2 = ham * ham
+    # shifted so the nearest sample weighs 1: unshifted, the weights
+    # underflow to 0 at large d; the fit does not depend on their scale
+    pi = np.exp(-(h2 - h2.min()) / (kw * kw))
 
     y_bar = float((pi * y).sum() / pi.sum())
     ss_tot = float((pi * (y - y_bar) ** 2).sum())

@@ -82,8 +82,10 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
 
     Stops when the relative objective change drops below cfg.rel_tol or
     after cfg.max_iters iterations. V stays in CSR form: the updates use
-    sparse products and the objective is summed over bounded row blocks,
-    exactly as nmf_objective computes it.
+    sparse products, and the objective is _lowrank_sq_error's split form
+    in O(nnz k + (n + p) k^2), or its direct blocked sum where the split
+    form is not certified, exactly as nmf_objective computes it. The split
+    form reuses the step's W^T W and H H^T.
     """
     n, p = v.n_rows, v.n_labels
     if cfg.k >= min(n, p):
@@ -98,17 +100,18 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
 
     trace = []
     prev = None
+    wtw = _mm(w.T, w)
     for _ in range(cfg.max_iters):
         # H <- H * (W^T V) / (W^T W H + eps)
         wtv = np.asarray((vs.T @ w).T)          # (k, p), sequential CSC kernel
-        wtw = _mm(w.T, w)
         h *= wtv / (_mm(wtw, h) + _EPSILON)
         # W <- W * (V H^T) / (W H H^T + eps)
         vht = np.asarray(vs @ h.T)              # (n, k)
         hht = _mm(h, h.T)
         w *= vht / (_mm(w, hht) + _EPSILON)
+        wtw = _mm(w.T, w)                       # serves the objective and the next H step
 
-        obj = 0.5 * _lowrank_sq_error(vs, w, h)
+        obj = 0.5 * _lowrank_sq_error(vs, w, h, grams=(wtw, hht))
         trace.append(obj)
         if prev is not None and abs(prev - obj) <= cfg.rel_tol * max(prev, 1e-300):
             break

@@ -1,6 +1,7 @@
 """Tied-weight autoencoder: chain algebra, gradients, and training behavior."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import planted_rank4_dense, random_label_matrix, svd_floor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlc.matrix
 from xlc import (
     AeTrainConfig,
     ConfigError,
@@ -450,6 +452,25 @@ def test_training_trace_ends_at_reconstruction_loss_bitwise(planted_v, cfg):
     v, _ = planted_v
     stack = train_autoencoder(v, cfg)
     assert stack.training_trace[-1] == reconstruction_loss(v, stack)
+
+
+def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
+    # 2% dense uniform labels fit loosely, so the last trace entry takes the
+    # split residual, from the last epoch's V E, G and C
+    n, p = 400, 300
+    rng = np.random.default_rng(19)
+    r, c = np.nonzero(rng.random((n, p)) < 0.02)
+    v = LabelMatrix.from_coo(n, p, r, c, np.ones(r.size))
+    cfg = AeTrainConfig(layer_dims=[16, 4], max_epochs=5, learning_rate=1e-3,
+                        rel_tol=0.0, seed=2)
+    with mock.patch.object(xlc.matrix, "_direct_sq_error") as direct:
+        stack = train_autoencoder(v, cfg)
+        loss = reconstruction_loss(v, stack)
+    assert direct.call_count == 0
+    assert stack.training_trace[-1] == loss
+    dense = v.to_csr().toarray()
+    e = stack.chain()
+    assert loss == pytest.approx(float(np.sum((dense - dense @ e @ e.T) ** 2)), rel=1e-12)
 
 
 def test_training_never_allocates_a_dense_label_matrix():

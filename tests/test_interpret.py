@@ -1,5 +1,7 @@
 """Label hierarchies and LIME-style local surrogates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,22 @@ def test_lime_constant_function_is_degenerate_not_an_error():
     assert exp.feature_weights == ()
     assert exp.local_fit_r2 == 0.0
     assert exp.intercept == pytest.approx(7.0)
+
+
+def test_lime_weights_do_not_underflow_at_large_d():
+    # the default kernel width 0.75 sqrt(d) makes exp(-h^2 / kw^2) about
+    # exp(-0.44 d) at the typical distance h ~ d/2, so at d = 3000 every
+    # unshifted weight underflows to 0 and the fit divides 0 by 0
+    d = 3000
+    coefs = np.random.default_rng(4).normal(size=d)
+    cfg = LimeConfig(num_samples=50, k_features=3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = lime_explain(np.ones(d), linear_fn(coefs), cfg)
+    assert not exp.degenerate
+    assert np.isfinite(exp.intercept)
+    assert np.isfinite(exp.local_fit_r2)
+    assert len(exp.feature_weights) == 3
 
 
 def test_lime_selection_is_sparse_and_duplicate_free():

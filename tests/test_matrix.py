@@ -1,5 +1,8 @@
 """Core matrix types and kernels: frozen oracles plus algebraic properties."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,7 @@ from conftest import random_label_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xlc.matrix
 from xlc import (
     DenseMatrix,
     LabelMatrix,
@@ -178,6 +182,80 @@ def test_lowrank_sq_error_matches_dense_oracle(case):
     if density == 0.0:
         # all-zero V: the residual is ||A B||^2
         assert got == pytest.approx(float(np.sum((a @ b) ** 2)), rel=1e-11)
+
+
+@st.composite
+def _nonneg_cases(draw):
+    # "xml": p >> k, V at most 1% dense, every (A B)_ij below 1/4 against
+    # entries >= 1, so ||A B||^2 < ||V - A B||^2 and the split form must run.
+    # "planted": V = A B on disjoint label blocks with A scaled by 1 + delta,
+    # so the fit is near exact, the off-support mass cancels and the direct
+    # sum must run.
+    regime = draw(st.sampled_from(["xml", "planted"]))
+    p = draw(st.sampled_from([300, 2000, 5000]))
+    n = draw(st.integers(1, 120))
+    k = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.001, 0.01]))
+    delta = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return regime, n, p, k, density, delta, seed
+
+
+def _nonneg_case(regime, n, p, k, density, delta, seed):
+    rng = np.random.default_rng(seed)
+    if regime == "xml":
+        r, c = np.nonzero(rng.random((n, p)) < density)
+        v = LabelMatrix.from_coo(n, p, r, c, rng.integers(1, 4, size=r.size))
+        half_root = 0.5 / np.sqrt(k)
+        return v, rng.random((n, k)) * half_root, rng.random((k, p)) * half_root
+    block = max(1, min(p // k, round(density * p)))
+    b = np.zeros((k, p))
+    cols = rng.permutation(p)[:k * block].reshape(k, block)
+    b[np.arange(k)[:, None], cols] = rng.uniform(0.5, 1.5, size=(k, block))
+    a = np.zeros((n, k))
+    a[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    v = LabelMatrix.from_dense_array(a @ b)
+    return v, a * (1.0 + delta), b
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonneg_cases())
+@example(("xml", 3, _BLOCK_ENTRIES + 3, 4, 0.01, 0.0, 5))   # one row per direct block
+@example(("xml", 120, 5000, 40, 0.01, 0.0, 6))              # several gathered chunks
+@example(("planted", 100, 2000, 8, 0.01, 0.0, 7))           # exact fit
+@example(("planted", 100, 300, 3, 0.01, 1e-12, 8))
+def test_nonnegative_lowrank_sq_error_matches_dense_oracle_on_both_paths(case):
+    regime = case[0]
+    v, a, b = _nonneg_case(*case)
+    vs = v.to_csr()
+    want = float(np.sum((vs.toarray() - a @ b) ** 2))
+    with mock.patch.object(xlc.matrix, "_direct_sq_error",
+                           wraps=xlc.matrix._direct_sq_error) as direct:
+        got = _lowrank_sq_error(vs, a, b)
+        with_grams = _lowrank_sq_error(vs, a, b, grams=(_mm(a.T, a), _mm(b, b.T)))
+    assert direct.call_count == (0 if regime == "xml" else 2)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+    assert with_grams == got
+
+
+def test_split_residual_allocates_a_few_blocks():
+    # dense, this V would take 458 MiB; the split form holds two gathered
+    # chunks of _BLOCK_ENTRIES values plus a few chunk-long index vectors
+    n, p, k, nnz = 20000, 3000, 8, 60000
+    rng = np.random.default_rng(31)
+    vs = sp.csr_matrix((np.ones(nnz), (rng.integers(0, n, nnz), rng.integers(0, p, nnz))),
+                       shape=(n, p))
+    vs.sum_duplicates()
+    a, b = rng.random((n, k)) * 0.1, rng.random((k, p)) * 0.1
+    with mock.patch.object(xlc.matrix, "_direct_sq_error") as direct:
+        tracemalloc.start()
+        try:
+            _lowrank_sq_error(vs, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert direct.call_count == 0
+    assert peak <= 3 * _BLOCK_ENTRIES * 8
 
 
 # ---------------------------------------------------------------- sparse conversions

@@ -1,11 +1,13 @@
 """Multiplicative-update NMF: recovery oracles, monotone trace, objective."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import random_label_matrix, svd_floor
 
+import xlc.matrix
 from xlc import (
     ConfigError,
     DenseMatrix,
@@ -85,6 +87,20 @@ def test_objective_matches_dense_brute_force():
     expected = 0.5 * np.linalg.norm(dense - f.w.values @ f.h.values) ** 2
     assert nmf_objective(v, f) == pytest.approx(expected, abs=1e-12)
     # the loop records the same objective, summed in the same order
+    assert nmf_objective(v, f) == f.objective_trace[-1]
+
+
+@pytest.mark.parametrize("n, p, k, iters", [(60, 40, 3, 4000), (200, 150, 5, 3000),
+                                             (40, 30, 29, 3000)])
+def test_long_runs_stay_monotone_through_the_split_objective(n, p, k, iters):
+    # 5% dense V takes the split objective while the fit is loose; at k=29
+    # the fit turns near exact and the objective falls back to the direct
+    # sum. NmfFactors rejects any step that rises by more than 1e-12.
+    v, _ = random_label_matrix(n, p, seed=n, density=0.05)
+    with mock.patch.object(xlc.matrix, "_direct_sq_error",
+                           wraps=xlc.matrix._direct_sq_error) as direct:
+        f = nmf_factorize(v, NmfConfig(k=k, max_iters=iters, rel_tol=0.0, seed=n))
+    assert (direct.call_count > 0) == (k == 29)
     assert nmf_objective(v, f) == f.objective_trace[-1]
 
 
