@@ -27,9 +27,11 @@ last training-trace entry, the finite-difference audit) is the residual
 ||V - A E^T||^2 of matrix._lowrank_sq_error: with A and E^T non-negative,
 its split form sums (v - (A E^T)_ij)^2 over V's entries and adds the
 off-support mass tr(G C) - sum over V's entries of (A E^T)_ij^2, in
-O(nnz(V) k_L + (n + p) k_L^2), and it falls back to the direct residual
-over fixed-size row blocks of V where that form is not certified
-accurate, as near exact reconstruction. The latent code W_L needs no
+O(nnz(V) k_L + (n + p) k_L^2). It falls back to the direct residual over
+fixed-size row blocks of V, O(n p k_L), where its rounding bound would
+exceed the direct sum's: for a model that explains more than about
+max(1 - M / D, 1/2) of ||V||^2 (see _lowrank_sq_error), as near exact
+reconstruction, and on V denser than 1/16. The latent code W_L needs no
 projection: it is a product of non-negative factors.
 """
 
@@ -245,7 +247,9 @@ class _Objective:
 def reconstruction_loss(v, stack: EncoderStack) -> float:
     """|| V - decode(encode(V)) ||_F^2, by _Objective.residual: the split
     form of matrix._lowrank_sq_error in O(nnz(V) k_L + (n + p) k_L^2), or
-    the direct residual over row blocks of V where that is not certified."""
+    the direct O(n p k_L) residual over row blocks of V where the split
+    form's rounding bound would exceed the direct one's (a model that
+    explains most of ||V||^2) or V is more than 1/16 dense."""
     return _Objective(_as_csr(v, stack.p)).residual(stack.chain())
 
 

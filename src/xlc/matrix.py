@@ -241,11 +241,20 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # gathers its on-support dot products in chunks of the same many values.
 _BLOCK_ENTRIES = 1 << 16
 
-# A gathered on-support product of the split residual costs about as much as
-# 10 to 20 dense entries of the direct one (measured for densities 2-30%,
-# k = 4-32, at up to 2000 x 700 on an x86-64 Xeon with numpy 2.4), so the
-# split form runs only on V at most 1/_SPLIT_DENSITY dense.
+# The split residual runs only on V at most 1/_SPLIT_DENSITY dense. On one
+# x86-64 Xeon thread (numpy 2.4; 2000 x 700 at k = 8 and 32, 3200 x 5000 at
+# k = 32) it took 0.10-0.14 of the direct sum's time at 1% density,
+# 0.53-0.65 at 1/16, 0.77-0.95 at 10% and 1.16-1.68 at 20%.
 _SPLIT_DENSITY = 16
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53: a float64 sum of m + 1
+    non-negative terms, in any order, is off by at most gamma_m times the
+    exact sum (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1)."""
+    mu = m * 2.0 ** -53
+    return mu / (1.0 - mu)
 
 
 def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
@@ -257,7 +266,8 @@ def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
     splits over V's stored entries S into
 
         on  = sum_S (v_ij - (A B)_ij)^2,
-        off = sum_{not S} (A B)_ij^2 = tr((A^T A)(B B^T)) - sum_S (A B)_ij^2,
+        off = sum_{not S} (A B)_ij^2 = T - sum_S (A B)_ij^2,
+        T   = tr((A^T A)(B B^T)) = ||A B||_F^2,
 
     which costs O(nnz k + (n + p) k^2). ``grams``, when given, is
     (A^T A, B B^T) exactly as _mm computes them, so a caller that already
@@ -265,31 +275,34 @@ def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
     gathered in chunks of at most _BLOCK_ENTRIES values, so memory stays
     bounded.
 
-    Certificate. A float64 sum of m non-negative terms, in any order, is off
-    by at most gamma_m = m u / (1 - m u), u = 2^-53, times the exact sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.1). Every sum in the split form has non-negative terms, so
+    Certificate. Every sum in the split form has non-negative terms, so
     its rounding error, beyond that of the products (A B)_ij which the
-    direct sum shares, is at most gamma_M (on + T), where
-    T = tr((A^T A)(B B^T)), M = n + p + k^2 + 2k + c + 3 and c is the
-    depth of the chunked sums (chunk length plus chunk count). T enters
-    because off = T - sum_S (A B)_ij^2 cancels when off is small against T.
-    The split form is kept only when the computed T is at most the computed
-    on + off, which caps that error at about 2 gamma_M (on + off), twice the
-    bound for one sum of M non-negative terms. Otherwise, and whenever A or
-    B has a negative entry, the result is the direct sum
+    direct sum shares, is at most gamma_M (on + T) with
+    M = n + p + k^2 + 2k + c + 3 and c the depth of the chunked sums
+    (chunk length plus chunk count); T enters because off = T - sum_S (A B)^2
+    cancels when off is small against T. The direct sum
     ||V_b - A_b B||^2 over row blocks V_b of at most _BLOCK_ENTRIES dense
-    entries, which stays accurate near exact reconstruction. The direct sum
-    also runs on V denser than 1/_SPLIT_DENSITY, where it is the faster
-    one. Either way the path and the bits depend only on (V, A, B).
+    entries is off by at most gamma_D (on + off), D = block entries + block
+    count + 3. The split result is kept when
+
+        on + T <= max(gamma_D / gamma_M, 2) (on + off),
+
+    that is, when its bound is at most the direct sum's own, or at most
+    2 gamma_M (on + off), the bound of two sums of M terms, where that is
+    larger (at p >= 2^16, D < M). For a model whose residual is about
+    orthogonal to A B, T is the part of ||V||^2 it explains, so the split
+    form runs while the model explains at most about max(1 - M / D, 1/2)
+    of ||V||^2: 0.83 at serve-xml's NMF shape, where D / M = 5.75. A
+    closer fit, as near exact reconstruction, takes the direct sum, and so
+    do signed factors and V denser than 1/_SPLIT_DENSITY, where the direct
+    sum is the faster one. The path and the bits depend only on (V, A, B).
     """
     n, p = vs.shape
+    k = a.shape[1]
     if (vs.nnz * _SPLIT_DENSITY > n * p
             or a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0):
         return _direct_sq_error(vs, a, b)
-    g, c = grams if grams is not None else (_mm(a.T, a), _mm(b, b.T))
-    trace = float(np.einsum("ij,ij->", g, c, optimize=False))
-    step = _BLOCK_ENTRIES // max(a.shape[1], 1)
+    step = _BLOCK_ENTRIES // max(k, 1)
     on = on_support_sq = 0.0
     for lo in range(0, vs.nnz, step):
         hi = min(lo + step, vs.nnz)
@@ -299,8 +312,13 @@ def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
         r = vs.data[lo:hi] - ab
         on += float(np.einsum("i,i->", r, r, optimize=False))
         on_support_sq += float(np.einsum("i,i->", ab, ab, optimize=False))
+    g, c = grams if grams is not None else (_mm(a.T, a), _mm(b, b.T))
+    trace = float(np.einsum("ij,ij->", g, c, optimize=False))
     total = on + (trace - on_support_sq)
-    if trace <= total:
+    block_rows = max(1, _BLOCK_ENTRIES // p)
+    split_depth = n + p + k * k + 2 * k + min(step, vs.nnz) + -(-vs.nnz // step) + 3
+    direct_depth = min(n, block_rows) * p + -(-n // block_rows) + 3
+    if on + trace <= max(_gamma(direct_depth) / _gamma(split_depth), 2.0) * total:
         return total
     return _direct_sq_error(vs, a, b)
 

@@ -83,9 +83,10 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     Stops when the relative objective change drops below cfg.rel_tol or
     after cfg.max_iters iterations. V stays in CSR form: the updates use
     sparse products, and the objective is _lowrank_sq_error's split form
-    in O(nnz k + (n + p) k^2), or its direct blocked sum where the split
-    form is not certified, exactly as nmf_objective computes it. The split
-    form reuses the step's W^T W and H H^T.
+    in O(nnz k + (n + p) k^2), or its direct O(n p k) blocked sum once W H
+    explains more of ||V||^2 than the split form's rounding bound allows
+    (or V is more than 1/16 dense), exactly as nmf_objective computes it.
+    The split form reuses the step's W^T W and H H^T.
     """
     n, p = v.n_rows, v.n_labels
     if cfg.k >= min(n, p):

@@ -238,6 +238,34 @@ def test_nonnegative_lowrank_sq_error_matches_dense_oracle_on_both_paths(case):
     assert with_grams == got
 
 
+@pytest.mark.parametrize("explained, split", [(0.7, True), (0.85, True), (0.97, False)])
+def test_split_form_covers_models_that_explain_most_of_v(explained, split):
+    # V = A B on disjoint label blocks plus unit noise labels off them, so A B
+    # explains `explained` of ||V||^2. At this shape D / M is 12 to 15, so
+    # the split form holds to about 1 - M / D >= 0.92 explained, past the
+    # half that T <= on + off alone allows
+    n, p, k, block = 100, 2000, 8, 20
+    rng = np.random.default_rng(23)
+    b = np.zeros((k, p))
+    cols = rng.permutation(p)[:k * block].reshape(k, block)
+    b[np.arange(k)[:, None], cols] = rng.uniform(0.5, 1.5, size=(k, block))
+    a = np.zeros((n, k))
+    a[np.arange(n), rng.integers(0, k, size=n)] = 1.0
+    planted = a @ b
+    free = np.flatnonzero(planted == 0.0)
+    n_noise = round(float(np.sum(planted ** 2)) * (1.0 - explained) / explained)
+    dense = planted.copy()
+    dense.flat[rng.choice(free, size=n_noise, replace=False)] = 1.0
+    vs = LabelMatrix.from_dense_array(dense).to_csr()
+    want = float(np.sum((dense - planted) ** 2))
+    assert 1.0 - want / float(np.sum(dense ** 2)) == pytest.approx(explained, abs=1e-3)
+    with mock.patch.object(xlc.matrix, "_direct_sq_error",
+                           wraps=xlc.matrix._direct_sq_error) as direct:
+        got = _lowrank_sq_error(vs, a, b)
+    assert direct.call_count == (0 if split else 1)
+    assert got == pytest.approx(want, rel=1e-11)
+
+
 def test_split_residual_allocates_a_few_blocks():
     # dense, this V would take 458 MiB; the split form holds two gathered
     # chunks of _BLOCK_ENTRIES values plus a few chunk-long index vectors
