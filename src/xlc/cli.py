@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .autoencoder import AeTrainConfig, encode, train_autoencoder
+from .autoencoder import AeTrainConfig, _as_csr, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
@@ -254,6 +254,7 @@ def _cmd_eval(o) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, v = load_dataset(o.data)
+    labels = _as_csr(v, stack.p)
     ks = o.k
     if not ks:
         raise ConfigError("--k needs at least one value")
@@ -278,7 +279,6 @@ def _cmd_eval(o) -> int:
                                          seed=o.split_seed)
         rows = train_idx if o.split == "train" else test_idx
 
-    labels = v.to_csr()
     used_rows = rows[np.diff(labels.indptr)[rows] > 0]
     used, skipped = used_rows.size, rows.size - used_rows.size
     if used == 0:

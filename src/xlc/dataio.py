@@ -3,8 +3,8 @@
 Dataset text format: a header line "n_rows n_features n_labels", then one
 line per instance: a comma-separated list of label indices (strictly
 increasing, may be empty), followed by whitespace-separated
-feature_index:value pairs. An optional sidecar file carries one label
-name per line.
+feature_index:value pairs. Indices and values are read by Python's int()
+and float(). An optional sidecar file carries one label name per line.
 
 Model container: magic "XLC1", a format version, then named sections
 (encoder stack, regressor, config, label names, NMF factors), each with
@@ -17,6 +17,8 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
+from itertools import repeat
+from operator import contains
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .pipeline import FeatureMatrix, RegressorModel
 
 MAGIC = b"XLC1"
 FORMAT_VERSION = 1
+_PARSE_ROWS = 512       # rows per parse block: bounds the token lists' memory
 
 
 # ---------------------------------------------------------------- datasets
@@ -42,7 +45,12 @@ def _read_text(path, error) -> str:
 
 
 def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
-    """Parse a dataset file; every error names the offending line."""
+    """Parse a dataset file; every error names the offending line.
+
+    Rows are parsed in bulk (`_parse_rows`). When any of its checks fails,
+    `_check_rows` reads the rows again one line at a time and words the
+    first error, so messages and line numbers do not depend on the blocks.
+    """
     lines = _read_text(path, DatasetFormatError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -63,11 +71,83 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
     if len(lines) - 1 != n_rows:
         raise DatasetFormatError(
             f"{path}: header declares {n_rows} rows but file has {len(lines) - 1}")
+    try:
+        x = np.zeros((n_rows, d))
+    except (MemoryError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"{path}:1: cannot allocate the {n_rows}x{d} feature block "
+            f"declared by {lines[0]!r} ({exc})")
 
-    x = np.zeros((n_rows, d))
-    lab_rows, lab_cols = [], []
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
+    try:
+        labels = _parse_rows(lines, x, p)
+    except (ValueError, OverflowError):     # a bad token; an index beyond int64
+        labels = None
+    if labels is None:
+        _check_rows(path, lines, d, p)
+        # the line checker accepts an index beyond int64 only below a
+        # declared label count that large
+        raise DatasetFormatError(f"{path}: a label index does not fit in 64 bits")
+    v = LabelMatrix.from_coo(n_rows, p, *labels, np.ones(labels[1].size))
+    return FeatureMatrix(x), v
+
+
+def _parse_rows(lines, x: np.ndarray, p: int):
+    """Fill x with the feature pairs of the row lines lines[1:] and return
+    the (rows, cols) arrays of their labels, or None when a check fails.
+
+    Each block of _PARSE_ROWS lines is split once per line. Its label
+    tokens are joined and split on ",", its feature tokens joined and split
+    on ":", and the parts converted by the int and float calls the line
+    checker makes: they raise ValueError on a malformed token, and
+    np.fromiter raises OverflowError on an index beyond int64. Every check
+    is one vectorized test per block.
+    """
+    d = x.shape[1]
+    label_counts, label_cols = [], [np.empty(0, dtype=np.int64)]
+    for lo in range(1, len(lines), _PARSE_ROWS):
+        labels, n_labels, feats, n_feats = [], [], [], []
+        for toks in map(str.split, lines[lo:lo + _PARSE_ROWS]):
+            if toks and ":" not in toks[0]:
+                n_labels.append(toks[0].count(",") + 1)
+                labels.append(toks.pop(0))
+            else:
+                n_labels.append(0)
+            n_feats.append(len(toks))
+            feats += toks
+        parts = ",".join(labels).split(",") if labels else []
+        pairs = ":".join(feats).split(":") if feats else []
+        # as many ":" as tokens, and one in each: exactly one per token
+        if (len(pairs) != 2 * len(feats)
+                or not all(map(contains, feats, repeat(":")))):
+            return None
+        block_rows = np.arange(lo - 1, lo - 1 + len(n_feats))
+
+        rows = np.repeat(block_rows, n_labels)
+        cols = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
+        if cols.size and (cols.min() < 0 or int(cols.max()) >= p):
+            return None
+        if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
+            return None
+        label_counts += n_labels
+        label_cols.append(cols)
+
+        rows = np.repeat(block_rows, n_feats)
+        cols = np.fromiter(map(int, pairs[0::2]), dtype=np.int64, count=len(feats))
+        vals = np.fromiter(map(float, pairs[1::2]), dtype=np.float64, count=len(feats))
+        if cols.size and (cols.min() < 0 or cols.max() >= d):
+            return None
+        keys = np.sort(rows * d + cols)     # in range, so below x.size
+        if np.any(keys[1:] == keys[:-1]) or not np.all(np.isfinite(vals)):
+            return None
+        x[rows, cols] = vals
+    return (np.repeat(np.arange(len(label_counts)), label_counts),
+            np.concatenate(label_cols))
+
+
+def _check_rows(path, lines, d, p) -> None:
+    """Raise the DatasetFormatError of the first malformed row line in
+    lines[1:], naming its line number; return if there is none."""
+    for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         start = 0
         if tokens and ":" not in tokens[0]:
@@ -86,8 +166,6 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
                         f"{path}:{lineno}: label indices must be strictly "
                         f"increasing, got {idx} after {prev}")
                 prev = idx
-                lab_rows.append(i)
-                lab_cols.append(idx)
             start = 1
         seen = set()
         for tok in tokens[start:]:
@@ -111,12 +189,6 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: non-finite feature value {val!r}")
             seen.add(j)
-            x[i, j] = fv
-
-    v = LabelMatrix.from_coo(n_rows, p, np.array(lab_rows, dtype=np.int64),
-                             np.array(lab_cols, dtype=np.int64),
-                             np.ones(len(lab_rows)))
-    return FeatureMatrix(x), v
 
 
 def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
@@ -124,16 +196,17 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
     if x.rows != v.n_rows:
         raise ConfigError(f"feature rows {x.rows} != label rows {v.n_rows}")
     labels = v.to_csr()
+    cols = list(map(str, labels.indices.tolist()))
+    lab_ptr = labels.indptr.tolist()
+    r, c = np.nonzero(x.values)
+    pairs = [f"{j}:{val!r}" for j, val in zip(c.tolist(), x.values[r, c].tolist())]
+    feat_ptr = np.searchsorted(r, np.arange(x.rows + 1)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{x.rows} {x.cols} {v.n_labels}\n")
         for i in range(x.rows):
-            parts = []
-            cols = labels.indices[labels.indptr[i]:labels.indptr[i + 1]]
-            if cols.size:
-                parts.append(",".join(map(str, cols.tolist())))
-            row = x.values[i]
-            for j in np.nonzero(row)[0]:
-                parts.append(f"{j}:{float(row[j])!r}")
+            parts = pairs[feat_ptr[i]:feat_ptr[i + 1]]
+            if lab_ptr[i] < lab_ptr[i + 1]:
+                parts.insert(0, ",".join(cols[lab_ptr[i]:lab_ptr[i + 1]]))
             fh.write(" ".join(parts) + "\n")
 
 

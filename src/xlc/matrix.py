@@ -141,8 +141,11 @@ class LabelMatrix:
                     f"entry index out of bounds for {n_rows}x{n_labels} matrix")
         keep = vals > 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        step = np.diff(rows)
+        if not np.all((step > 0) | ((step == 0) & (np.diff(cols) >= 0))):
+            # lexsort is stable, so entries already in row-major order skip it
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size > 1:
             dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
             if dup.any():

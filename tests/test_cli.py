@@ -268,6 +268,22 @@ def test_mlp_kind_flag_round_trips(planted, tmp_path):
     assert stored.config["reg_hidden"] == "8"
 
 
+def test_eval_rejects_a_label_count_the_model_does_not_have(planted, tmp_path, capsys):
+    # eval used to report P@k for a file declaring more labels than the model
+    data, _, model = planted
+    _run("fit-reg", "--data", data, "--model", model, "--kind", "ridge")
+    head, rows = data.read_text().split("\n", 1)
+    n, d, p = head.split()
+    wide = tmp_path / "wide.txt"
+    wide.write_text(f"{n} {d} {int(p) + 8}\n{rows}")
+    capsys.readouterr()
+    for argv in (("eval", "--model", model, "--data", wide),
+                 ("fit-reg", "--data", wide, "--model", model)):
+        assert _run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: input has {int(p) + 8} labels, encoder expects {p}\n")
+
+
 @pytest.mark.parametrize("ks", [",", "1,3,1"])
 def test_eval_rejects_an_empty_or_repeating_k_list(planted, capsys, ks):
     # a repeated k used to add its metrics twice into one sum (P@1 = 1.95)

@@ -335,6 +335,41 @@ def test_label_matrix_rejects_duplicates():
         LabelMatrix.from_coo(2, 2, [0, 0], [0, 0], [1.0, 2.0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 30), st.booleans())
+def test_label_matrix_skips_the_sort_only_where_it_does_nothing(seed, nnz, dup):
+    # entries already in row-major order skip lexsort; in that order or
+    # any other, the stored arrays are a stable lexsort of the kept entries,
+    # and a repeated (row, col) fails with the same message every time
+    rng = np.random.default_rng(seed)
+    keys = np.sort(rng.choice(30, size=nnz, replace=False))
+    if dup and nnz:
+        keys = np.sort(np.append(keys, rng.choice(keys)))
+    rows, cols = keys // 5, keys % 5
+    vals = rng.choice([0.0, 0.5, 1.0], size=keys.size)
+    keep = vals > 0.0
+    order = np.lexsort((cols[keep], rows[keep]))
+    want = (rows[keep][order], cols[keep][order], vals[keep][order])
+    repeated = np.unique(keys[keep]).size < keep.sum()
+    errors = []
+    for row_major, perm in ((True, np.arange(keys.size)),
+                            (False, np.lexsort((-cols, rows))),   # cols descending
+                            (False, rng.permutation(keys.size))):
+        with mock.patch.object(xlc.matrix.np, "lexsort", wraps=np.lexsort) as sort:
+            try:
+                v = LabelMatrix.from_coo(6, 5, rows[perm], cols[perm], vals[perm])
+            except XlcError as exc:
+                errors.append(str(exc))
+                continue
+        if row_major:
+            assert sort.call_count == 0
+        for got, ref in zip((v.entry_rows, v.entry_cols, v.entry_vals), want):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+    assert len(errors) == (3 if repeated else 0)
+    assert len(set(errors)) <= 1 and all("duplicate entry" in e for e in errors)
+
+
 @pytest.mark.parametrize("entry", [(-1, 0, 1.0), (2, 0, 1.0), (0, 2, 1.0)])
 def test_label_matrix_rejects_out_of_bounds(entry):
     with pytest.raises(XlcError):
