@@ -21,9 +21,9 @@ so an epoch costs one sparse product V E and one V^T A, O(nnz(V) k_L),
 plus O(n k_L^2) for G and the dense chain products over the p x k_l
 layers, in O(nnz(V) + (n + p) k_1) memory. The per-layer gradient
 follows by the chain rule as P_l^T (dLoss/dE) S_l^T where P_l and S_l
-are the prefix and suffix products around H_l. The expanded loss cancels catastrophically near
-exact reconstruction, so every reported loss (reconstruction_loss, the
-last training-trace entry, the finite-difference audit) is the residual
+are the prefix and suffix products around H_l. The expanded loss cancels
+catastrophically near exact reconstruction, so every reported loss
+(reconstruction_loss and the last training-trace entry) is the residual
 ||V - A E^T||^2 of matrix._lowrank_sq_error: with A and E^T non-negative,
 its split form sums (v - (A E^T)_ij)^2 over V's entries and adds the
 off-support mass tr(G C) - sum over V's entries of (A E^T)_ij^2, in
@@ -111,12 +111,12 @@ class AeTrainConfig:
     INIT_SCHEMES = ("random-uniform", "nmf-greedy")
 
     __slots__ = ("layer_dims", "max_epochs", "learning_rate", "rel_tol",
-                 "init_scheme", "seed", "fd_check")
+                 "init_scheme", "seed")
 
     def __init__(self, layer_dims, max_epochs: int = 2000,
                  learning_rate: float = 1e-3, rel_tol: float = 1e-7,
                  init_scheme: str = "random-uniform",
-                 seed: RngSeed | int = 0, fd_check: bool = False):
+                 seed: RngSeed | int = 0):
         layer_dims = tuple(int(k) for k in layer_dims)
         if not layer_dims:
             raise ConfigError("layer_dims must be non-empty")
@@ -141,7 +141,6 @@ class AeTrainConfig:
         self.rel_tol = float(rel_tol)
         self.init_scheme = init_scheme
         self.seed = RngSeed(seed)
-        self.fd_check = bool(fd_check)
 
 
 def _as_csr(v: LabelMatrix, p: int) -> sp.csr_matrix:
@@ -327,27 +326,6 @@ def _init_nmf_greedy(v: LabelMatrix, layer_dims, rng) -> list[np.ndarray]:
     return layers
 
 
-def _fd_audit(obj: _Objective, layers: list[np.ndarray],
-              grads: list[np.ndarray], step: float = 1e-5,
-              rel_tol: float = 1e-4, per_layer: int = 8) -> None:
-    for l, (h, g) in enumerate(zip(layers, grads)):
-        flat = np.arange(h.size)
-        picks = flat if h.size <= per_layer else flat[:: max(1, h.size // per_layer)][:per_layer]
-        for idx in picks:
-            i, j = divmod(int(idx), h.shape[1])
-            probe = [m.copy() for m in layers]
-            probe[l][i, j] = h[i, j] + step
-            f_plus = obj.residual(_prefix_chain(probe)[-1])
-            probe[l][i, j] = h[i, j] - step
-            f_minus = obj.residual(_prefix_chain(probe)[-1])
-            fd = (f_plus - f_minus) / (2 * step)
-            denom = max(abs(fd), abs(g[i, j]), 1e-8)
-            if abs(fd - g[i, j]) / denom > rel_tol:
-                raise XlcError(
-                    f"gradient audit failed at layer {l + 1} entry ({i},{j}): "
-                    f"analytic {g[i, j]:.6g} vs finite-difference {fd:.6g}")
-
-
 def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     """Fit the stack to the label matrix by projected gradient descent.
 
@@ -383,8 +361,6 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     for epoch in range(1, cfg.max_epochs + 1):
         grads = _layer_gradients(layers, chain,
                                  obj.chain_gradient(chain[-1], a, g, c))
-        if cfg.fd_check and epoch == 1:
-            _fd_audit(obj, layers, grads)
         layers = [np.maximum(h - lr * gl, 0.0) for h, gl in zip(layers, grads)]
         chain = _prefix_chain(layers)
         cur, a, g, c = obj.expanded(chain[-1])

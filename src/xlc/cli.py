@@ -32,10 +32,7 @@ from .pipeline import (FeatureMatrix, fit_regressor, ndcg_at_k, precision_at_k,
 
 _REQUIRED = object()     # an option default: the command fails without it
 
-_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean",
-             list: "comma-separated integers"}
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
+_EXPECTED = {int: "an integer", float: "a number", list: "comma-separated integers"}
 
 
 def _parse_config_file(path) -> dict:
@@ -55,15 +52,13 @@ def _parse_config_file(path) -> dict:
 
 def _convert(kind, raw: str, where: str):
     """One option value, from a flag or a config file, in its declared kind:
-    int, float, str, bool (a switch), list (comma-separated integers) or a
-    tuple of the allowed strings."""
+    int, float, str, list (comma-separated integers) or a tuple of the
+    allowed strings."""
     try:
         if kind is str or (isinstance(kind, tuple) and raw in kind):
             return raw
         if kind is list:
             return [int(t) for t in raw.split(",") if t != ""]
-        if kind is bool and raw.lower() in _BOOLS:
-            return _BOOLS[raw.lower()]
         if kind in (int, float):
             return kind(raw)
     except ValueError:
@@ -97,19 +92,12 @@ def _resolve(args, options) -> None:
         setattr(args, dest, value)
 
 
-def _writer(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
 def _emit(path, text: str) -> None:
-    fh, close = _writer(path)
-    try:
-        fh.write(text)
-    finally:
-        if close:
-            fh.close()
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _need(container: ModelContainer, section: str):
@@ -119,8 +107,6 @@ def _need(container: ModelContainer, section: str):
             f"model file has no {section!r} section; run the producing "
             f"command first")
     return value
-
-
 
 
 # ---------------------------------------------------------------- commands
@@ -143,8 +129,7 @@ def _cmd_train_ae(o) -> int:
         raise ConfigError(
             f"{o.label_names} has {len(names)} names for {v.n_labels} labels")
     cfg = AeTrainConfig(o.dims, max_epochs=o.epochs, learning_rate=o.lr,
-                        rel_tol=o.rel_tol, init_scheme=o.init, seed=o.seed,
-                        fd_check=o.fd_check)
+                        rel_tol=o.rel_tol, init_scheme=o.init, seed=o.seed)
     stack = train_autoencoder(v, cfg)
     config = {
         "ae_dims": ",".join(str(k) for k in o.dims),
@@ -327,7 +312,6 @@ _COMMANDS = {
         ("rel-tol", float, 1e-7),
         ("init", AeTrainConfig.INIT_SCHEMES, "random-uniform"),
         ("seed", int, 0),
-        ("fd-check", bool, False),
         ("label-names", str, None),
         ("out", str, _REQUIRED))),
     "nmf": (_cmd_nmf, "baseline non-negative factorization", (
@@ -393,9 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         for flag, kind, _ in options:
-            if kind is bool:
-                p.add_argument("--" + flag, action="store_const", const="true")
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 p.add_argument("--" + flag, metavar="{" + ",".join(kind) + "}")
             else:
                 p.add_argument("--" + flag)

@@ -367,8 +367,18 @@ def _parse_regressor(buf: bytes) -> RegressorModel:
         (ndim,) = _unpack(buf, off, "<B", "regressor")
         off += 1
         a, off = _unpack_matrix(buf, off, "regressor")
+        if ndim not in (1, 2) or (ndim == 1 and a.shape[0] != 1):
+            raise ModelFormatError(
+                f"parameter {name!r} in section 'regressor' is tagged {ndim}-D "
+                f"but stored as {a.shape[0]}x{a.shape[1]}")
         params[name] = a[0] if ndim == 1 else a
-    return RegressorModel(RegressorModel.KINDS[kind_idx], din, dout, params)
+    kind = RegressorModel.KINDS[kind_idx]
+    try:
+        return RegressorModel(kind, din, dout, params)
+    except KeyError as exc:
+        raise ModelFormatError(
+            f"section 'regressor' has no parameter {exc.args[0]!r} "
+            f"for a {kind} model") from None
 
 
 def _config_payload(config: dict) -> bytes:

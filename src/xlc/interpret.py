@@ -185,17 +185,6 @@ class SurrogateExplanation:
         }
 
 
-class _RowBlock:
-    """A predict_fn that maps the whole S x d block of masked inputs to its
-    S outputs in one call; row s of the result equals, bitwise, the output
-    for row s alone."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-
 def _forward_select(z: np.ndarray, y: np.ndarray, pi: np.ndarray, k: int,
                     ss_tot: float):
     """Greedy weighted least-squares forward selection of up to k columns
@@ -255,11 +244,12 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
     Draws num_samples binary masks (each feature kept with probability
-    1/2), evaluates predict_fn on the masked inputs, one row per call,
-    weighs samples by exp(-hamming(z, all-ones)^2 / kernel_width^2),
-    rescaled so the largest weight is 1, picks k_features greedily by
-    weighted residual reduction and fits weighted least squares on the
-    selected set (see _forward_select). Deterministic given the seed.
+    1/2) and calls predict_fn once, on the num_samples x d block of masked
+    inputs, for a vector of num_samples outputs (row s of the block gives
+    output s). Weighs samples by exp(-hamming(z, all-ones)^2 /
+    kernel_width^2), rescaled so the largest weight is 1, picks k_features
+    greedily by weighted residual reduction and fits weighted least squares
+    on the selected set (see _forward_select). Deterministic given the seed.
     """
     x = np.ascontiguousarray(x_row, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -274,12 +264,11 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     rng = make_rng(cfg.seed)
     z = (rng.random((cfg.num_samples, d)) < 0.5).astype(np.float64)
     masked = z * x + (1.0 - z) * cfg.baseline
-    if isinstance(predict_fn, _RowBlock):
-        y = np.asarray(predict_fn.fn(masked), dtype=np.float64)
-    else:
-        y = np.empty(cfg.num_samples)
-        for s in range(cfg.num_samples):
-            y[s] = float(predict_fn(masked[s]))
+    y = np.asarray(predict_fn(masked), dtype=np.float64)
+    if y.shape != (cfg.num_samples,):
+        raise ShapeMismatchError(
+            f"predict_fn returned shape {y.shape} for {cfg.num_samples} "
+            f"rows, expected ({cfg.num_samples},)")
     if not np.all(np.isfinite(y)):
         raise XlcError("predict_fn returned a non-finite value")
 
@@ -378,8 +367,8 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break
     degenerate = bool(latent[unit] == 0.0)
 
-    block = _RowBlock(lambda rows: predict_latent(rows, m)[:, unit])
-    surrogate = lime_explain(x_row, block, cfg.lime)
+    surrogate = lime_explain(
+        x_row, lambda rows: predict_latent(rows, m)[:, unit], cfg.lime)
     surrogate = SurrogateExplanation(
         surrogate.feature_weights, surrogate.intercept,
         surrogate.local_fit_r2, f"latent unit {unit}", surrogate.degenerate)

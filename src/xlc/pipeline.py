@@ -73,7 +73,7 @@ class RegressorModel:
                     f"chain {self.input_dim} -> {self.output_dim}")
         else:
             w1, b1, w2, b2 = (locked[k] for k in ("w1", "b1", "w2", "b2"))
-            h = w1.shape[1]
+            h = w1.shape[-1]
             if (w1.shape != (self.input_dim, h) or b1.shape != (h,)
                     or w2.shape != (h, self.output_dim) or b2.shape != (self.output_dim,)):
                 raise ShapeMismatchError(

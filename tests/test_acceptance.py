@@ -258,7 +258,7 @@ def test_criterion_08_surrogate_faithfulness_on_a_linear_model():
     coefs = rng.uniform(0.5, 5.0, size=10) * rng.choice([-1.0, 1.0], size=10)
     x = np.ones(10)
     cfg = LimeConfig(num_samples=1000, k_features=10, seed=0)
-    exp = lime_explain(x, lambda row: float(row @ coefs), cfg)
+    exp = lime_explain(x, lambda rows: rows @ coefs, cfg)
     assert exp.local_fit_r2 >= 0.99
     got_order = [i for i, _ in exp.feature_weights]
     true_order = sorted(range(10), key=lambda j: (-abs(coefs[j]), j))

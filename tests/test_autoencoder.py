@@ -436,13 +436,6 @@ def test_training_diverges_with_huge_learning_rate(planted_v):
     assert exc.value.epoch is not None and exc.value.epoch >= 1
 
 
-def test_training_fd_check_passes_on_small_instance():
-    v, _ = random_label_matrix(5, 4, seed=44)
-    cfg = AeTrainConfig(layer_dims=[3, 2], max_epochs=5, seed=3, fd_check=True)
-    stack = train_autoencoder(v, cfg)
-    assert stack.depth == 2
-
-
 @pytest.mark.parametrize("cfg", [
     AeTrainConfig(layer_dims=[4], max_epochs=30, seed=0),
     AeTrainConfig(layer_dims=[6, 3], max_epochs=30, seed=1, rel_tol=0.0),

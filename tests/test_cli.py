@@ -167,21 +167,6 @@ def test_non_utf8_config_file_is_a_one_line_error(tmp_path, capsys):
     assert len(err.rstrip("\n").splitlines()) == 1
 
 
-def test_fd_check_from_config_reaches_train_config(tmp_path, monkeypatch):
-    data = tmp_path / "d.txt"
-    assert _run("gen-synth", "--blocks", 2, "--rows", 6, "--labels-per-block", 2,
-                "--seed", 0, "--out", data) == 0
-    seen = []
-    real = xlc.cli.train_autoencoder
-    monkeypatch.setattr(xlc.cli, "train_autoencoder",
-                        lambda v, cfg: seen.append(cfg.fd_check) or real(v, cfg))
-    cfg = tmp_path / "ae.cfg"
-    cfg.write_text("fd_check=yes\nepochs=3\n")
-    assert _run("train-ae", "--config", cfg, "--data", data, "--dims", 2,
-                "--out", tmp_path / "m.xlc") == 0
-    assert seen == [True]
-
-
 def test_cli_determinism_byte_identical(planted, tmp_path):
     data, names, model = planted
     model2 = tmp_path / "model2.xlc"

@@ -21,6 +21,7 @@ from xlc import (
     ModelContainer,
     ModelFormatError,
     NmfConfig,
+    ShapeMismatchError,
     fit_regressor,
     load_dataset,
     load_label_names,
@@ -33,6 +34,7 @@ from xlc import (
     save_model,
     train_autoencoder,
 )
+from xlc.cli import main
 
 
 # ---------------------------------------------------------------- datasets
@@ -497,6 +499,54 @@ def test_model_non_utf8_section_name_or_text_rejected(tmp_path):
                      + struct.pack("<H", len(name)) + name
                      + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
     with pytest.raises(ModelFormatError, match="'label_names' holds non-UTF-8"):
+        load_model(path)
+
+
+def _regressor_file(path, kind_code, params):
+    """Write a model file whose one section is a regressor payload with a
+    valid CRC, built from (name, ndim tag, stored 2-D array) triples."""
+    payload = struct.pack("<BII", kind_code, 3, 2) + struct.pack("<I", len(params))
+    for name, ndim, a in params:
+        raw = name.encode("utf-8")
+        payload += (struct.pack("<H", len(raw)) + raw + struct.pack("<B", ndim)
+                    + struct.pack("<II", *a.shape) + a.astype("<f8").tobytes())
+    name = b"regressor"
+    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
+                     + struct.pack("<H", len(name)) + name
+                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+
+
+def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
+    # an mlp kind code carrying ridge parameters: the error names the
+    # first parameter the kind needs and the section lacks
+    path = tmp_path / "m.xlc"
+    ridge = [("intercept", 1, np.ones((1, 2))), ("theta", 2, np.ones((3, 2)))]
+    _regressor_file(path, 1, ridge)
+    with pytest.raises(ModelFormatError,
+                       match="'regressor' has no parameter 'w1' for a mlp-1hidden"):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--data", str(tmp_path / "d.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: section 'regressor'") and err.count("\n") == 1
+    _regressor_file(path, 0, ridge)
+    assert load_model(path).regressor.kind == "ridge-linear"
+    # a weight matrix stored as a vector fails its shape check
+    _regressor_file(path, 1, [("b1", 1, np.ones((1, 4))), ("b2", 1, np.ones((1, 2))),
+                              ("w1", 1, np.ones((1, 4))), ("w2", 2, np.ones((4, 2)))])
+    with pytest.raises(ShapeMismatchError, match="do not chain 3 -> 4 -> 2"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("rows, tag", [(0, 1), (2, 1), (1, 0), (1, 3)])
+def test_regressor_section_with_a_bad_dimension_tag(tmp_path, rows, tag):
+    # a 1-D parameter is stored as exactly one row; 0 rows cannot be read
+    # and from 2 rows the reader would keep only the first
+    path = tmp_path / "m.xlc"
+    _regressor_file(path, 0, [("intercept", tag, np.ones((rows, 2))),
+                              ("theta", 2, np.ones((3, 2)))])
+    with pytest.raises(ModelFormatError,
+                       match=f"parameter 'intercept' in section 'regressor' is tagged "
+                             f"{tag}-D but stored as {rows}x2"):
         load_model(path)
 
 

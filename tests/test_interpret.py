@@ -134,7 +134,7 @@ def test_render_nested_node_indents_levels():
 
 def linear_fn(coefs):
     c = np.asarray(coefs, dtype=float)
-    return lambda row: float(row @ c)
+    return lambda rows: rows @ c
 
 
 def test_lime_recovers_linear_model_exactly():
@@ -156,7 +156,7 @@ def test_lime_k1_selects_dominant_feature():
     # f(z) = 3 * x_2 * z_2: the only informative feature, weight ~ 3 * x[2]
     x = np.array([1.0, 1.0, 2.0, 1.0])
     cfg = LimeConfig(num_samples=500, k_features=1, seed=3)
-    exp = lime_explain(x, lambda row: 3.0 * row[2], cfg)
+    exp = lime_explain(x, lambda rows: 3.0 * rows[:, 2], cfg)
     assert len(exp.feature_weights) == 1
     idx, weight = exp.feature_weights[0]
     assert idx == 2
@@ -186,7 +186,8 @@ def test_lime_deterministic():
 
 
 def test_lime_constant_function_is_degenerate_not_an_error():
-    exp = lime_explain(np.ones(4), lambda row: 7.0, LimeConfig(num_samples=100, seed=0))
+    exp = lime_explain(np.ones(4), lambda rows: np.full(len(rows), 7.0),
+                       LimeConfig(num_samples=100, seed=0))
     assert exp.degenerate
     assert exp.feature_weights == ()
     assert exp.local_fit_r2 == 0.0
@@ -222,7 +223,16 @@ def test_lime_selection_is_sparse_and_duplicate_free():
 
 def test_lime_rejects_non_finite_outputs():
     with pytest.raises(XlcError):
-        lime_explain(np.ones(3), lambda row: float("nan"),
+        lime_explain(np.ones(3), lambda rows: np.full(len(rows), np.nan),
+                     LimeConfig(num_samples=50, seed=0))
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (), (49,)],
+                         ids=["column", "scalar", "one-short"])
+def test_lime_rejects_outputs_not_one_per_row(shape):
+    # an (S, 1) result would otherwise broadcast against the (S,) weights
+    with pytest.raises(ShapeMismatchError, match=r"shape .* for 50 rows"):
+        lime_explain(np.ones(3), lambda rows: np.ones(shape),
                      LimeConfig(num_samples=50, seed=0))
 
 
@@ -438,7 +448,10 @@ def test_explain_surrogate_equals_per_row_lime_bitwise(kind):
     lime = LimeConfig(num_samples=300, k_features=4, seed=8)
     exp = explain_prediction(x, model, stack, ExplainConfig(lime=lime))
     unit = exp.latent_unit
-    ref = lime_explain(x, lambda row: predict_latent(row, model)[unit], lime)
+    # reference: the model's single-row path, one row at a time
+    ref = lime_explain(
+        x, lambda rows: np.array([predict_latent(row, model)[unit] for row in rows]),
+        lime)
     assert exp.surrogate.feature_weights == ref.feature_weights
     assert exp.surrogate.intercept == ref.intercept
     assert exp.surrogate.local_fit_r2 == ref.local_fit_r2
@@ -455,8 +468,8 @@ def test_explain_predicts_the_sample_block_in_one_call(monkeypatch):
                        ExplainConfig(lime=LimeConfig(num_samples=250, seed=1)))
     # once for the latent code, once for the whole mask block
     assert calls == [(12,), (250, 12)]
-    # a plain callable still sees one row per call
-    rows = []
-    lime_explain(x, lambda row: rows.append(row.shape) or float(row.sum()),
+    # a user callable is called once, with the whole block too
+    blocks = []
+    lime_explain(x, lambda rows: blocks.append(rows.shape) or rows.sum(axis=1),
                  LimeConfig(num_samples=40, k_features=2, seed=1))
-    assert rows == [(12,)] * 40
+    assert blocks == [(40, 12)]
