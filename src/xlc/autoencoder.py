@@ -38,7 +38,6 @@ projection: it is a product of non-negative factors.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
@@ -48,8 +47,8 @@ from .nmf import NmfConfig, nmf_factorize
 class EncoderStack:
     """Trained compression model: the ordered coefficient matrices.
 
-    Invariants: at least one layer; every entry >= 0; widths strictly
-    decrease and start below the label count p; adjacent shapes chain.
+    Invariants: at least one layer; every entry >= 0; widths are >= 1,
+    strictly decrease and start below the label count p; shapes chain.
     """
 
     __slots__ = ("layers", "layer_dims", "p", "training_trace", "_chain_t")
@@ -59,21 +58,19 @@ class EncoderStack:
         if not layers:
             raise ConfigError("an encoder stack needs at least one layer")
         dims = []
-        prev_cols = None
         for i, h in enumerate(layers):
             if h.values.min(initial=0.0) < 0:
                 raise XlcError(f"layer {i + 1} has a negative entry")
-            if prev_cols is not None and h.rows != prev_cols:
+            if dims and h.rows != dims[-1]:
                 raise ShapeMismatchError(
                     f"layer {i + 1} is {h.rows}x{h.cols} but layer {i} has "
-                    f"{prev_cols} columns")
-            prev_cols = h.cols
+                    f"{dims[-1]} columns")
             dims.append(h.cols)
         p = layers[0].rows
         widths = [p] + dims
-        if any(b >= a for a, b in zip(widths, widths[1:])):
+        if any(b >= a for a, b in zip(widths, widths[1:])) or dims[-1] < 1:
             raise ConfigError(
-                f"layer widths {dims} must strictly decrease from p={p}")
+                f"layer widths {dims} must strictly decrease from p={p} and be >= 1")
         self.layers = layers
         self.layer_dims = tuple(dims)
         self.p = p
@@ -143,14 +140,14 @@ class AeTrainConfig:
         self.seed = RngSeed(seed)
 
 
-def _as_csr(v: LabelMatrix, p: int) -> sp.csr_matrix:
-    """CSR form of a LabelMatrix with p labels."""
+def _check_labels(v: LabelMatrix, p: int) -> LabelMatrix:
+    """v, checked to be a LabelMatrix with p labels."""
     if not isinstance(v, LabelMatrix):
         raise XlcError(f"expected a LabelMatrix, got {type(v).__name__}")
     if v.n_labels != p:
         raise ShapeMismatchError(
             f"input has {v.n_labels} labels, encoder expects {p}")
-    return v.to_csr()
+    return v
 
 
 def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
@@ -158,7 +155,7 @@ def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
 
     Row-independent: permuting input rows permutes output rows bitwise.
     """
-    w = np.asarray(_as_csr(v, stack.p) @ stack.layers[0].values)
+    w = np.asarray(_check_labels(v, stack.p).to_csr() @ stack.layers[0].values)
     for h in stack.layers[1:]:
         w = _mm(w, h.values)
     return DenseMatrix(w)
@@ -203,7 +200,7 @@ class _Objective:
 
     __slots__ = ("vs", "sq_norm")
 
-    def __init__(self, vs: sp.csr_matrix):
+    def __init__(self, vs):
         self.vs = vs
         self.sq_norm = float(np.einsum("i,i->", vs.data, vs.data, optimize=False))
 
@@ -249,7 +246,7 @@ def reconstruction_loss(v, stack: EncoderStack) -> float:
     the direct O(n p k_L) residual over row blocks of V where the split
     form's rounding bound would exceed the direct one's (a model that
     explains most of ||V||^2) or V is more than 1/16 dense."""
-    return _Objective(_as_csr(v, stack.p)).residual(stack.chain())
+    return _Objective(_check_labels(v, stack.p).to_csr()).residual(stack.chain())
 
 
 def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
@@ -272,7 +269,7 @@ def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     if not 1 <= layer_index <= stack.depth:
         raise XlcError(
             f"layer_index {layer_index} out of range [1, {stack.depth}]")
-    obj = _Objective(_as_csr(v, stack.p))
+    obj = _Objective(_check_labels(v, stack.p).to_csr())
     mats = [h.values for h in stack.layers]
     chain = _prefix_chain(mats)
     _, a, g, c = obj.expanded(chain[-1])

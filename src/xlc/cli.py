@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .autoencoder import AeTrainConfig, _as_csr, encode, train_autoencoder
+from .autoencoder import AeTrainConfig, _check_labels, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
@@ -26,8 +26,8 @@ from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES
 from .nmf import NmfConfig, nmf_factorize, nmf_objective
-from .pipeline import (FeatureMatrix, fit_regressor, ndcg_at_k, precision_at_k,
-                       predict_labels, split_rows)
+from .pipeline import (FeatureMatrix, _metrics_at_k, fit_regressor, predict_labels,
+                       split_rows)
 
 
 _REQUIRED = object()     # an option default: the command fails without it
@@ -239,7 +239,7 @@ def _cmd_eval(o) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, v = load_dataset(o.data)
-    labels = _as_csr(v, stack.p)
+    _check_labels(v, stack.p)
     ks = o.k
     if not ks:
         raise ConfigError("--k needs at least one value")
@@ -264,29 +264,28 @@ def _cmd_eval(o) -> int:
                                          seed=o.split_seed)
         rows = train_idx if o.split == "train" else test_idx
 
-    used_rows = rows[np.diff(labels.indptr)[rows] > 0]
+    counts = np.bincount(v.entry_rows, minlength=v.n_rows)
+    used_rows = rows[counts[rows] > 0]
     used, skipped = used_rows.size, rows.size - used_rows.size
     if used == 0:
         raise XlcError("no rows with labels to evaluate")
 
-    n_max = max(ks)
-    sums_p = {k: 0.0 for k in ks}
-    sums_g = {k: 0.0 for k in ks}
+    keys = v.entry_rows * v.n_labels + v.entry_cols
+    scores = np.empty((2, len(ks), used))       # P@k and nDCG@k of every row
     step = _block_rows(stack)
     for lo in range(0, used, step):
         block = used_rows[lo:lo + step]
-        preds = predict_labels(x.values[block], reg, stack, n=n_max)
-        for i, pred in zip(block.tolist(), preds):
-            truth = labels.indices[labels.indptr[i]:labels.indptr[i + 1]].tolist()
-            for k in ks:
-                sums_p[k] += precision_at_k(pred, truth, k)
-                sums_g[k] += ndcg_at_k(pred, truth, k)
+        preds = predict_labels(x.values[block], reg, stack, n=max(ks))
+        ranked = np.array([[j for j, _ in pred.top_n] for pred in preds])
+        for c, k in enumerate(ks):
+            scores[:, c, lo:lo + step] = _metrics_at_k(
+                ranked, block * v.n_labels, keys, counts[block], k)
+    # one running total per metric, added in row order
+    means = np.cumsum(scores, axis=2)[:, :, -1] / used
 
     lines = [f"rows evaluated: {used} ({skipped} empty-truth rows skipped)"]
-    for k in ks:
-        lines.append(f"P@{k} = {sums_p[k] / used:.6f}")
-    for k in ks:
-        lines.append(f"nDCG@{k} = {sums_g[k] / used:.6f}")
+    for name, row in zip(("P", "nDCG"), means):
+        lines += [f"{name}@{k} = {m:.6f}" for k, m in zip(ks, row)]
     _emit(o.out, "\n".join(lines) + "\n")
     return 0
 

@@ -195,9 +195,8 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
     """Write the text format; reloading reproduces both matrices exactly."""
     if x.rows != v.n_rows:
         raise ConfigError(f"feature rows {x.rows} != label rows {v.n_rows}")
-    labels = v.to_csr()
-    cols = list(map(str, labels.indices.tolist()))
-    lab_ptr = labels.indptr.tolist()
+    cols = list(map(str, v.entry_cols.tolist()))
+    lab_ptr = np.searchsorted(v.entry_rows, np.arange(v.n_rows + 1)).tolist()
     r, c = np.nonzero(x.values)
     pairs = [f"{j}:{val!r}" for j, val in zip(c.tolist(), x.values[r, c].tolist())]
     feat_ptr = np.searchsorted(r, np.arange(x.rows + 1)).tolist()
@@ -259,7 +258,7 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
     r, c = np.nonzero(base != flips)
     names = [f"block{b}_label{j}"
              for b in range(blocks) for j in range(labels_per_block)]
-    x = FeatureMatrix.one_hot(block_of, blocks)
+    x = FeatureMatrix(block_of[:, None] == np.arange(blocks))
     v = LabelMatrix.from_coo(rows, p, r, c, np.ones(r.size), label_names=names)
     return x, v, names
 

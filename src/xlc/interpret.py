@@ -264,7 +264,11 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     rng = make_rng(cfg.seed)
     z = (rng.random((cfg.num_samples, d)) < 0.5).astype(np.float64)
     masked = z * x + (1.0 - z) * cfg.baseline
-    y = np.asarray(predict_fn(masked), dtype=np.float64)
+    out = predict_fn(masked)
+    try:
+        y = np.asarray(out, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise XlcError(f"predict_fn returned non-numeric values: {exc}") from None
     if y.shape != (cfg.num_samples,):
         raise ShapeMismatchError(
             f"predict_fn returned shape {y.shape} for {cfg.num_samples} "

@@ -17,7 +17,6 @@ depend on thread settings either.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonNegativityError, ShapeMismatchError, XlcError
 
@@ -174,12 +173,12 @@ class LabelMatrix:
     def nnz(self) -> int:
         return int(self.entry_vals.size)
 
-    def to_csr(self) -> sp.csr_matrix:
-        m = sp.csr_matrix(
-            (self.entry_vals, (self.entry_rows, self.entry_cols)),
-            shape=(self.n_rows, self.n_labels))
-        m.sort_indices()
-        return m
+    def to_csr(self):
+        """scipy.sparse CSR form; xlc imports scipy here and nowhere else."""
+        import scipy.sparse as sp
+        # scipy canonicalizes a matrix built from COO: its indices come out sorted
+        return sp.csr_matrix((self.entry_vals, (self.entry_rows, self.entry_cols)),
+                             shape=(self.n_rows, self.n_labels))
 
     @classmethod
     def from_dense_array(cls, a, label_names=None) -> "LabelMatrix":
@@ -260,8 +259,7 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
-                      grams=None) -> float:
+def _lowrank_sq_error(vs, a: np.ndarray, b: np.ndarray, grams=None) -> float:
     """||V - A B||_F^2 for CSR V (n x p, no duplicate entries), A (n x k)
     and B (k x p); V is never densified.
 
@@ -326,7 +324,7 @@ def _lowrank_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray,
     return _direct_sq_error(vs, a, b)
 
 
-def _direct_sq_error(vs: sp.csr_matrix, a: np.ndarray, b: np.ndarray) -> float:
+def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
     """||V - A B||_F^2 summed directly as sum ||V_b - A_b B||^2 over row
     blocks V_b of at most _BLOCK_ENTRIES dense entries: O(n p k)."""
     n, p = vs.shape

@@ -29,16 +29,6 @@ class FeatureMatrix(DenseMatrix):
     def n_features(self) -> int:
         return self.cols
 
-    @classmethod
-    def one_hot(cls, indices, n_features: int) -> "FeatureMatrix":
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n_features):
-            raise ConfigError(
-                f"one-hot index out of range [0, {n_features})")
-        a = np.zeros((idx.size, n_features))
-        a[np.arange(idx.size), idx] = 1.0
-        return cls(a)
-
 
 class RegressorModel:
     """Fitted feature-to-latent map with an identity output head.
@@ -305,21 +295,39 @@ def predict_labels(x, m: RegressorModel, stack: EncoderStack,
     return preds if latent.ndim == 2 else preds[0]
 
 
-def _top_labels(pred: RankedPrediction, k: int):
-    """The first k labels of rank_labels(pred.scores), read off top_n when
-    it holds them."""
-    if k <= len(pred.top_n) or len(pred.top_n) == pred.scores.size:
-        return [j for j, _ in pred.top_n[:k]]
-    return rank_labels(pred.scores)[:k].tolist()
+def _metrics_at_k(ranked, base, keys, counts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """P@k and nDCG@k of each row of an r x m block of ranked labels.
+
+    Row i ranks ranked[i], best first, at least min(k, p) labels. Its truth
+    is the counts[i] labels j with base[i] + j in keys: sorted unique
+    row * p + label keys, as in a LabelMatrix. Sums run in rank order, as
+    the metrics define them; nDCG@k is 0 for empty truth."""
+    cand = base[:, None] + ranked[:, :k]
+    hit = np.searchsorted(keys, cand, side="right") > np.searchsorted(keys, cand)
+    ideal_ranks = np.minimum(counts, k)
+    disc = 1.0 / np.log2(np.arange(2, max(hit.shape[1], ideal_ranks.max(initial=0)) + 2))
+    dcg = np.zeros(len(hit))
+    for i in range(hit.shape[1]):
+        dcg += hit[:, i] * disc[i]
+    ideal = np.concatenate(([0.0], np.cumsum(disc)))[ideal_ranks]
+    ndcg = np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal > 0)
+    return hit.sum(axis=1) / k, ndcg
+
+
+def _row_metrics(pred: RankedPrediction, truth, k: int) -> tuple[float, float | None]:
+    """(P@k, nDCG@k) of one prediction; nDCG@k is None for empty truth."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    truth = {int(t) for t in truth}     # a label outside [0, p) counts but never hits
+    keys = np.array(sorted(t for t in truth if 0 <= t < pred.scores.size), dtype=np.int64)
+    ranked = np.array([[j for j, _ in _top_n(pred.scores.reshape(1, -1), k)[0]]])
+    prec, ndcg = _metrics_at_k(ranked, np.zeros(1, int), keys, np.array([len(truth)]), k)
+    return float(prec[0]), float(ndcg[0]) if truth else None
 
 
 def precision_at_k(pred: RankedPrediction, truth, k: int) -> float:
     """|top-k predicted labels intersected with truth| / k."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    truth = {int(t) for t in truth}
-    hits = sum(1 for j in _top_labels(pred, k) if j in truth)
-    return hits / k
+    return _row_metrics(pred, truth, k)[0]
 
 
 def ndcg_at_k(pred: RankedPrediction, truth, k: int) -> float:
@@ -328,15 +336,10 @@ def ndcg_at_k(pred: RankedPrediction, truth, k: int) -> float:
     DCG sums 1/log2(i+2) over ranks i < k whose label is in truth; the
     ideal DCG places min(k, |truth|) hits first.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    truth = {int(t) for t in truth}
-    if not truth:
+    ndcg = _row_metrics(pred, truth, k)[1]
+    if ndcg is None:
         raise XlcError("ndcg needs a non-empty truth set")
-    dcg = sum(1.0 / np.log2(i + 2) for i, j in enumerate(_top_labels(pred, k))
-              if j in truth)
-    ideal = sum(1.0 / np.log2(i + 2) for i in range(min(k, len(truth))))
-    return float(dcg / ideal)
+    return ndcg
 
 
 def split_rows(n_rows: int, test_frac: float = 0.2,

@@ -64,6 +64,15 @@ def test_stack_rejects_empty_negative_nonchaining_and_flat():
         EncoderStack([DenseMatrix(np.eye(3))])
 
 
+def test_stack_rejects_a_width_zero_layer():
+    # a code with no unit used to load and then fail in explain_prediction's
+    # argmax with a raw ValueError
+    with pytest.raises(ConfigError, match="be >= 1"):
+        EncoderStack([DenseMatrix(np.ones((3, 0)))])
+    with pytest.raises(ConfigError, match="be >= 1"):
+        EncoderStack([H1, DenseMatrix(np.ones((2, 0)))])
+
+
 # ---------------------------------------------------------------- encode/decode
 
 

@@ -323,6 +323,37 @@ def test_predict_and_eval_match_a_per_row_reference_when_every_label_ties(
     assert report.read_text() == "\n".join(expected) + "\n"
 
 
+_SERVE = """
+import json, sys
+from xlc.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_serving_commands_do_not_import_scipy(planted, tmp_path):
+    # scipy.sparse costs a few hundred ms per process; only training and
+    # NMF run sparse products, so only they may load it
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model) == 0
+    argvs = [["gen-synth", "--blocks", "2", "--rows", "6", "--labels-per-block", "2",
+              "--out", str(tmp_path / "g.txt")],
+             ["predict", "--model", str(model), "--data", str(data),
+              "--out", str(tmp_path / "p.txt")],
+             ["explain", "--model", str(model), "--data", str(data), "--row", "0",
+              "--out", str(tmp_path / "e.txt")],
+             ["hierarchy", "--model", str(model), "--layer", "1", "--unit", "0",
+              "--out", str(tmp_path / "h.txt")],
+             ["eval", "--model", str(model), "--data", str(data), "--split", "all",
+              "--out", str(tmp_path / "v.txt")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(xlc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SERVE, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    codes, loaded = json.loads(out.strip().split("\n")[-1])
+    assert codes == [0] * len(argvs)
+    assert loaded == []
+
+
 def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path):
     # Dense features (several nonzeros per row, unlike gen-synth's one-hot
     # rows) at d=400: a LAPACK solve of the ridge normal equations gives

@@ -550,6 +550,18 @@ def test_regressor_section_with_a_bad_dimension_tag(tmp_path, rows, tag):
         load_model(path)
 
 
+def test_encoder_section_with_a_width_zero_layer(tmp_path):
+    # depth 1, one 3x0 layer, an empty trace: well formed, but not a stack
+    payload = struct.pack("<I", 1) + struct.pack("<II", 3, 0) + struct.pack("<Q", 0)
+    name = b"encoder"
+    path = tmp_path / "m.xlc"
+    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
+                     + struct.pack("<H", len(name)) + name
+                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    with pytest.raises(ConfigError, match=r"layer widths \[0\] .* be >= 1"):
+        load_model(path)
+
+
 def test_config_rejects_unserializable_keys(tmp_path):
     with pytest.raises(ConfigError):
         save_model(tmp_path / "m.xlc", ModelContainer(config={"a=b": "1"}))

@@ -227,6 +227,14 @@ def test_lime_rejects_non_finite_outputs():
                      LimeConfig(num_samples=50, seed=0))
 
 
+@pytest.mark.parametrize("result", [lambda rows: ["a"] * len(rows),
+                                    lambda rows: [[1.0, 2.0], [3.0]]],
+                         ids=["strings", "ragged"])
+def test_lime_rejects_outputs_that_are_not_numbers(result):
+    with pytest.raises(XlcError, match="predict_fn returned non-numeric values"):
+        lime_explain(np.ones(3), result, LimeConfig(num_samples=50, seed=0))
+
+
 @pytest.mark.parametrize("shape", [(50, 1), (), (49,)],
                          ids=["column", "scalar", "one-short"])
 def test_lime_rejects_outputs_not_one_per_row(shape):

@@ -28,7 +28,7 @@ from xlc import (
     split_rows,
     train_autoencoder,
 )
-from xlc.pipeline import _top_n
+from xlc.pipeline import _metrics_at_k, _top_n
 
 
 def _random_latents(n, k, seed):
@@ -258,6 +258,51 @@ def test_metrics_rank_past_top_n_when_k_exceeds_it():
         assert ndcg_at_k(short, {0, 2}, k) == ndcg_at_k(full, {0, 2}, k)
 
 
+def _reference_metrics(scores, truth: set, k: int):
+    """P@k and nDCG@k (None for empty truth) from their definitions: the
+    first k labels of rank_labels, hits / k, and each DCG summed one rank
+    at a time in rank order."""
+    top = rank_labels(scores)[:k].tolist()
+    dcg = ideal = 0.0
+    for i, j in enumerate(top):
+        if j in truth:
+            dcg += 1.0 / np.log2(i + 2)
+    for i in range(min(k, len(truth))):
+        ideal += 1.0 / np.log2(i + 2)
+    return sum(j in truth for j in top) / k, dcg / ideal if truth else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_metrics_kernel_equals_definitions_bitwise_on_tie_heavy_blocks(data):
+    r = data.draw(st.integers(1, 6), label="rows")
+    p = data.draw(st.integers(1, 10), label="labels")
+    cells = st.lists(st.integers(0, 3), min_size=r * p, max_size=r * p)
+    scores = np.array(data.draw(cells), dtype=np.float64).reshape(r, p)
+    # truth sets of every size, the empty one included
+    v = LabelMatrix.from_dense_array(np.array(data.draw(cells)).reshape(r, p) == 0)
+    k = data.draw(st.integers(1, p + 2), label="k")
+    n = data.draw(st.integers(k, p + 3), label="ranked width")
+    cut = data.draw(st.integers(0, r), label="block boundary")
+    keys = v.entry_rows * p + v.entry_cols
+    counts = np.bincount(v.entry_rows, minlength=r)
+    ranked = np.array([[j for j, _ in top] for top in _top_n(scores, n)])
+    blocks = [_metrics_at_k(ranked[lo:hi], np.arange(lo, hi) * p, keys, counts[lo:hi], k)
+              for lo, hi in ((0, cut), (cut, r))]
+    prec = np.concatenate([b[0] for b in blocks])
+    ndcg = np.concatenate([b[1] for b in blocks])
+    for i in range(r):
+        truth = set(v.entry_cols[v.entry_rows == i].tolist())
+        ref_p, ref_g = _reference_metrics(scores[i], truth, k)
+        assert prec[i].tobytes() == np.float64(ref_p).tobytes()
+        assert ndcg[i].tobytes() == np.float64(0.0 if ref_g is None else ref_g).tobytes()
+        # the public one-row calls, from a prediction holding fewer than k
+        short = RankedPrediction(scores[i], n=1)
+        assert precision_at_k(short, truth, k) == ref_p
+        if truth:
+            assert ndcg_at_k(short, truth, k) == ref_g
+
+
 def test_precision_hand_oracle():
     pred = _pred_from_ranking([3, 2, 1], p=4)
     truth = {1, 3}
@@ -270,6 +315,13 @@ def test_precision_extremes():
     pred = _pred_from_ranking([0, 1], p=4)
     assert precision_at_k(pred, {0, 1, 2}, 2) == 1.0
     assert precision_at_k(pred, {2, 3}, 2) == 0.0
+
+
+def test_metrics_count_truth_labels_the_ranking_cannot_hold():
+    # labels outside [0, p), however large, enlarge |truth| but never hit
+    pred = _pred_from_ranking([3, 2, 1], p=4)
+    assert precision_at_k(pred, {3, -1, 2**70}, 2) == 0.5
+    assert ndcg_at_k(pred, {3, 2**70}, 2) == pytest.approx(0.6131471927654584)
 
 
 def test_ndcg_hand_oracle():
