@@ -220,23 +220,20 @@ class _Objective:
         m = np.asarray(self.vs.T @ a)
         return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
 
-    def accurate(self, expanded_loss: float, e: np.ndarray) -> float:
-        """expanded_loss, or residual(e) when expanded_loss is below
-        _NOISE_ULPS ulps of ||V||^2 and so is rounding noise."""
+    def accurate(self, expanded_loss: float, e, a, g, c) -> float:
+        """expanded_loss, or residual(e, a, g, c) when expanded_loss is
+        below _NOISE_ULPS ulps of ||V||^2 and so is rounding noise."""
         if expanded_loss < _NOISE_ULPS * np.finfo(np.float64).eps * self.sq_norm:
-            return self.residual(e)
+            return self.residual(e, a, g, c)
         return expanded_loss
 
-    def residual(self, e: np.ndarray, a=None, g=None, c=None) -> float:
-        """Loss as ||V - A E^T||^2 with A = V E, by _lowrank_sq_error.
+    def residual(self, e: np.ndarray, a, g, c) -> float:
+        """Loss as ||V - A E^T||^2 by _lowrank_sq_error, from expanded(e)'s
+        A = V E, G = A^T A and C = E^T E.
 
         The expanded form cancels catastrophically near exact
-        reconstruction; this one stays accurate there. a, g and c, when
-        given, are expanded(e)'s A, G and C, which equal what this would
-        compute bitwise, so they are reused.
+        reconstruction; this one stays accurate there.
         """
-        if a is None:
-            return _lowrank_sq_error(self.vs, np.asarray(self.vs @ e), e.T)
         return _lowrank_sq_error(self.vs, a, e.T, grams=(g, c))
 
 
@@ -246,7 +243,9 @@ def reconstruction_loss(v, stack: EncoderStack) -> float:
     the direct O(n p k_L) residual over row blocks of V where the split
     form's rounding bound would exceed the direct one's (a model that
     explains most of ||V||^2) or V is more than 1/16 dense."""
-    return _Objective(_check_labels(v, stack.p).to_csr()).residual(stack.chain())
+    obj = _Objective(_check_labels(v, stack.p).to_csr())
+    e = stack.chain()
+    return obj.residual(e, *obj.expanded(e)[1:])
 
 
 def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
@@ -335,9 +334,10 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     last epoch's A = V E, G and C, so it equals reconstruction_loss of the
     returned stack bitwise and no entry is negative.
     Stops when the relative change of those recorded losses falls below
-    cfg.rel_tol or when max_epochs is reached; a non-finite loss raises
-    TrainingDivergedError with the epoch index (the usual cause is a
-    too-large learning rate).
+    cfg.rel_tol or when max_epochs is reached. A non-finite loss, or a
+    stack whose collapsed chain E ends all zero (a fixpoint of the clamped
+    update, so training cannot leave it), raises TrainingDivergedError with
+    the epoch index (the usual cause is a too-large learning rate).
     """
     p = v.n_labels
     if cfg.layer_dims[0] >= p:
@@ -354,7 +354,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     lr = cfg.learning_rate
     chain = _prefix_chain(layers)
     loss, a, g, c = obj.expanded(chain[-1])
-    trace = [obj.accurate(loss, chain[-1])]
+    trace = [obj.accurate(loss, chain[-1], a, g, c)]
     for epoch in range(1, cfg.max_epochs + 1):
         grads = _layer_gradients(layers, chain,
                                  obj.chain_gradient(chain[-1], a, g, c))
@@ -365,11 +365,15 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}; "
                 f"lower the learning rate (currently {lr})", epoch=epoch)
-        cur = obj.accurate(cur, chain[-1])
+        cur = obj.accurate(cur, chain[-1], a, g, c)
         prev = trace[-1]
         trace.append(cur)
         if abs(prev - cur) <= cfg.rel_tol * max(prev, 1e-300):
             break
     trace[-1] = obj.residual(chain[-1], a, g, c)
-
+    if not chain[-1].any():
+        raise TrainingDivergedError(
+            f"every entry of the collapsed chain E is zero after epoch {epoch}: "
+            f"the steps clamped the stack to the all-zero model; lower the "
+            f"learning rate (currently {lr})", epoch=epoch)
     return EncoderStack([DenseMatrix(h) for h in layers], training_trace=trace)

@@ -209,11 +209,13 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
             fh.write(" ".join(parts) + "\n")
 
 
-def load_label_names(path) -> list[str]:
-    text = _read_text(path, DatasetFormatError)
-    if text.endswith("\n"):
-        text = text[:-1]
+def _split_names(text: str) -> list[str]:
+    """The names that _names_payload joined into text."""
     return text.split("\n") if text else []
+
+
+def load_label_names(path) -> list[str]:
+    return _split_names(_read_text(path, DatasetFormatError).removesuffix("\n"))
 
 
 def _names_payload(names) -> bytes:
@@ -259,7 +261,7 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
     names = [f"block{b}_label{j}"
              for b in range(blocks) for j in range(labels_per_block)]
     x = FeatureMatrix(block_of[:, None] == np.arange(blocks))
-    v = LabelMatrix.from_coo(rows, p, r, c, np.ones(r.size), label_names=names)
+    v = LabelMatrix.from_coo(rows, p, r, c, np.ones(r.size))
     return x, v, names
 
 
@@ -282,39 +284,58 @@ class ModelContainer:
         self.nmf = nmf
 
 
+class _Reader:
+    """Reads a model file or one section payload front to back: each read
+    checks that its bytes are there before it decodes them, and raises
+    ModelFormatError naming `where` and what was cut; `done` rejects bytes
+    left over. buf is a memoryview, so `take` copies nothing. Nothing else
+    in this module unpacks model bytes."""
+
+    __slots__ = ("buf", "off", "where")
+
+    def __init__(self, buf: memoryview, where: str):
+        self.buf, self.off, self.where = buf, 0, where
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.buf) - self.off:
+            raise ModelFormatError(f"{self.where}: truncated {what}")
+        self.off += n
+        return self.buf[self.off - n:self.off]
+
+    def unpack(self, fmt: str, what: str = "header") -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def matrix(self) -> np.ndarray:
+        rows, cols = self.unpack("<II")
+        raw = self.take(rows * cols * 8, "matrix payload")
+        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+
+    def trace(self) -> list[float]:
+        (n,) = self.unpack("<Q")
+        return np.frombuffer(self.take(n * 8, "trace"), dtype="<f8").tolist()
+
+    def text(self, n: int | None = None, what: str = "text") -> str:
+        """The next n bytes, or all that are left, decoded as UTF-8."""
+        raw = self.take(len(self.buf) - self.off if n is None else n, what)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{self.where} holds non-UTF-8 text") from None
+
+    def done(self) -> None:
+        if self.off != len(self.buf):
+            raise ModelFormatError(
+                f"{self.where}: {len(self.buf) - self.off} bytes left over")
+
+
 def _pack_matrix(a: np.ndarray) -> bytes:
     a = np.ascontiguousarray(a, dtype="<f8")
     return struct.pack("<II", a.shape[0], a.shape[1]) + a.tobytes()
 
 
-def _unpack_matrix(buf: bytes, off: int, section: str):
-    rows, cols = _unpack(buf, off, "<II", section)
-    off += 8
-    nbytes = rows * cols * 8
-    if off + nbytes > len(buf):
-        raise ModelFormatError(f"truncated matrix payload in section {section!r}")
-    a = np.frombuffer(buf[off:off + nbytes], dtype="<f8").reshape(rows, cols).copy()
-    return a, off + nbytes
-
-
 def _pack_trace(trace) -> bytes:
     a = np.asarray(trace, dtype="<f8")
     return struct.pack("<Q", a.size) + a.tobytes()
-
-
-def _unpack_trace(buf: bytes, off: int, section: str):
-    (n,) = _unpack(buf, off, "<Q", section)
-    off += 8
-    if off + n * 8 > len(buf):
-        raise ModelFormatError(f"truncated trace in section {section!r}")
-    return np.frombuffer(buf[off:off + n * 8], dtype="<f8").tolist(), off + n * 8
-
-
-def _unpack(buf: bytes, off: int, fmt: str, section: str):
-    size = struct.calcsize(fmt)
-    if off + size > len(buf):
-        raise ModelFormatError(f"truncated header in section {section!r}")
-    return struct.unpack_from(fmt, buf, off)
 
 
 def _encoder_payload(stack: EncoderStack) -> bytes:
@@ -324,15 +345,10 @@ def _encoder_payload(stack: EncoderStack) -> bytes:
     return b"".join(out)
 
 
-def _parse_encoder(buf: bytes) -> EncoderStack:
-    (depth,) = _unpack(buf, 0, "<I", "encoder")
-    off = 4
-    layers = []
-    for _ in range(depth):
-        a, off = _unpack_matrix(buf, off, "encoder")
-        layers.append(DenseMatrix(a))
-    trace, off = _unpack_trace(buf, off, "encoder")
-    return EncoderStack(layers, training_trace=trace)
+def _parse_encoder(r: _Reader) -> EncoderStack:
+    (depth,) = r.unpack("<I")
+    layers = [DenseMatrix(r.matrix()) for _ in range(depth)]
+    return EncoderStack(layers, training_trace=r.trace())
 
 
 def _regressor_payload(m: RegressorModel) -> bytes:
@@ -349,23 +365,19 @@ def _regressor_payload(m: RegressorModel) -> bytes:
     return b"".join(out)
 
 
-def _parse_regressor(buf: bytes) -> RegressorModel:
-    kind_idx, din, dout = _unpack(buf, 0, "<BII", "regressor")
+def _parse_regressor(r: _Reader) -> RegressorModel:
+    kind_idx, din, dout, nparams = r.unpack("<BIII")
     if kind_idx >= len(RegressorModel.KINDS):
         raise ModelFormatError(f"unknown regressor kind code {kind_idx}")
-    (nparams,) = _unpack(buf, 9, "<I", "regressor")
-    off = 13
     params = {}
     for _ in range(nparams):
-        (nlen,) = _unpack(buf, off, "<H", "regressor")
-        off += 2
-        if off + nlen > len(buf):
-            raise ModelFormatError("truncated parameter name in section 'regressor'")
-        name = buf[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = _unpack(buf, off, "<B", "regressor")
-        off += 1
-        a, off = _unpack_matrix(buf, off, "regressor")
+        (nlen,) = r.unpack("<H")
+        name = r.text(nlen, "parameter name")
+        (ndim,) = r.unpack("<B")
+        a = r.matrix()
+        if name in params:
+            raise ModelFormatError(
+                f"parameter {name!r} appears twice in section 'regressor'")
         if ndim not in (1, 2) or (ndim == 1 and a.shape[0] != 1):
             raise ModelFormatError(
                 f"parameter {name!r} in section 'regressor' is tagged {ndim}-D "
@@ -390,10 +402,9 @@ def _config_payload(config: dict) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def _parse_config(buf: bytes) -> dict:
-    text = buf.decode("utf-8")
+def _parse_config(r: _Reader) -> dict:
     config = {}
-    for line in text.split("\n"):
+    for line in r.text().split("\n"):
         if not line:
             continue
         key, sep, val = line.partition("=")
@@ -403,28 +414,20 @@ def _parse_config(buf: bytes) -> dict:
     return config
 
 
-def _parse_names(buf: bytes) -> list[str]:
-    text = buf.decode("utf-8")
-    return text.split("\n") if text else []
-
-
 def _nmf_payload(f: NmfFactors) -> bytes:
     return (_pack_matrix(f.w.values) + _pack_matrix(f.h.values)
             + _pack_trace(f.objective_trace))
 
 
-def _parse_nmf(buf: bytes) -> NmfFactors:
-    w, off = _unpack_matrix(buf, 0, "nmf")
-    h, off = _unpack_matrix(buf, off, "nmf")
-    trace, off = _unpack_trace(buf, off, "nmf")
-    return NmfFactors(DenseMatrix(w), DenseMatrix(h), trace)
+def _parse_nmf(r: _Reader) -> NmfFactors:
+    return NmfFactors(DenseMatrix(r.matrix()), DenseMatrix(r.matrix()), r.trace())
 
 
 _SECTIONS = (                   # (name, pack, parse), in file order
     ("encoder", _encoder_payload, _parse_encoder),
     ("regressor", _regressor_payload, _parse_regressor),
     ("config", _config_payload, _parse_config),
-    ("label_names", _names_payload, _parse_names),
+    ("label_names", _names_payload, lambda r: _split_names(r.text())),
     ("nmf", _nmf_payload, _parse_nmf),
 )
 
@@ -448,46 +451,41 @@ def save_model(path, container: ModelContainer) -> None:
 
 
 def load_model(path) -> ModelContainer:
-    """Read a container back; unknown sections are skipped with a warning."""
+    """Read a container back; unknown sections are skipped with a warning.
+
+    Bytes left over in a section or after the last one, a section name
+    given twice and a regressor parameter given twice are format errors.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MAGIC:
+        r = _Reader(memoryview(fh.read()), str(path))
+    if r.buf[:4] != MAGIC:
         raise ModelFormatError(f"{path}: not a model file (bad magic)")
-    if len(buf) < 12:
-        raise ModelFormatError(f"{path}: truncated file")
-    version, n_sections = struct.unpack_from("<II", buf, 4)
+    version, n_sections = r.unpack("<4xII", "file")
     if version > FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: format version {version} is newer than supported "
             f"version {FORMAT_VERSION}")
-    off = 12
     parsers = {name: parse for name, _, parse in _SECTIONS}
-    fields = {}
+    fields, seen = {}, set()
     for _ in range(n_sections):
-        if off + 2 > len(buf):
-            raise ModelFormatError(f"{path}: truncated section table")
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        if off + nlen + 12 > len(buf):
-            raise ModelFormatError(f"{path}: truncated section header")
+        (nlen,) = r.unpack("<H", "section table")
+        at = r.off
         try:
-            name = buf[off:off + nlen].decode("utf-8")
+            name = str(r.take(nlen, "section header"), "utf-8")
         except UnicodeDecodeError:
-            raise ModelFormatError(f"{path}: section name at byte {off} is not UTF-8")
-        off += nlen
-        plen, crc = struct.unpack_from("<QI", buf, off)
-        off += 12
-        if off + plen > len(buf):
-            raise ModelFormatError(f"{path}: truncated payload in section {name!r}")
-        payload = buf[off:off + plen]
-        off += plen
+            raise ModelFormatError(f"{path}: section name at byte {at} is not UTF-8")
+        plen, crc = r.unpack("<QI", "section header")
+        payload = r.take(plen, f"payload in section {name!r}")
         if zlib.crc32(payload) != crc:
             raise ModelFormatError(f"{path}: checksum mismatch in section {name!r}")
+        if name in seen:
+            raise ModelFormatError(f"{path}: section {name!r} appears twice")
+        seen.add(name)
         if name not in parsers:
             warnings.warn(f"{path}: skipping unknown section {name!r}")
             continue
-        try:
-            fields[name] = parsers[name](payload)
-        except UnicodeDecodeError:
-            raise ModelFormatError(f"{path}: section {name!r} holds non-UTF-8 text")
+        section = _Reader(payload, f"{path}: section {name!r}")
+        fields[name] = parsers[name](section)
+        section.done()
+    r.done()
     return ModelContainer(**fields)

@@ -16,7 +16,7 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import ConfigError, ShapeMismatchError, XlcError
 from .matrix import RngSeed, _back_substitute, _mm, make_rng
-from .pipeline import RegressorModel, _check_latent_dim, predict_latent, rank_labels
+from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
 
 class HierarchyNode:
@@ -108,13 +108,9 @@ def _expand(stack, layer, unit, weight, counts, labels) -> HierarchyNode:
     if layer == 0:
         name = labels[unit] if labels is not None else None
         return HierarchyNode(0, unit, weight, label_name=name)
-    col = stack.layers[layer - 1].values[:, unit]
-    children = []
-    for idx in rank_labels(col):
-        if col[idx] <= 0 or len(children) == counts[0]:
-            break
-        children.append(
-            _expand(stack, layer - 1, int(idx), float(col[idx]), counts[1:], labels))
+    (top,) = _top_n(stack.layers[layer - 1].values[None, :, unit], counts[0])
+    children = [_expand(stack, layer - 1, idx, w, counts[1:], labels)
+                for idx, w in top if w > 0]
     return HierarchyNode(layer, unit, weight, children=children)
 
 

@@ -91,25 +91,24 @@ class LabelMatrix:
     Entries are held row-major as parallel (row, col, value) arrays. All
     (row, col) pairs are unique and in bounds; values are finite and > 0
     (zero-valued entries are dropped at construction so the stored entry
-    set is canonical). ``label_names``, when given, must have length p.
+    set is canonical).
     """
 
-    __slots__ = ("n_rows", "n_labels", "entry_rows", "entry_cols", "entry_vals",
-                 "label_names")
+    __slots__ = ("n_rows", "n_labels", "entry_rows", "entry_cols", "entry_vals")
 
-    def __init__(self, n_rows: int, n_labels: int, entries, label_names=None):
+    def __init__(self, n_rows: int, n_labels: int, entries):
         entries = list(entries)
         self._set(n_rows, n_labels,
                   np.array([e[0] for e in entries], dtype=np.int64),
                   np.array([e[1] for e in entries], dtype=np.int64),
-                  np.array([e[2] for e in entries], dtype=np.float64),
-                  label_names)
+                  np.array([e[2] for e in entries], dtype=np.float64))
 
     @classmethod
-    def from_coo(cls, n_rows: int, n_labels: int, rows, cols, vals,
-                 label_names=None) -> "LabelMatrix":
+    def from_coo(cls, n_rows: int, n_labels: int, rows, cols, vals) -> "LabelMatrix":
         """Build from parallel row-index, column-index and value arrays,
-        with the same checks and canonical form as the entry constructor."""
+        with the same checks and canonical form as the entry constructor.
+        The matrix stores its own copies; the caller's arrays stay as they
+        are."""
         rows, cols = np.asarray(rows), np.asarray(cols)
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.ndim == cols.ndim == vals.ndim == 1
@@ -121,12 +120,13 @@ class LabelMatrix:
                               and np.issubdtype(cols.dtype, np.integer)):
             raise XlcError("row and col indices must be integers")
         self = cls.__new__(cls)
-        self._set(n_rows, n_labels, rows.astype(np.int64), cols.astype(np.int64),
-                  vals, label_names)
+        self._set(n_rows, n_labels, np.asarray(rows, dtype=np.int64),
+                  np.asarray(cols, dtype=np.int64), vals)
         return self
 
-    def _set(self, n_rows, n_labels, rows, cols, vals, label_names) -> None:
-        """Check int64/float64 COO arrays, drop zeros, sort row-major, store."""
+    def _set(self, n_rows, n_labels, rows, cols, vals) -> None:
+        """Check int64/float64 COO arrays, drop zeros, sort row-major, and
+        store one fresh copy of each array."""
         if n_rows < 0 or n_labels < 0:
             raise XlcError(f"negative dimensions {n_rows}x{n_labels}")
         if not np.all(np.isfinite(vals)):
@@ -139,29 +139,25 @@ class LabelMatrix:
                 raise XlcError(
                     f"entry index out of bounds for {n_rows}x{n_labels} matrix")
         keep = vals > 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
         step = np.diff(rows)
         if not np.all((step > 0) | ((step == 0) & (np.diff(cols) >= 0))):
             # lexsort is stable, so entries already in row-major order skip it
             order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
+            keep = order[keep[order]]
+        del step                            # as large as rows: free it first
+        # indexing by a mask or by indices copies: the only copy made
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if rows.size > 1:
             dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
             if dup.any():
                 i = int(np.argmax(dup))
                 raise XlcError(
                     f"duplicate entry at (row={rows[i]}, col={cols[i]})")
-        if label_names is not None:
-            label_names = tuple(str(s) for s in label_names)
-            if len(label_names) != n_labels:
-                raise XlcError(
-                    f"label_names has length {len(label_names)}, expected {n_labels}")
         self.n_rows = int(n_rows)
         self.n_labels = int(n_labels)
         self.entry_rows = _lock(rows)
         self.entry_cols = _lock(cols)
         self.entry_vals = _lock(vals)
-        self.label_names = label_names
 
     @property
     def entries(self):
@@ -181,11 +177,10 @@ class LabelMatrix:
                              shape=(self.n_rows, self.n_labels))
 
     @classmethod
-    def from_dense_array(cls, a, label_names=None) -> "LabelMatrix":
+    def from_dense_array(cls, a) -> "LabelMatrix":
         a = np.asarray(a, dtype=np.float64)
         r, c = np.nonzero(a)
-        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c],
-                            label_names=label_names)
+        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
 
     def __repr__(self):
         return f"LabelMatrix({self.n_rows}x{self.n_labels}, nnz={self.nnz})"

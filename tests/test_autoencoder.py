@@ -25,6 +25,7 @@ from xlc import (
     decode,
     encode,
     fit_regressor,
+    make_block_dataset,
     reconstruction_loss,
     train_autoencoder,
 )
@@ -435,14 +436,25 @@ def test_training_does_not_stop_on_rounding_noise(planted_v, cfg):
 
 
 def test_training_diverges_with_huge_learning_rate(planted_v):
-    # Moderately oversized rates collapse the stack to zero (finite loss);
-    # only a first step large enough to overflow the loss evaluation reaches
-    # the non-finite guard.
+    # Moderately oversized rates collapse the stack to zero (finite loss,
+    # next test); only a first step large enough to overflow the loss
+    # evaluation reaches the non-finite guard.
     v, _ = planted_v
     cfg = AeTrainConfig(layer_dims=[4], learning_rate=1e80, max_epochs=50, seed=0)
     with pytest.raises(TrainingDivergedError) as exc:
         train_autoencoder(v, cfg)
     assert exc.value.epoch is not None and exc.value.epoch >= 1
+
+
+def test_training_that_collapses_to_the_zero_model_fails_by_name():
+    # lr 1e-2 clamps every entry of the stack to zero; the zero stack is a
+    # fixpoint of the clamped step, so the loss stops changing at ||V||^2
+    _, v, _ = make_block_dataset(2, 40, 4, 0.1, seed=0)
+    cfg = AeTrainConfig(layer_dims=[2], learning_rate=1e-2, max_epochs=50, seed=0)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"zero after epoch 9: .*\(currently 0\.01\)") as exc:
+        train_autoencoder(v, cfg)
+    assert exc.value.epoch == 9
 
 
 @pytest.mark.parametrize("cfg", [

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 import zlib
 from unittest import mock
 
@@ -494,12 +495,93 @@ def test_model_non_utf8_section_name_or_text_rejected(tmp_path):
     with pytest.raises(ModelFormatError, match="section name .* not UTF-8"):
         load_model(path)
 
-    name, payload = b"label_names", b"on\xe9on"
-    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
-                     + struct.pack("<H", len(name)) + name
-                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    path.write_bytes(_model_bytes([(b"label_names", b"on\xe9on")]))
     with pytest.raises(ModelFormatError, match="'label_names' holds non-UTF-8"):
         load_model(path)
+
+
+def _model_bytes(sections) -> bytes:
+    """A version-1 model file holding (name, payload) byte pairs, each
+    with its length and a valid CRC."""
+    out = b"XLC1" + struct.pack("<II", 1, len(sections))
+    for name, payload in sections:
+        out += (struct.pack("<H", len(name)) + name
+                + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    return out
+
+
+def _split_sections(blob: bytes):
+    """The (name, payload) byte pairs of a model file, read without load_model."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    off, out = 12, []
+    for _ in range(n):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        (plen,) = struct.unpack_from("<Q", blob, off + 2 + nlen)
+        start = off + 2 + nlen + 12
+        out.append((blob[off + 2:off + 2 + nlen], blob[start:start + plen]))
+        off = start + plen
+    assert _model_bytes(out) == blob
+    return out
+
+
+def test_model_rejects_bytes_left_over(tmp_path):
+    path = tmp_path / "m.xlc"
+    save_model(path, _full_container())
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ModelFormatError, match=r"m\.xlc: 1 bytes left over"):
+        load_model(path)
+    # a binary section padded under a valid CRC; text runs to its section's end
+    sections = _split_sections(blob)
+    for i, (name, payload) in enumerate(sections):
+        if name in (b"config", b"label_names"):
+            continue
+        path.write_bytes(_model_bytes(
+            sections[:i] + [(name, payload + b"\0\0")] + sections[i + 1:]))
+        with pytest.raises(ModelFormatError,
+                           match=f"section '{name.decode()}': 2 bytes left over"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("name", [b"config", b"sidecar"])
+def test_model_rejects_a_repeated_section(tmp_path, name):
+    # the later copy must not silently win, for a known or an unknown name
+    path = tmp_path / "m.xlc"
+    path.write_bytes(_model_bytes([(name, b"k=3"), (name, b"k=4")]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the skipped unknown section's warning
+        with pytest.raises(ModelFormatError,
+                           match=f"section '{name.decode()}' appears twice"):
+            load_model(path)
+
+
+def test_model_cut_at_any_byte_raises_model_format_error(tmp_path):
+    # the file cut at every byte, then each section payload cut at every
+    # byte under a recomputed length and CRC: never a raw struct, numpy or
+    # index error. Config and label-name text may end anywhere, so a cut
+    # there may also load; every binary section's cut is a format error.
+    c = _full_container()
+    c.label_names = [f"{n}\u00b7\u00e9" for n in c.label_names]  # 2-byte characters
+    path = tmp_path / "m.xlc"
+    save_model(path, c)
+    blob = path.read_bytes()
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+    sections = _split_sections(blob)
+    for i, (name, payload) in enumerate(sections):
+        for end in range(len(payload)):
+            path.write_bytes(_model_bytes(
+                sections[:i] + [(name, payload[:end])] + sections[i + 1:]))
+            if name in (b"config", b"label_names"):
+                try:
+                    load_model(path)
+                except ModelFormatError:
+                    pass
+            else:
+                with pytest.raises(ModelFormatError):
+                    load_model(path)
 
 
 def _regressor_file(path, kind_code, params):
@@ -510,10 +592,7 @@ def _regressor_file(path, kind_code, params):
         raw = name.encode("utf-8")
         payload += (struct.pack("<H", len(raw)) + raw + struct.pack("<B", ndim)
                     + struct.pack("<II", *a.shape) + a.astype("<f8").tobytes())
-    name = b"regressor"
-    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
-                     + struct.pack("<H", len(name)) + name
-                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    path.write_bytes(_model_bytes([(b"regressor", payload)]))
 
 
 def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
@@ -550,14 +629,21 @@ def test_regressor_section_with_a_bad_dimension_tag(tmp_path, rows, tag):
         load_model(path)
 
 
+def test_regressor_section_repeats_a_parameter(tmp_path):
+    path = tmp_path / "m.xlc"
+    _regressor_file(path, 0, [("intercept", 1, np.ones((1, 2))),
+                              ("intercept", 1, np.zeros((1, 2))),
+                              ("theta", 2, np.ones((3, 2)))])
+    with pytest.raises(ModelFormatError,
+                       match="parameter 'intercept' appears twice in section 'regressor'"):
+        load_model(path)
+
+
 def test_encoder_section_with_a_width_zero_layer(tmp_path):
     # depth 1, one 3x0 layer, an empty trace: well formed, but not a stack
     payload = struct.pack("<I", 1) + struct.pack("<II", 3, 0) + struct.pack("<Q", 0)
-    name = b"encoder"
     path = tmp_path / "m.xlc"
-    path.write_bytes(b"XLC1" + struct.pack("<II", 1, 1)
-                     + struct.pack("<H", len(name)) + name
-                     + struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload)
+    path.write_bytes(_model_bytes([(b"encoder", payload)]))
     with pytest.raises(ConfigError, match=r"layer widths \[0\] .* be >= 1"):
         load_model(path)
 

@@ -21,6 +21,7 @@ from xlc import (
     extract_hierarchy,
     lime_explain,
     predict_latent,
+    rank_labels,
     render_hierarchy,
 )
 from xlc.interpret import _forward_select
@@ -94,6 +95,48 @@ def test_two_layer_expansion_with_per_level_counts():
     for c in node.children:
         assert len(c.children) == 2
         assert all(g.layer == 0 for g in c.children)
+
+
+def _expand_by_full_sort(stack, layer, unit, weight, counts, labels):
+    """The definition: walk the whole column in rank_labels order and keep
+    the first counts[0] positive entries."""
+    node = {"layer": layer, "unit": unit, "weight": weight}
+    if layer == 0:
+        if labels is not None:
+            node["label_name"] = labels[unit]
+        return node
+    col = stack.layers[layer - 1].values[:, unit]
+    children = []
+    for idx in rank_labels(col):
+        if col[idx] <= 0 or len(children) == counts[0]:
+            break
+        children.append(_expand_by_full_sort(stack, layer - 1, int(idx), float(col[idx]),
+                                             counts[1:], labels))
+    if children:
+        node["children"] = children
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), widths=st.lists(st.integers(1, 9), min_size=1, max_size=3,
+                                       unique=True).map(sorted),
+       p=st.integers(10, 14), named=st.booleans())
+def test_hierarchy_matches_the_full_sort_expansion_on_tie_heavy_columns(data, widths, p,
+                                                                         named):
+    # entries from {0, 0.25, 0.5, 1}: many ties, zeros and columns with
+    # fewer positive entries than m
+    dims = [p] + widths[::-1]
+    layers = [DenseMatrix(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=a * b, max_size=a * b)
+        .map(lambda v, a=a, b=b: np.reshape(v, (a, b)))))
+        for a, b in zip(dims, dims[1:])]
+    stack = EncoderStack(layers)
+    layer = data.draw(st.integers(1, stack.depth))
+    unit = data.draw(st.integers(0, stack.layers[layer - 1].cols - 1))
+    counts = data.draw(st.lists(st.integers(1, p + 1), min_size=layer, max_size=layer))
+    labels = [f"l{j}" for j in range(p)] if named else None
+    got = extract_hierarchy(stack, layer, unit, counts, labels=labels).to_dict()
+    assert got == _expand_by_full_sort(stack, layer, unit, 1.0, counts, labels)
 
 
 def test_hierarchy_index_validation():

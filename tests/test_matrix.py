@@ -394,11 +394,6 @@ def test_label_matrix_rejects_negative_and_non_finite():
         LabelMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 1.0])
 
 
-def test_label_matrix_rejects_wrong_name_count():
-    with pytest.raises(XlcError):
-        LabelMatrix(1, 3, [(0, 0, 1.0)], label_names=["a", "b"])
-
-
 def test_label_matrix_csr_matches_dense():
     v, dense = random_label_matrix(7, 5, seed=2)
     np.testing.assert_array_equal(np.asarray(v.to_csr().todense()), dense)

@@ -95,7 +95,7 @@ def test_objective_matches_dense_brute_force():
 def test_long_runs_stay_monotone_through_the_split_objective(n, p, k, iters):
     # 5% dense V takes the split objective while the fit is loose; at k=29
     # the fit turns near exact and the objective falls back to the direct
-    # sum. NmfFactors rejects any step that rises by more than 1e-12.
+    # sum. NmfFactors rejects any step that rises by more than its slack.
     v, _ = random_label_matrix(n, p, seed=n, density=0.05)
     with mock.patch.object(xlc.matrix, "_direct_sq_error",
                            wraps=xlc.matrix._direct_sq_error) as direct:
@@ -160,6 +160,35 @@ def test_factors_reject_increasing_trace():
             h=DenseMatrix(np.ones((1, 2))),
             objective_trace=[1.0, 2.0],
         )
+
+
+def test_converged_runs_may_rise_by_ulps_of_the_objective():
+    # entries in [1, 100] put the objective near 6e4, where a converged
+    # Lee-Seung step rises by an ulp or so: more than an absolute 1e-12
+    eps = np.finfo(np.float64).eps
+    for seed in (3, 4, 9):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((40, 30)) < 0.05
+        dense = np.zeros((40, 30))
+        dense[mask] = rng.uniform(1.0, 100.0, size=mask.sum())
+        v = LabelMatrix.from_dense_array(dense)
+        trace = nmf_factorize(v, NmfConfig(k=2, max_iters=100, rel_tol=0.0)).objective_trace
+        rise = np.diff(trace).max()
+        assert 1e-12 < rise <= 2 * eps * trace[0]
+
+
+@pytest.mark.parametrize("trace, ok", [([1.0, 1.0 + 5e-13], True),
+                                       ([1.0, 1.0 + 2e-12], False),
+                                       ([3e4, 3e4 + 2e-10], True),
+                                       ([3e4, 3e4 + 1e-9], False)])
+def test_trace_slack_scales_with_the_objective_above_a_floor(trace, ok):
+    # 64 ulps of the first entry, never less than 1e-12
+    w, h = DenseMatrix(np.ones((2, 1))), DenseMatrix(np.ones((1, 2)))
+    if ok:
+        NmfFactors(w, h, trace)
+    else:
+        with pytest.raises(XlcError, match="objective trace increases at step 1"):
+            NmfFactors(w, h, trace)
 
 
 def test_factors_reject_negative_entries():
