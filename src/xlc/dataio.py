@@ -410,6 +410,8 @@ def _parse_config(r: _Reader) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ModelFormatError(f"bad config line {line!r}")
+        if key in config:
+            raise ModelFormatError(f"key {key!r} appears twice in section 'config'")
         config[key] = val
     return config
 
@@ -454,7 +456,8 @@ def load_model(path) -> ModelContainer:
     """Read a container back; unknown sections are skipped with a warning.
 
     Bytes left over in a section or after the last one, a section name
-    given twice and a regressor parameter given twice are format errors.
+    given twice, and a regressor parameter or config key given twice are
+    format errors.
     """
     with open(path, "rb") as fh:
         r = _Reader(memoryview(fh.read()), str(path))

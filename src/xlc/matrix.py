@@ -11,7 +11,11 @@ layout or on thread settings, so it is bitwise reproducible across runs on
 the same build. Dense solves go through ``_cholesky_solve`` and
 ``_back_substitute``, which are built on ``_mm``; no LAPACK call is made.
 Sparse products go through scipy's sequential CSR kernels, which do not
-depend on thread settings either.
+depend on thread settings either. ``_support_normal_equations`` sums the
+ridge normal equations over a feature block's nonzeros with
+``np.bincount``, which adds its weights one by one in input order, over
+row blocks fixed by the data, so its result depends only on the values
+and shapes too.
 """
 
 from __future__ import annotations
@@ -330,3 +334,107 @@ def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
         r = vs[lo:lo + rows].toarray() - _mm(a[lo:lo + rows], b)
         total += float(np.einsum("ij,ij->", r, r, optimize=False))
     return total
+
+
+# The ridge fit sums its normal equations over X's nonzeros only when the
+# pair count sum_i nnz_i (nnz_i + 1) / 2, times this factor, is below the
+# dense products' n d^2. On one x86-64 Xeon thread (numpy 2.4; n x d =
+# 2700 x 32, 2000 x 100, 3200 x 300 and 1500 x 400 at 1-35% density, 8
+# targets) the support form took 0.17-0.54 of the dense time where
+# n d^2 / pairs was 125-196, 0.63-1.23 at 39-49 and 1.0-3.0 at 14-16.
+_PAIR_COST = 64
+
+
+def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,
+                              certify: bool = True):
+    """(Xc^T Xc, Xc^T Wc) for Xc = X - 1 mean^T, summed over the nonzeros
+    of the n x d X, or None where the dense products are the better ones;
+    Wc is n x k. With certify=False the support form is always returned.
+
+    With S_j the rows where x_ij != 0 and s = 1^T Wc,
+
+        Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T,
+
+    where X^T X sums x_ij x_ik over the pairs j <= k of nonzeros that
+    share a row, mirrored below the diagonal, and X^T Wc sums x_ij Wc_i
+    over the nonzeros. That costs one O(n d) nonzero scan plus
+    O(pairs + nnz k + d^2), against the dense O(n d^2 + n d k). Pairs go
+    through one sequential np.bincount per row block of at most
+    _BLOCK_ENTRIES pairs (a row with more is a block alone), added up in
+    block order; X^T Wc is one np.bincount per target column and s one
+    _mm. So the result depends only on the values and shapes of X, mean
+    and Wc.
+
+    Gate and certificate, both checked before the Gram is built: the
+    support form runs only when _PAIR_COST times the pair count is below
+    n d^2, and only when its rounding bound is no worse than the dense
+    product's. Entry (j, k) of X^T X is a sum of at most m terms, m the
+    largest |S_j|, then of c block partials, then n mean_j mean_k is
+    formed and taken off: with M = m + c + 2, its error is at most
+
+        gamma_M (sum_i |x_ij x_ik| + n |mean_j mean_k|) <= gamma_M sqrt(A_j A_k),
+        A_j = sum_i x_ij^2 + n mean_j^2,
+
+    by Cauchy-Schwarz. The dense sum over n rows of Xc is off by at most
+    gamma_n sum_i |xc_ij xc_ik| <= gamma_n sqrt(C_j C_k), C_j = sum_i xc_ij^2.
+    The support form is kept when, for every feature j,
+
+        A_j <= f C_j,   f = max(gamma_n / gamma_M, 2),
+
+    so that its bound is at most the dense product's own, or at most
+    2 gamma_M sqrt(C_j C_k), that of sums of M terms, where that is
+    larger. C_j is summed without cancellation, as
+    sum_{S_j} (x_ij - mean_j)^2 + (n - |S_j|) mean_j^2, in O(nnz). Since
+    A_j = C_j + 2 n mean_j^2 for the exact mean, the test fails where a
+    feature's mean is large against its spread, as for a constant column
+    or for 1e6 plus small noise, and those take the dense products. On the
+    right-hand side, X^T Wc has the same depth and bound with
+    ||Wc_k||^2 for A_k; s is the residue of centering Wc, off by at most
+    gamma_n sum_i |Wc_ik|, so mean_j s_k is off by at most
+    gamma_n sqrt(n mean_j^2 ||Wc_k||^2), under the certificate
+    sqrt((f - 1) / 2) times the dense bound gamma_n sqrt(C_j ||Wc_k||^2).
+    """
+    n, d = x.shape
+    flat = np.flatnonzero(x != 0.0)
+    rows, cols = np.divmod(flat, max(d, 1))
+    counts = np.bincount(rows, minlength=n)
+    pair_starts = np.concatenate(([0], np.cumsum(counts * (counts + 1) // 2)))
+    if certify and not int(pair_starts[-1]) * _PAIR_COST < n * d * d:
+        return None
+    vals = x.ravel()[flat]
+    # row blocks of at most _BLOCK_ENTRIES pairs; a row with more is a block alone
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        hi = np.searchsorted(pair_starts, pair_starts[lo] + _BLOCK_ENTRIES, side="right") - 1
+        bounds.append(max(lo + 1, int(hi)))
+    if certify:
+        col_counts = np.bincount(cols, minlength=d)
+        depth = int(col_counts.max(initial=0)) + len(bounds) + 1
+        dev = vals - mean[cols]
+        centered = (np.bincount(cols, weights=dev * dev, minlength=d)
+                    + (n - col_counts) * (mean * mean))
+        if not np.all(np.bincount(cols, weights=vals * vals, minlength=d) + n * (mean * mean)
+                      <= max(_gamma(n) / _gamma(depth), 2.0) * centered):
+            return None
+    # entry e pairs with itself and the later entries of its row, in order:
+    # its pairs are numbered from first_pair[e], and pair q is entry q + shift[e]
+    row_starts = np.concatenate(([0], np.cumsum(counts)))
+    reps = row_starts[rows + 1] - np.arange(rows.size)
+    first_pair = np.cumsum(reps) - reps
+    shift = np.arange(rows.size) - first_pair
+    upper = np.zeros(d * d)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        e0, e1 = row_starts[lo], row_starts[hi]
+        r = reps[e0:e1]
+        right = np.arange(pair_starts[lo], pair_starts[hi]) + np.repeat(shift[e0:e1], r)
+        upper += np.bincount(np.repeat(cols[e0:e1] * d, r) + cols[right],
+                             weights=np.repeat(vals[e0:e1], r) * vals[right],
+                             minlength=d * d)
+    upper = upper.reshape(d, d)
+    gram = upper + np.triu(upper, 1).T - n * np.multiply.outer(mean, mean)
+    col_sums = _mm(np.ones((1, n)), wc)[0]
+    rhs = np.empty((d, wc.shape[1]))
+    for c in range(wc.shape[1]):
+        rhs[:, c] = np.bincount(cols, weights=vals * wc[rows, c], minlength=d)
+    return gram, rhs - np.multiply.outer(mean, col_sums)

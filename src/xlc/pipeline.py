@@ -19,7 +19,8 @@ import numpy as np
 
 from .autoencoder import EncoderStack, decode
 from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
-from .matrix import DenseMatrix, RngSeed, _cholesky_solve, _mm, make_rng
+from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
+                     make_rng)
 
 
 class FeatureMatrix(DenseMatrix):
@@ -159,7 +160,14 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
 
     ridge-linear solves min ||X Theta - W||_F^2 + lam ||Theta||_F^2 in
     closed form on column-centered data, so the intercept absorbs the
-    column means and is not penalized. mlp-1hidden trains a single
+    column means and is not penalized. Its normal equations come from one
+    of two paths. For sparse features, _support_normal_equations sums them
+    over X's nonzeros in O(pairs of nonzeros sharing a row), without
+    forming the centered copy; it runs when that pair count is well below
+    n d^2 and its rounding certificate holds, that is, when no feature's
+    mean is large against its spread. Otherwise the centered copy
+    Xc = X - mean gives Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both
+    paths then take the same Cholesky solve. mlp-1hidden trains a single
     rectifier hidden layer by full-batch gradient descent.
 
     Hyperparameters (all optional): lam (ridge, default 1e-3); hidden
@@ -182,10 +190,14 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
         _reject_unknown(hp, ("ridge-linear",))
         x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
         w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
-        xc = xv - x_mean
         wc = wv - w_mean
-        gram = _mm(xc.T, xc) + lam * np.eye(d)
-        rhs = _mm(xc.T, wc)
+        normal = _support_normal_equations(xv, x_mean, wc)
+        if normal is None:
+            xc = xv - x_mean
+            gram, rhs = _mm(xc.T, xc), _mm(xc.T, wc)
+        else:
+            gram, rhs = normal
+        gram = gram + lam * np.eye(d)
         try:
             theta = _cholesky_solve(gram, rhs)
         except XlcError as exc:

@@ -12,8 +12,9 @@ import pytest
 import xlc.cli
 from xlc import (DenseMatrix, EncoderStack, FeatureMatrix, LabelMatrix,
                  ModelContainer, RegressorModel, load_dataset, load_model,
-                 rank_labels, save_dataset, save_model)
+                 rank_labels, save_dataset, save_model, split_rows)
 from xlc.cli import main
+from xlc.matrix import _support_normal_equations
 
 
 def _run(*argv):
@@ -354,14 +355,23 @@ def test_serving_commands_do_not_import_scipy(planted, tmp_path):
     assert loaded == []
 
 
-def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path):
-    # Dense features (several nonzeros per row, unlike gen-synth's one-hot
-    # rows) at d=400: a LAPACK solve of the ridge normal equations gives
-    # different bits with 1 and 2 BLAS threads at this size.
+@pytest.mark.parametrize("d, zeros, support", [(400, 0.8, False), (300, 0.975, True)],
+                         ids=["dense", "sparse"])
+def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path, d, zeros,
+                                                                    support):
+    # Features with several nonzeros per row, unlike gen-synth's one-hot
+    # rows. At d=400 and 20% density the ridge fit takes the dense products,
+    # where a LAPACK solve of its normal equations once gave different bits
+    # with 1 and 2 BLAS threads; at d=300 and 2.5% density, serve-xml's
+    # shape, it sums them over the features' nonzeros.
     rng = np.random.default_rng(0)
-    n, d, p = 1500, 400, 12
+    n, p = 1500, 12
     x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
-    x[rng.random((n, d)) < 0.8] = 0.0
+    x[rng.random((n, d)) < zeros] = 0.0
+    x_train = x[split_rows(n, 0.2, seed=0)[0]]         # fit-reg's default split
+    normal = _support_normal_equations(x_train, x_train.mean(axis=0),
+                                       np.zeros((len(x_train), 1)))
+    assert (normal is not None) == support
     v = LabelMatrix.from_dense_array((rng.random((n, p)) < 0.2).astype(float))
     data, base = tmp_path / "dense.txt", tmp_path / "base.xlc"
     save_dataset(data, FeatureMatrix(x), v)

@@ -555,6 +555,14 @@ def test_model_rejects_a_repeated_section(tmp_path, name):
             load_model(path)
 
 
+def test_model_rejects_a_repeated_config_key(tmp_path):
+    # the later value must not silently win, as for sections and parameters
+    path = tmp_path / "m.xlc"
+    path.write_bytes(_model_bytes([(b"config", b"k=3\nk=4")]))
+    with pytest.raises(ModelFormatError, match="key 'k' appears twice in section 'config'"):
+        load_model(path)
+
+
 def test_model_cut_at_any_byte_raises_model_format_error(tmp_path):
     # the file cut at every byte, then each section payload cut at every
     # byte under a recomputed length and CRC: never a raw struct, numpy or

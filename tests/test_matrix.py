@@ -20,7 +20,13 @@ from xlc import (
     XlcError,
     make_rng,
 )
-from xlc.matrix import _BLOCK_ENTRIES, _cholesky_solve, _lowrank_sq_error, _mm
+from xlc.matrix import (
+    _BLOCK_ENTRIES,
+    _cholesky_solve,
+    _lowrank_sq_error,
+    _mm,
+    _support_normal_equations,
+)
 
 
 # ---------------------------------------------------------------- matmul
@@ -284,6 +290,77 @@ def test_split_residual_allocates_a_few_blocks():
             tracemalloc.stop()
     assert direct.call_count == 0
     assert peak <= 3 * _BLOCK_ENTRIES * 8
+
+
+# ---------------------------------------------------------------- ridge normal equations
+
+
+@st.composite
+def _feature_cases(draw):
+    # d = 400 puts a fully dense row past _BLOCK_ENTRIES pairs, so it
+    # becomes a block alone; 300 rows of 30 nonzeros fill several blocks
+    d = draw(st.sampled_from([0, 1, 7, 40, 400]))
+    n = draw(st.integers(1, 300 if d <= 40 else 40))
+    k = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    signed = draw(st.booleans())
+    empty = draw(st.sampled_from([0.0, 0.3]))       # share of all-zero rows and columns
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, d, k, density, signed, empty, seed
+
+
+def _features(n, d, k, density, signed, empty, seed):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
+    if signed:
+        x *= rng.choice([-1.0, 1.0], size=(n, d))
+    x[rng.random((n, d)) >= density] = 0.0
+    x[rng.random(n) < empty] = 0.0
+    x[:, rng.random(d) < empty] = 0.0
+    w = rng.uniform(0.0, 2.0, size=(n, k))
+    return x, w - w.mean(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_feature_cases())
+@example((1, 7, 2, 0.3, False, 0.0, 1))          # one row
+@example((5, 0, 2, 1.0, False, 0.0, 2))          # no features
+@example((3, 400, 2, 1.0, True, 0.0, 3))         # rows of 80200 pairs, one block each
+@example((300, 40, 3, 1.0, True, 0.3, 4))        # 300 x 820 pairs in several blocks
+def test_support_normal_equations_match_the_dense_oracle(case):
+    # within the Cauchy-Schwarz bound of both sums: gamma (sqrt(A_j A_k)),
+    # A_j = sum_i x_ij^2 + n mean_j^2, and sqrt(A_j ||wc_k||^2) on the right
+    x, wc = _features(*case)
+    n = x.shape[0]
+    mean = x.mean(axis=0)
+    xc = x - mean
+    gram, rhs = _support_normal_equations(x, mean, wc, certify=False)
+    assert np.array_equal(gram, gram.T)
+    a = np.sum(x * x, axis=0) + n * mean * mean
+    np.testing.assert_array_less(np.abs(gram - _mm(xc.T, xc)),
+                                 1e-13 * np.sqrt(np.outer(a, a)) + 1e-300)
+    np.testing.assert_array_less(np.abs(rhs - _mm(xc.T, wc)),
+                                 1e-13 * np.sqrt(np.outer(a, np.sum(wc * wc, axis=0)))
+                                 + 1e-300)
+
+
+def test_support_normal_equations_hold_a_few_blocks_of_pairs():
+    # 573k pairs, whose index and weight vectors took 22.9 MB at once; in
+    # blocks of _BLOCK_ENTRIES the peak (6.6 MB) is the O(nnz) entry arrays,
+    # the n x d mask and a few block-long vectors
+    n, d = 4000, 200
+    rng = np.random.default_rng(37)
+    x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
+    x[rng.random((n, d)) >= 0.08] = 0.0
+    mean, wc = x.mean(axis=0), np.zeros((n, 1))
+    nnz = np.count_nonzero(x)
+    tracemalloc.start()
+    try:
+        assert _support_normal_equations(x, mean, wc) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * d + 10 * 8 * nnz + 6 * 8 * _BLOCK_ENTRIES + 3 * 8 * d * d
 
 
 # ---------------------------------------------------------------- sparse conversions

@@ -28,6 +28,7 @@ from xlc import (
     split_rows,
     train_autoencoder,
 )
+from xlc.matrix import _cholesky_solve, _mm, _support_normal_equations
 from xlc.pipeline import _metrics_at_k, _top_n
 
 
@@ -90,6 +91,56 @@ def test_ridge_singular_without_penalty():
     w = _random_latents(10, 2, seed=3)
     with pytest.raises(XlcError):
         fit_regressor(x, w, hyperparams={"lam": 0.0})
+
+
+def _dense_ridge(x, w, lam):
+    """The ridge fit through the centered copy of x, as fit_regressor takes
+    it on its dense path."""
+    x_mean, w_mean = x.mean(axis=0), w.mean(axis=0)
+    xc, wc = x - x_mean, w - w_mean
+    theta = _cholesky_solve(_mm(xc.T, xc) + lam * np.eye(x.shape[1]), _mm(xc.T, wc))
+    return theta, w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
+
+
+def _ridge_features(case, n, d, seed):
+    rng = np.random.default_rng(seed)
+    if case == "counts":
+        # train-sparse's shape: small counts, 35% dense at d = 32
+        x = rng.integers(1, 6, size=(n, d)).astype(float)
+        x[rng.random((n, d)) >= 0.35] = 0.0
+        return x
+    x = np.round(rng.uniform(0.5, 1.5, size=(n, d)), 4)
+    x[rng.random((n, d)) >= 0.025] = 0.0
+    if case == "constant":
+        x[:, 3] = 2.5
+    elif case == "offset":
+        x[:, 3] = 1e6 + rng.normal(scale=1e-3, size=n)
+    return x
+
+
+@pytest.mark.parametrize("case, d", [("counts", 32), ("constant", 300), ("offset", 300)])
+def test_ridge_dense_path_is_bitwise_the_centered_copy_formula(case, d):
+    # denser features fail the cost gate; a constant column and a column of
+    # 1e6 plus small noise fail the certificate in an otherwise sparse block.
+    # Each takes the dense products, bit for bit.
+    x = _ridge_features(case, 400, d, seed=17)
+    w = _random_latents(400, 4, seed=17).values
+    assert _support_normal_equations(x, x.mean(axis=0), w - w.mean(axis=0)) is None
+    m = fit_regressor(FeatureMatrix(x), DenseMatrix(w), hyperparams={"lam": 1e-3})
+    theta, intercept = _dense_ridge(x, w, 1e-3)
+    assert np.array_equal(m.params["theta"], theta)
+    assert np.array_equal(m.params["intercept"], intercept)
+
+
+def test_ridge_on_sparse_features_takes_the_support_path():
+    x = _ridge_features("sparse", 3200, 300, seed=19)
+    w = _random_latents(3200, 8, seed=19).values
+    assert _support_normal_equations(x, x.mean(axis=0), w - w.mean(axis=0)) is not None
+    m = fit_regressor(FeatureMatrix(x), DenseMatrix(w), hyperparams={"lam": 1e-3})
+    theta, intercept = _dense_ridge(x, w, 1e-3)
+    scale = np.abs(theta).max()
+    assert np.abs(m.params["theta"] - theta).max() <= 1e-11 * scale
+    assert np.abs(m.params["intercept"] - intercept).max() <= 1e-11 * scale
 
 
 def test_fit_regressor_input_validation():
