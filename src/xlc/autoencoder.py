@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
+from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
+                     _integer, _real)
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 from .nmf import NmfConfig, nmf_factorize
 
@@ -74,7 +75,7 @@ class EncoderStack:
         self.layers = layers
         self.layer_dims = tuple(dims)
         self.p = p
-        self.training_trace = tuple(float(x) for x in training_trace)
+        self.training_trace = tuple(_real("trace entry", x, 0.0) for x in training_trace)
         self._chain_t = None
 
     @property
@@ -114,28 +115,19 @@ class AeTrainConfig:
                  learning_rate: float = 1e-3, rel_tol: float = 1e-7,
                  init_scheme: str = "random-uniform",
                  seed: RngSeed | int = 0):
-        layer_dims = tuple(int(k) for k in layer_dims)
+        layer_dims = tuple(_integer("layer width", k, 1) for k in layer_dims)
         if not layer_dims:
             raise ConfigError("layer_dims must be non-empty")
-        if any(k < 1 for k in layer_dims):
-            raise ConfigError(f"layer widths must be >= 1, got {layer_dims}")
         if any(b >= a for a, b in zip(layer_dims, layer_dims[1:])):
             raise ConfigError(
                 f"layer_dims must be strictly decreasing, got {layer_dims}")
-        if not (np.isfinite(learning_rate) and learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {learning_rate}")
-        if not (np.isfinite(rel_tol) and rel_tol >= 0):
-            raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-        if max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {max_epochs}")
         if init_scheme not in self.INIT_SCHEMES:
             raise ConfigError(f"unknown init_scheme {init_scheme!r}, "
                               f"expected one of {self.INIT_SCHEMES}")
         self.layer_dims = layer_dims
-        self.max_epochs = int(max_epochs)
-        self.learning_rate = float(learning_rate)
-        self.rel_tol = float(rel_tol)
+        self.max_epochs = _integer("max_epochs", max_epochs, 1)
+        self.learning_rate = _real("learning_rate", learning_rate, 0.0, above=True)
+        self.rel_tol = _real("rel_tol", rel_tol, 0.0)
         self.init_scheme = init_scheme
         self.seed = RngSeed(seed)
 

@@ -4,9 +4,9 @@ evaluation, and explanation reports.
 Each command's options are declared once, in _COMMANDS. Option
 precedence is flags > config file (key=value lines, keys matching the
 flag names, with dashes or underscores) > built-in defaults; a config key
-that names no option of the command is an error. Every command is
-deterministic given its --seed, exits 0 on success and 1 with a one-line
-diagnostic on failure (2 for an unknown flag).
+that names no option of the command, or names one twice, is an error.
+Every command is deterministic given its --seed, exits 0 on success and 1
+with a one-line diagnostic on failure (2 for an unknown flag).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .autoencoder import AeTrainConfig, _check_labels, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
-from .errors import ConfigError, XlcError
+from .errors import ConfigError, XlcError, _integer
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES
@@ -36,7 +36,9 @@ _EXPECTED = {int: "an integer", float: "a number", list: "comma-separated intege
 
 
 def _parse_config_file(path) -> dict:
-    """Map each option named in a key=value file to (line number, value)."""
+    """Map each option named in a key=value file to (line number, value).
+    An option set twice, even once with dashes and once with underscores,
+    is an error naming both lines."""
     config = {}
     for lineno, line in enumerate(_read_text(path, ConfigError).split("\n"), start=1):
         line = line.strip()
@@ -46,7 +48,11 @@ def _parse_config_file(path) -> dict:
         if not sep:
             raise ConfigError(
                 f"{path}:{lineno}: expected key=value, got {line!r}")
-        config[key.strip().replace("-", "_")] = (lineno, val.strip())
+        key = key.strip().replace("-", "_")
+        if key in config:
+            raise ConfigError(f"{path}:{lineno}: --{key.replace('_', '-')} is "
+                              f"already set on line {config[key][0]}")
+        config[key] = (lineno, val.strip())
     return config
 
 
@@ -240,13 +246,11 @@ def _cmd_eval(o) -> int:
     reg = _need(container, "regressor")
     x, v = load_dataset(o.data)
     _check_labels(v, stack.p)
-    ks = o.k
+    ks = [_integer("--k", k, 1) for k in o.k]
     if not ks:
         raise ConfigError("--k needs at least one value")
     if len(set(ks)) != len(ks):
         raise ConfigError(f"--k lists a value twice: {ks}")
-    if any(k < 1 for k in ks):
-        raise ConfigError(f"every k must be >= 1, got {ks}")
 
     if o.split == "all":
         rows = np.arange(x.rows)

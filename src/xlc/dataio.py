@@ -23,7 +23,7 @@ from operator import contains
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import ConfigError, DatasetFormatError, ModelFormatError
+from .errors import ConfigError, DatasetFormatError, ModelFormatError, _integer, _real
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
@@ -246,11 +246,11 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
 
     Returns (FeatureMatrix, LabelMatrix, label_names).
     """
-    if blocks < 1 or rows < 1 or labels_per_block < 1:
-        raise ConfigError(
-            f"blocks, rows and labels_per_block must be >= 1, got "
-            f"{blocks}, {rows}, {labels_per_block}")
-    if not 0.0 <= noise < 0.5:
+    blocks = _integer("blocks", blocks, 1)
+    rows = _integer("rows", rows, 1)
+    labels_per_block = _integer("labels_per_block", labels_per_block, 1)
+    noise = _real("noise", noise, 0.0)
+    if noise >= 0.5:
         raise ConfigError(f"noise must be in [0, 0.5), got {noise}")
     p = blocks * labels_per_block
     rng = make_rng(seed)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks on numeric settings."""
+
+import math
+import numbers
+import operator
 
 
 class XlcError(Exception):
@@ -31,3 +35,23 @@ class DatasetFormatError(XlcError):
 
 class ModelFormatError(XlcError):
     """A model container is malformed, corrupted, or unsupported."""
+
+
+def _integer(name: str, value, lo: int) -> int:
+    """value as an int >= lo: Python or numpy integers, never a float."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
+def _real(name: str, value, lo: float, above: bool = False) -> float:
+    """value as a float >= lo, or > lo when above: a finite real, never a string."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if value < lo or (above and value == lo):
+        raise ConfigError(f"{name} must be {'>' if above else '>='} {lo}, got {value}")
+    return float(value)

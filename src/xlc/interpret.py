@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import ConfigError, ShapeMismatchError, XlcError
+from .errors import ConfigError, ShapeMismatchError, XlcError, _integer, _real
 from .matrix import RngSeed, _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
@@ -71,16 +71,11 @@ def render_hierarchy(node: HierarchyNode, indent: int = 0) -> str:
 
 
 def _per_level_counts(m, depth: int) -> list[int]:
-    if np.isscalar(m):
-        counts = [int(m)] * depth
-    else:
-        counts = [int(x) for x in m]
-        if len(counts) < depth:
-            raise ConfigError(
-                f"m gives {len(counts)} levels but the expansion needs {depth}")
-    if any(c < 1 for c in counts):
-        raise ConfigError(f"every per-level m must be >= 1, got {counts}")
-    return counts
+    counts = [m] * depth if np.isscalar(m) else list(m)
+    if len(counts) < depth:
+        raise ConfigError(
+            f"m gives {len(counts)} levels but the expansion needs {depth}")
+    return [_integer("m", c, 1) for c in counts]
 
 
 def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
@@ -117,7 +112,8 @@ def _expand(stack, layer, unit, weight, counts, labels) -> HierarchyNode:
 class LimeConfig:
     """Perturbation and fit settings for the local surrogate.
 
-    kernel_width None means the conventional 0.75 * sqrt(d). baseline is
+    num_samples must be at least k_features + 2. kernel_width None means
+    the conventional 0.75 * sqrt(d). baseline is
     the value substituted for masked-off features, a scalar or one value
     per feature.
     """
@@ -126,14 +122,10 @@ class LimeConfig:
 
     def __init__(self, num_samples: int = 1000, kernel_width=None,
                  k_features: int = 5, seed: RngSeed | int = 0, baseline=0.0):
-        if num_samples < k_features + 2:
-            raise ConfigError(
-                f"num_samples {num_samples} must be >= k_features + 2 "
-                f"= {k_features + 2}")
-        if k_features < 1:
-            raise ConfigError(f"k_features must be >= 1, got {k_features}")
-        if kernel_width is not None and not kernel_width > 0:
-            raise ConfigError(f"kernel_width must be > 0, got {kernel_width}")
+        self.k_features = _integer("k_features", k_features, 1)
+        self.num_samples = _integer("num_samples", num_samples, self.k_features + 2)
+        self.kernel_width = (None if kernel_width is None
+                             else _real("kernel_width", kernel_width, 0.0, above=True))
         try:
             b = np.asarray(baseline, dtype=np.float64)
         except (TypeError, ValueError):
@@ -141,9 +133,6 @@ class LimeConfig:
         if b is None or b.ndim > 1 or not np.all(np.isfinite(b)):
             raise ConfigError(
                 f"baseline must be a finite scalar or vector, got {baseline!r}")
-        self.num_samples = int(num_samples)
-        self.kernel_width = None if kernel_width is None else float(kernel_width)
-        self.k_features = int(k_features)
         self.seed = RngSeed(seed)
         self.baseline = b
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonNegativityError, ShapeMismatchError, XlcError
+from .errors import NonNegativityError, ShapeMismatchError, XlcError, _integer
 
 
 class RngSeed:
@@ -31,8 +31,8 @@ class RngSeed:
     __slots__ = ("seed",)
 
     def __init__(self, seed: RngSeed | int):
-        seed = seed.seed if isinstance(seed, RngSeed) else int(seed)
-        if not 0 <= seed < 2**64:
+        seed = seed.seed if isinstance(seed, RngSeed) else _integer("seed", seed, 0)
+        if seed >= 2**64:
             raise XlcError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativityError, ShapeMismatchError, XlcError
+from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, XlcError,
+                     _integer, _real)
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 
 _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
@@ -30,15 +31,9 @@ class NmfConfig:
 
     def __init__(self, k: int, max_iters: int = 5000, rel_tol: float = 1e-6,
                  seed: RngSeed | int = 0):
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-        if not (np.isfinite(rel_tol) and rel_tol >= 0):
-            raise ConfigError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-        self.k = int(k)
-        self.max_iters = int(max_iters)
-        self.rel_tol = float(rel_tol)
+        self.k = _integer("k", k, 1)
+        self.max_iters = _integer("max_iters", max_iters, 1)
+        self.rel_tol = _real("rel_tol", rel_tol, 0.0)
         self.seed = RngSeed(seed)
 
 
@@ -56,7 +51,7 @@ class NmfFactors:
                 f"W is {w.rows}x{w.cols} but H is {h.rows}x{h.cols}")
         if w.values.min(initial=0.0) < 0 or h.values.min(initial=0.0) < 0:
             raise NonNegativityError("NMF factors must be entrywise >= 0")
-        trace = tuple(float(x) for x in objective_trace)
+        trace = tuple(_real("trace entry", x, 0.0) for x in objective_trace)
         first = trace[0] if trace else 0.0
         slack = max(1e-12, _TRACE_SLACK_ULPS * np.finfo(np.float64).eps * first)
         for i in range(len(trace) - 1):

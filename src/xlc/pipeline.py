@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
-from .errors import ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError
+from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
+                     _integer, _real)
 from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
                      make_rng)
 
@@ -100,11 +101,9 @@ class RankedPrediction:
             raise XlcError("scores contain a non-finite value")
         if scores.size and scores.min() < 0:
             raise XlcError("scores contain a negative value")
-        if n < 1:
-            raise ConfigError(f"top-N count must be >= 1, got {n}")
         scores.setflags(write=False)
         self.scores = scores
-        self.top_n = _top_n(scores.reshape(1, -1), n)[0]
+        self.top_n = _top_n(scores.reshape(1, -1), _integer("n", n, 1))[0]
 
     @classmethod
     def _rows(cls, scores: np.ndarray, n: int) -> list["RankedPrediction"]:
@@ -184,9 +183,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     d, k = x.cols, w.cols
 
     if kind == "ridge-linear":
-        lam = float(hp.pop("lam", 1e-3))
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ConfigError(f"lam must be finite and >= 0, got {lam}")
+        lam = _real("lam", hp.pop("lam", 1e-3), 0.0)
         _reject_unknown(hp, ("ridge-linear",))
         x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
         w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
@@ -211,14 +208,10 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     if kind != "mlp-1hidden":
         raise ConfigError(f"unknown regressor kind {kind!r}, "
                           f"expected one of {RegressorModel.KINDS}")
-    hidden = int(hp.pop("hidden", 64))
-    lr = float(hp.pop("learning_rate", 1e-3))
-    max_epochs = int(hp.pop("max_epochs", 500))
+    hidden = _integer("hidden", hp.pop("hidden", 64), 1)
+    lr = _real("learning_rate", hp.pop("learning_rate", 1e-3), 0.0, above=True)
+    max_epochs = _integer("max_epochs", hp.pop("max_epochs", 500), 1)
     _reject_unknown(hp, ("mlp-1hidden",))
-    if hidden < 1 or not (np.isfinite(lr) and lr > 0) or max_epochs < 1:
-        raise ConfigError(
-            f"mlp hyperparameters out of range: hidden={hidden}, "
-            f"learning_rate={lr}, max_epochs={max_epochs}")
     rng = make_rng(seed)
     bound = np.sqrt(1.0 / max(d, 1))
     w1 = rng.uniform(-bound, bound, size=(d, hidden))
@@ -299,8 +292,7 @@ def predict_labels(x, m: RegressorModel, stack: EncoderStack,
     block, giving a list of r of them that hold row views of one decoded
     r x p block; each equals the prediction for its row alone, bitwise.
     """
-    if n < 1:
-        raise ConfigError(f"top-N count must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     _check_latent_dim(m, stack)
     latent = predict_latent(x, m)
     preds = RankedPrediction._rows(decode(np.atleast_2d(latent), stack).values, n)
@@ -328,8 +320,7 @@ def _metrics_at_k(ranked, base, keys, counts, k: int) -> tuple[np.ndarray, np.nd
 
 def _row_metrics(pred: RankedPrediction, truth, k: int) -> tuple[float, float | None]:
     """(P@k, nDCG@k) of one prediction; nDCG@k is None for empty truth."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     truth = {int(t) for t in truth}     # a label outside [0, p) counts but never hits
     keys = np.array(sorted(t for t in truth if 0 <= t < pred.scores.size), dtype=np.int64)
     ranked = np.array([[j for j, _ in _top_n(pred.scores.reshape(1, -1), k)[0]]])
@@ -361,10 +352,10 @@ def split_rows(n_rows: int, test_frac: float = 0.2,
     Returns (train_idx, test_idx), each sorted ascending. The test side
     gets floor(n_rows * test_frac) rows.
     """
-    if not 0.0 < test_frac < 1.0:
+    test_frac = _real("test_frac", test_frac, 0.0, above=True)
+    if test_frac >= 1.0:
         raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
-    if n_rows < 2:
-        raise ConfigError(f"need at least 2 rows to split, got {n_rows}")
+    n_rows = _integer("n_rows", n_rows, 2)
     rng = make_rng(seed)
     perm = rng.permutation(n_rows)
     n_test = int(n_rows * test_frac)

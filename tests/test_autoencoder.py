@@ -17,16 +17,23 @@ from xlc import (
     EncoderStack,
     FeatureMatrix,
     LabelMatrix,
+    LimeConfig,
     NmfConfig,
+    RankedPrediction,
+    RngSeed,
     ShapeMismatchError,
     TrainingDivergedError,
     XlcError,
     ae_gradient,
     decode,
     encode,
+    extract_hierarchy,
     fit_regressor,
     make_block_dataset,
+    precision_at_k,
+    predict_labels,
     reconstruction_loss,
+    split_rows,
     train_autoencoder,
 )
 from xlc.autoencoder import _Objective
@@ -330,35 +337,86 @@ def test_train_config_validation():
         AeTrainConfig(layer_dims=[4], init_scheme="xavier")
 
 
-@pytest.mark.parametrize("build, value", [
-    ("ae-learning-rate", float("nan")),
-    ("ae-learning-rate", float("inf")),
-    ("ae-learning-rate", -1.0),
-    ("ae-rel-tol", float("nan")),
-    ("ae-rel-tol", float("inf")),
-    ("ae-rel-tol", -1.0),
-    ("mlp-learning-rate", float("nan")),
-    ("mlp-learning-rate", float("inf")),
-    ("mlp-learning-rate", 0.0),
-    ("nmf-rel-tol", float("nan")),
-    ("nmf-rel-tol", float("inf")),
-    ("nmf-rel-tol", -1.0),
-    ("ridge-lam", float("nan")),
-    ("ridge-lam", float("inf")),
-])
-def test_step_settings_must_be_finite_and_in_range(build, value):
+def _fit(kind="ridge-linear", hyper=None):
     x, w = FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 1)))
-    with pytest.raises(ConfigError):
-        if build == "ae-learning-rate":
-            AeTrainConfig(layer_dims=[4], learning_rate=value)
-        elif build == "ae-rel-tol":
-            AeTrainConfig(layer_dims=[4], rel_tol=value)
-        elif build == "nmf-rel-tol":
-            NmfConfig(k=2, rel_tol=value)
-        elif build == "ridge-lam":
-            fit_regressor(x, w, "ridge-linear", {"lam": value})
-        else:
-            fit_regressor(x, w, "mlp-1hidden", {"learning_rate": value, "max_epochs": 1})
+    return fit_regressor(x, w, kind, hyper)
+
+
+_STACK = EncoderStack([DenseMatrix(np.ones((3, 1)))])     # p = 3, one latent unit
+
+
+# every numeric setting: build -> (call with the value, the name its error
+# starts with, the lowest legal value, and "int" for an integer setting or
+# ">=" / ">" for a real one)
+_SETTINGS = {
+    "ae-layer-width": (lambda v: AeTrainConfig((v,)), "layer width", 1, "int"),
+    "ae-max-epochs": (lambda v: AeTrainConfig((4,), max_epochs=v), "max_epochs", 1, "int"),
+    "ae-learning-rate": (lambda v: AeTrainConfig((4,), learning_rate=v),
+                         "learning_rate", 0.0, ">"),
+    "ae-rel-tol": (lambda v: AeTrainConfig((4,), rel_tol=v), "rel_tol", 0.0, ">="),
+    "nmf-k": (lambda v: NmfConfig(k=v), "k", 1, "int"),
+    "nmf-max-iters": (lambda v: NmfConfig(k=2, max_iters=v), "max_iters", 1, "int"),
+    "nmf-rel-tol": (lambda v: NmfConfig(k=2, rel_tol=v), "rel_tol", 0.0, ">="),
+    "lime-k-features": (lambda v: LimeConfig(k_features=v), "k_features", 1, "int"),
+    # at least k_features + 2, and k_features defaults to 5
+    "lime-num-samples": (lambda v: LimeConfig(num_samples=v), "num_samples", 7, "int"),
+    "lime-kernel-width": (lambda v: LimeConfig(kernel_width=v), "kernel_width", 0.0, ">"),
+    "ridge-lam": (lambda v: _fit("ridge-linear", {"lam": v}), "lam", 0.0, ">="),
+    "mlp-hidden": (lambda v: _fit("mlp-1hidden", {"hidden": v, "max_epochs": 1}),
+                   "hidden", 1, "int"),
+    "mlp-learning-rate": (lambda v: _fit("mlp-1hidden", {"learning_rate": v, "max_epochs": 1}),
+                          "learning_rate", 0.0, ">"),
+    "mlp-max-epochs": (lambda v: _fit("mlp-1hidden", {"max_epochs": v}), "max_epochs", 1, "int"),
+    "split-n-rows": (lambda v: split_rows(v, 0.2), "n_rows", 2, "int"),
+    "split-test-frac": (lambda v: split_rows(10, v), "test_frac", 0.0, ">"),
+    "hierarchy-m": (lambda v: extract_hierarchy(_STACK, 1, 0, v), "m", 1, "int"),
+    "hierarchy-m-per-level": (lambda v: extract_hierarchy(_STACK, 1, 0, [v]), "m", 1, "int"),
+    "ranked-n": (lambda v: RankedPrediction(np.ones(3), v), "n", 1, "int"),
+    "predict-n": (lambda v: predict_labels(np.ones(2), _fit(), _STACK, n=v), "n", 1, "int"),
+    "metrics-k": (lambda v: precision_at_k(RankedPrediction(np.ones(3), 2), [0], v),
+                  "k", 1, "int"),
+    "gen-blocks": (lambda v: make_block_dataset(v, 4, 2, 0.0), "blocks", 1, "int"),
+    "gen-rows": (lambda v: make_block_dataset(2, v, 2, 0.0), "rows", 1, "int"),
+    "gen-labels-per-block": (lambda v: make_block_dataset(2, 4, v, 0.0),
+                             "labels_per_block", 1, "int"),
+    "gen-noise": (lambda v: make_block_dataset(2, 4, 2, v), "noise", 0.0, ">="),
+    "rng-seed": (lambda v: RngSeed(v), "seed", 0, "int"),
+}
+
+
+def _bad_values(lo, kind):
+    """A string, then a non-integral float for an integer setting or NaN and
+    the infinities for a real one, then values below the range."""
+    if kind == "int":
+        return ["5", 2.5, lo - 1]
+    return ["x", float("nan"), float("inf"), float("-inf"), -1.0] + ([0.0] if kind == ">" else [])
+
+
+@pytest.mark.parametrize("build, value", [
+    (build, value) for build, (_, _, lo, kind) in _SETTINGS.items()
+    for value in _bad_values(lo, kind)])
+def test_step_settings_must_be_finite_and_in_range(build, value):
+    # a string, a float count, NaN or an infinity must neither reach numpy,
+    # to fail there with a raw TypeError or ValueError, nor be truncated
+    call, name, _, _ = _SETTINGS[build]
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        call(value)
+
+
+def test_numpy_scalar_settings_equal_python_ones():
+    # np.int64 and np.float32 values (these four floats are exact in float32)
+    # give the same settings, of the same Python types, as int and float ones
+    def settings(i, r):
+        ae = AeTrainConfig((i(4), i(2)), max_epochs=i(5), learning_rate=r(0.5),
+                           rel_tol=r(0.25), seed=i(3))
+        nmf = NmfConfig(k=i(2), max_iters=i(7), rel_tol=r(0.125), seed=i(1))
+        lime = LimeConfig(num_samples=i(9), kernel_width=r(1.5), k_features=i(3))
+        return [*ae.layer_dims, ae.max_epochs, ae.learning_rate, ae.rel_tol, ae.seed,
+                nmf.k, nmf.max_iters, nmf.rel_tol, nmf.seed,
+                lime.num_samples, lime.kernel_width, lime.k_features]
+    python, numpy = settings(int, float), settings(np.int64, np.float32)
+    assert numpy == python
+    assert [type(v) for v in numpy] == [type(v) for v in python]
 
 
 def test_train_rejects_first_width_not_below_p():

@@ -124,7 +124,8 @@ def test_config_file_supplies_and_flags_override(tmp_path):
     assert (x.cols, v.n_labels) == (2, 6)
 
 
-@pytest.mark.parametrize("line", ["bogus_key=1", "blokcs=2"])
+# a key given twice is an error, not a silent override
+@pytest.mark.parametrize("line", ["bogus_key=1", "blokcs=2", "blocks=3"])
 def test_unknown_config_key_names_path_and_line(tmp_path, capsys, line):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(f"blocks=2\n{line}\n")

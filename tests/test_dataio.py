@@ -656,6 +656,23 @@ def test_encoder_section_with_a_width_zero_layer(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("trace", [[np.nan], [1.0, np.inf], [-1.0], [np.nan, 5.0],
+                                   [np.inf, 1.0]])
+@pytest.mark.parametrize("section", [b"encoder", b"nmf"])
+def test_section_with_a_bad_trace_entry(tmp_path, section, trace):
+    # training never records such an entry (a non-finite loss raises
+    # TrainingDivergedError, and every residual is >= 0), so a model file
+    # holding one is refused
+    trace_bytes = struct.pack("<Q", len(trace)) + np.asarray(trace, dtype="<f8").tobytes()
+    one = struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
+    two = struct.pack("<II", 2, 1) + struct.pack("<2d", 1.0, 1.0)
+    payload = (struct.pack("<I", 1) + two if section == b"encoder" else two + one) + trace_bytes
+    path = tmp_path / "m.xlc"
+    path.write_bytes(_model_bytes([(section, payload)]))
+    with pytest.raises(ConfigError, match=r"trace entry must be (a finite number|>= 0)"):
+        load_model(path)
+
+
 def test_config_rejects_unserializable_keys(tmp_path):
     with pytest.raises(ConfigError):
         save_model(tmp_path / "m.xlc", ModelContainer(config={"a=b": "1"}))
