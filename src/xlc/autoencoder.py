@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
-                     _integer, _real)
+                     _choice, _integer, _integers, _real)
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
 from .nmf import NmfConfig, nmf_factorize
 
@@ -68,10 +68,7 @@ class EncoderStack:
                     f"{dims[-1]} columns")
             dims.append(h.cols)
         p = layers[0].rows
-        widths = [p] + dims
-        if any(b >= a for a, b in zip(widths, widths[1:])) or dims[-1] < 1:
-            raise ConfigError(
-                f"layer widths {dims} must strictly decrease from p={p} and be >= 1")
+        _check_widths(dims, p)
         self.layers = layers
         self.layer_dims = tuple(dims)
         self.p = p
@@ -115,21 +112,22 @@ class AeTrainConfig:
                  learning_rate: float = 1e-3, rel_tol: float = 1e-7,
                  init_scheme: str = "random-uniform",
                  seed: RngSeed | int = 0):
-        layer_dims = tuple(_integer("layer width", k, 1) for k in layer_dims)
-        if not layer_dims:
-            raise ConfigError("layer_dims must be non-empty")
-        if any(b >= a for a, b in zip(layer_dims, layer_dims[1:])):
-            raise ConfigError(
-                f"layer_dims must be strictly decreasing, got {layer_dims}")
-        if init_scheme not in self.INIT_SCHEMES:
-            raise ConfigError(f"unknown init_scheme {init_scheme!r}, "
-                              f"expected one of {self.INIT_SCHEMES}")
-        self.layer_dims = layer_dims
+        self.layer_dims = _integers("layer_dims", layer_dims, 1, item="layer width")
+        _check_widths(self.layer_dims)
         self.max_epochs = _integer("max_epochs", max_epochs, 1)
         self.learning_rate = _real("learning_rate", learning_rate, 0.0, above=True)
         self.rel_tol = _real("rel_tol", rel_tol, 0.0)
-        self.init_scheme = init_scheme
+        self.init_scheme = _choice("init_scheme", init_scheme, self.INIT_SCHEMES)
         self.seed = RngSeed(seed)
+
+
+def _check_widths(dims, p=None) -> None:
+    """Raise ConfigError unless widths dims are >= 1 and strictly decrease, from p if given."""
+    widths = list(dims) if p is None else [p, *dims]
+    if dims[-1] < 1 or any(b >= a for a, b in zip(widths, widths[1:])):
+        start = "" if p is None else f" from p={p}"
+        raise ConfigError(
+            f"layer widths {list(dims)} must strictly decrease{start} and be >= 1")
 
 
 def _check_labels(v: LabelMatrix, p: int) -> LabelMatrix:
@@ -257,9 +255,7 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
 
 def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     """Analytic dLoss/dH_l for the 1-based layer_index, Loss = ||V - V E E^T||_F^2."""
-    if not 1 <= layer_index <= stack.depth:
-        raise XlcError(
-            f"layer_index {layer_index} out of range [1, {stack.depth}]")
+    layer_index = _integer("layer_index", layer_index, 1, stack.depth)
     obj = _Objective(_check_labels(v, stack.p).to_csr())
     mats = [h.values for h in stack.layers]
     chain = _prefix_chain(mats)
@@ -332,9 +328,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     the epoch index (the usual cause is a too-large learning rate).
     """
     p = v.n_labels
-    if cfg.layer_dims[0] >= p:
-        raise ConfigError(
-            f"first layer width {cfg.layer_dims[0]} must be < p={p}")
+    _check_widths(cfg.layer_dims, p)
 
     rng = make_rng(cfg.seed)
     obj = _Objective(v.to_csr())

@@ -21,7 +21,7 @@ from .autoencoder import AeTrainConfig, _check_labels, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
-from .errors import ConfigError, XlcError, _integer
+from .errors import ConfigError, XlcError, _integer, _integers
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES
@@ -218,8 +218,7 @@ def _cmd_explain(o) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, _ = load_dataset(o.data)
-    if not 0 <= o.row < x.rows:
-        raise XlcError(f"row {o.row} out of range [0, {x.rows})")
+    _integer("--row", o.row, 0, x.rows - 1)
     cfg = ExplainConfig(
         lime=LimeConfig(num_samples=o.samples, kernel_width=o.kernel_width,
                         k_features=o.k_features, seed=o.seed, baseline=o.baseline),
@@ -246,9 +245,7 @@ def _cmd_eval(o) -> int:
     reg = _need(container, "regressor")
     x, v = load_dataset(o.data)
     _check_labels(v, stack.p)
-    ks = [_integer("--k", k, 1) for k in o.k]
-    if not ks:
-        raise ConfigError("--k needs at least one value")
+    ks = _integers("--k", o.k, 1)
     if len(set(ks)) != len(ks):
         raise ConfigError(f"--k lists a value twice: {ks}")
 

@@ -249,9 +249,7 @@ def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
     blocks = _integer("blocks", blocks, 1)
     rows = _integer("rows", rows, 1)
     labels_per_block = _integer("labels_per_block", labels_per_block, 1)
-    noise = _real("noise", noise, 0.0)
-    if noise >= 0.5:
-        raise ConfigError(f"noise must be in [0, 0.5), got {noise}")
+    noise = _real("noise", noise, 0.0, below=0.5)
     p = blocks * labels_per_block
     rng = make_rng(seed)
     block_of = rng.integers(0, blocks, size=rows)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks on numeric settings."""
+"""Exception types shared across the package, and the checks on arguments."""
 
 import math
 import numbers
@@ -37,21 +37,45 @@ class ModelFormatError(XlcError):
     """A model container is malformed, corrupted, or unsupported."""
 
 
-def _integer(name: str, value, lo: int) -> int:
-    """value as an int >= lo: Python or numpy integers, never a float."""
+def _integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as an int >= lo, and <= hi when given: Python or numpy integers, never a float."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if value < lo:
         raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {value}")
     return value
 
 
-def _real(name: str, value, lo: float, above: bool = False) -> float:
-    """value as a float >= lo, or > lo when above: a finite real, never a string."""
+def _real(name: str, value, lo: float, above: bool = False,
+          below: float | None = None) -> float:
+    """value as a float >= lo, or > lo when above, and < below when given: a finite real."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if value < lo or (above and value == lo):
         raise ConfigError(f"{name} must be {'>' if above else '>='} {lo}, got {value}")
+    if below is not None and value >= below:
+        raise ConfigError(f"{name} must be < {below}, got {value}")
     return float(value)
+
+
+def _integers(name: str, values, lo: int, item: str | None = None) -> tuple[int, ...]:
+    """values as a non-empty tuple of ints >= lo, each checked by _integer
+    under the name item, or name; a bare scalar or None is refused."""
+    try:
+        checked = tuple(values)
+    except TypeError:
+        checked = ()
+    if not checked:
+        raise ConfigError(f"{name} must be a non-empty sequence of integers, got {values!r}")
+    return tuple(_integer(item or name, v, lo) for v in checked)
+
+
+def _choice(name: str, value, choices) -> str:
+    """value, which must be one of the strings in choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import ConfigError, ShapeMismatchError, XlcError, _integer, _real
+from .errors import ConfigError, ShapeMismatchError, XlcError, _integer, _integers, _real
 from .matrix import RngSeed, _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
@@ -31,11 +31,9 @@ class HierarchyNode:
     __slots__ = ("layer", "unit_index", "weight", "children", "label_name")
 
     def __init__(self, layer, unit_index, weight, children=(), label_name=None):
-        if weight < 0:
-            raise XlcError(f"hierarchy weight must be >= 0, got {weight}")
-        self.layer = int(layer)
-        self.unit_index = int(unit_index)
-        self.weight = float(weight)
+        self.layer = _integer("layer", layer, 0)
+        self.unit_index = _integer("unit_index", unit_index, 0)
+        self.weight = _real("weight", weight, 0.0)
         self.children = tuple(children)
         self.label_name = label_name
 
@@ -70,12 +68,9 @@ def render_hierarchy(node: HierarchyNode, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _per_level_counts(m, depth: int) -> list[int]:
-    counts = [m] * depth if np.isscalar(m) else list(m)
-    if len(counts) < depth:
-        raise ConfigError(
-            f"m gives {len(counts)} levels but the expansion needs {depth}")
-    return [_integer("m", c, 1) for c in counts]
+def _level_counts(name: str, m):
+    """m as one count >= 1, or as a non-empty tuple of counts >= 1, one per level."""
+    return _integer(name, m, 1) if np.isscalar(m) else _integers(name, m, 1)
 
 
 def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
@@ -87,15 +82,16 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     Weights are the raw H entries, never renormalized. m may be a single
     count or one count per expansion level, outermost first.
     """
-    if not 1 <= layer <= stack.depth:
-        raise XlcError(f"layer {layer} out of range [1, {stack.depth}]")
-    width = stack.layers[layer - 1].cols
-    if not 0 <= unit < width:
-        raise XlcError(f"unit {unit} out of range [0, {width}) at layer {layer}")
+    layer = _integer("layer", layer, 1, stack.depth)
+    unit = _integer("unit", unit, 0, stack.layers[layer - 1].cols - 1)
     if labels is not None and len(labels) != stack.p:
         raise ShapeMismatchError(
             f"{len(labels)} label names for p={stack.p} labels")
-    counts = _per_level_counts(m, layer)
+    m = _level_counts("m", m)
+    counts = (m,) * layer if isinstance(m, int) else m
+    if len(counts) < layer:
+        raise ConfigError(
+            f"m gives {len(counts)} levels but the expansion needs {layer}")
     return _expand(stack, layer, unit, 1.0, counts, labels)
 
 
@@ -225,6 +221,14 @@ def _forward_select(z: np.ndarray, y: np.ndarray, pi: np.ndarray, k: int,
     return selected, float(beta[0]), beta[1:]
 
 
+def _feature_row(x_row) -> np.ndarray:
+    """x_row as a float64 vector, which must be non-empty."""
+    x = np.ascontiguousarray(x_row, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ShapeMismatchError(f"x_row must be a non-empty vector, got shape {x.shape}")
+    return x
+
+
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
@@ -236,9 +240,7 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     greedily by weighted residual reduction and fits weighted least squares
     on the selected set (see _forward_select). Deterministic given the seed.
     """
-    x = np.ascontiguousarray(x_row, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeMismatchError(f"x_row must be a non-empty vector, got shape {x.shape}")
+    x = _feature_row(x_row)
     d = x.size
     k = min(cfg.k_features, d)
     kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
@@ -338,7 +340,7 @@ class ExplainConfig:
     def __init__(self, lime: LimeConfig | None = None, hierarchy_m=5,
                  label_names=None):
         self.lime = lime if lime is not None else LimeConfig()
-        self.hierarchy_m = hierarchy_m
+        self.hierarchy_m = _level_counts("hierarchy_m", hierarchy_m)
         self.label_names = label_names
 
 
@@ -351,6 +353,7 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     prediction targets unit 0 by tie-break and is flagged degenerate.
     """
     cfg = cfg if cfg is not None else ExplainConfig()
+    x_row = _feature_row(x_row)
     _check_latent_dim(m, stack)
     latent = predict_latent(x_row, m)
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break

@@ -31,10 +31,8 @@ class RngSeed:
     __slots__ = ("seed",)
 
     def __init__(self, seed: RngSeed | int):
-        seed = seed.seed if isinstance(seed, RngSeed) else _integer("seed", seed, 0)
-        if seed >= 2**64:
-            raise XlcError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
+        self.seed = (seed.seed if isinstance(seed, RngSeed)
+                     else _integer("seed", seed, 0, 2**64 - 1))
 
     def __repr__(self):
         return f"RngSeed({self.seed})"
@@ -131,8 +129,8 @@ class LabelMatrix:
     def _set(self, n_rows, n_labels, rows, cols, vals) -> None:
         """Check int64/float64 COO arrays, drop zeros, sort row-major, and
         store one fresh copy of each array."""
-        if n_rows < 0 or n_labels < 0:
-            raise XlcError(f"negative dimensions {n_rows}x{n_labels}")
+        n_rows = _integer("n_rows", n_rows, 0)
+        n_labels = _integer("n_labels", n_labels, 0)
         if not np.all(np.isfinite(vals)):
             raise XlcError("LabelMatrix values must be finite")
         if vals.size and vals.min() < 0.0:
@@ -157,8 +155,8 @@ class LabelMatrix:
                 i = int(np.argmax(dup))
                 raise XlcError(
                     f"duplicate entry at (row={rows[i]}, col={cols[i]})")
-        self.n_rows = int(n_rows)
-        self.n_labels = int(n_labels)
+        self.n_rows = n_rows
+        self.n_labels = n_labels
         self.entry_rows = _lock(rows)
         self.entry_cols = _lock(cols)
         self.entry_vals = _lock(vals)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autoencoder import EncoderStack, decode
 from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
-                     _integer, _real)
+                     _choice, _integer, _real)
 from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
                      make_rng)
 
@@ -45,10 +45,7 @@ class RegressorModel:
     __slots__ = ("kind", "input_dim", "output_dim", "params")
 
     def __init__(self, kind: str, input_dim: int, output_dim: int, params):
-        if kind not in self.KINDS:
-            raise ConfigError(f"unknown regressor kind {kind!r}, "
-                              f"expected one of {self.KINDS}")
-        self.kind = kind
+        self.kind = _choice("kind", kind, self.KINDS)
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
         locked = {}
@@ -173,6 +170,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     (mlp width, default 64), learning_rate (default 1e-3), max_epochs
     (default 500).
     """
+    kind = _choice("kind", kind, RegressorModel.KINDS)
     hp = dict(hyperparams or {})
     if x.rows != w.rows:
         raise ShapeMismatchError(
@@ -205,9 +203,6 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
         return RegressorModel(kind, d, k,
                               {"theta": theta, "intercept": intercept})
 
-    if kind != "mlp-1hidden":
-        raise ConfigError(f"unknown regressor kind {kind!r}, "
-                          f"expected one of {RegressorModel.KINDS}")
     hidden = _integer("hidden", hp.pop("hidden", 64), 1)
     lr = _real("learning_rate", hp.pop("learning_rate", 1e-3), 0.0, above=True)
     max_epochs = _integer("max_epochs", hp.pop("max_epochs", 500), 1)
@@ -352,9 +347,7 @@ def split_rows(n_rows: int, test_frac: float = 0.2,
     Returns (train_idx, test_idx), each sorted ascending. The test side
     gets floor(n_rows * test_frac) rows.
     """
-    test_frac = _real("test_frac", test_frac, 0.0, above=True)
-    if test_frac >= 1.0:
-        raise ConfigError(f"test_frac must be in (0, 1), got {test_frac}")
+    test_frac = _real("test_frac", test_frac, 0.0, above=True, below=1.0)
     n_rows = _integer("n_rows", n_rows, 2)
     rng = make_rng(seed)
     perm = rng.permutation(n_rows)

@@ -16,10 +16,12 @@ from xlc import (
     DenseMatrix,
     EncoderStack,
     FeatureMatrix,
+    HierarchyNode,
     LabelMatrix,
     LimeConfig,
     NmfConfig,
     RankedPrediction,
+    RegressorModel,
     RngSeed,
     ShapeMismatchError,
     TrainingDivergedError,
@@ -343,11 +345,13 @@ def _fit(kind="ridge-linear", hyper=None):
 
 
 _STACK = EncoderStack([DenseMatrix(np.ones((3, 1)))])     # p = 3, one latent unit
+_V = LabelMatrix.from_dense_array(np.ones((2, 3)))
 
 
-# every numeric setting: build -> (call with the value, the name its error
+# every checked argument: build -> (call with the value, the name its error
 # starts with, the lowest legal value, and "int" for an integer setting or
-# ">=" / ">" for a real one)
+# ">=" / ">" for a real one, or the list of bad values of a sequence or a
+# choice)
 _SETTINGS = {
     "ae-layer-width": (lambda v: AeTrainConfig((v,)), "layer width", 1, "int"),
     "ae-max-epochs": (lambda v: AeTrainConfig((4,), max_epochs=v), "max_epochs", 1, "int"),
@@ -381,23 +385,48 @@ _SETTINGS = {
                              "labels_per_block", 1, "int"),
     "gen-noise": (lambda v: make_block_dataset(2, 4, 2, v), "noise", 0.0, ">="),
     "rng-seed": (lambda v: RngSeed(v), "seed", 0, "int"),
+    "gradient-layer-index": (lambda v: ae_gradient(_V, _STACK, v), "layer_index", 1, "int"),
+    "hierarchy-layer": (lambda v: extract_hierarchy(_STACK, v, 0, 2), "layer", 1, "int"),
+    "hierarchy-unit": (lambda v: extract_hierarchy(_STACK, 1, v, 2), "unit", 0, "int"),
+    "node-layer": (lambda v: HierarchyNode(v, 0, 1.0), "layer", 0, "int"),
+    "node-unit": (lambda v: HierarchyNode(1, v, 1.0), "unit_index", 0, "int"),
+    "node-weight": (lambda v: HierarchyNode(1, 0, v), "weight", 0.0, ">="),
+    "labels-n-rows": (lambda v: LabelMatrix(v, 3, []), "n_rows", 0, "int"),
+    "labels-n-labels": (lambda v: LabelMatrix(2, v, []), "n_labels", 0, "int"),
+    "ae-layer-dims": (lambda v: AeTrainConfig(v), "layer_dims", None, [4, None]),
+    "hierarchy-m-levels": (lambda v: extract_hierarchy(_STACK, 1, 0, v), "m", None, [None]),
+    "ae-init-scheme": (lambda v: AeTrainConfig((4,), init_scheme=v), "init_scheme", None,
+                       ["xavier", None]),
+    "regressor-kind": (lambda v: RegressorModel(v, 2, 1, {}), "kind", None, ["lasso", None]),
+    "fit-kind": (lambda v: _fit(v), "kind", None, ["lasso", None]),
 }
 
+# the upper bound of each bounded setting: inclusive for an integer, exclusive
+# for a real; the depth and the width of _STACK are 1
+_UPPER = {"rng-seed": 2**64 - 1, "split-test-frac": 1.0, "gen-noise": 0.5,
+          "gradient-layer-index": 1, "hierarchy-layer": 1, "hierarchy-unit": 0}
 
-def _bad_values(lo, kind):
+
+def _bad_values(lo, kind, hi=None):
     """A string, then a non-integral float for an integer setting or NaN and
-    the infinities for a real one, then values below the range."""
+    the infinities for a real one, then values below the range and at or past
+    its upper bound hi; a kind that is a list holds the bad values."""
+    if not isinstance(kind, str):
+        return kind
     if kind == "int":
-        return ["5", 2.5, lo - 1]
-    return ["x", float("nan"), float("inf"), float("-inf"), -1.0] + ([0.0] if kind == ">" else [])
+        return ["5", 2.5, lo - 1] + ([] if hi is None else [hi + 1])
+    return (["x", float("nan"), float("inf"), float("-inf"), -1.0]
+            + ([0.0] if kind == ">" else []) + ([] if hi is None else [hi]))
 
 
 @pytest.mark.parametrize("build, value", [
     (build, value) for build, (_, _, lo, kind) in _SETTINGS.items()
-    for value in _bad_values(lo, kind)])
+    for value in _bad_values(lo, kind, _UPPER.get(build))])
 def test_step_settings_must_be_finite_and_in_range(build, value):
-    # a string, a float count, NaN or an infinity must neither reach numpy,
-    # to fail there with a raw TypeError or ValueError, nor be truncated
+    # a string, a float count or index, NaN, an infinity, a bare scalar or
+    # None for a sequence, or an unknown choice must neither reach Python or
+    # numpy, to fail there with a raw TypeError, IndexError or ValueError,
+    # nor be truncated
     call, name, _, _ = _SETTINGS[build]
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         call(value)

@@ -467,6 +467,23 @@ def test_explain_zero_latent_flags_degenerate_unit_zero():
     assert "tie-break" in exp.to_text()
 
 
+def test_explain_refuses_a_row_block_before_predicting():
+    # a 1 x d block used to reach argmax over the 1 x k latent block and end
+    # in a raw IndexError
+    stack, model = _stack_and_model()
+    with pytest.raises(ShapeMismatchError, match=r"^x_row must be a non-empty vector, "
+                                                 r"got shape \(1, 2\)"):
+        explain_prediction(np.array([[0.2, 1.5]]), model, stack)
+
+
+@pytest.mark.parametrize("m", [0, [2, 0], 2.5, "5", None, []])
+def test_explain_config_checks_hierarchy_m_at_construction(m):
+    # a bad count used to pass until extract_hierarchy, after the LIME fit
+    with pytest.raises(ConfigError, match="^hierarchy_m must be "):
+        ExplainConfig(hierarchy_m=m)
+    assert ExplainConfig(hierarchy_m=[3, np.int64(2)]).hierarchy_m == (3, 2)
+
+
 def test_explain_dict_round_trips_through_json():
     import json
 
