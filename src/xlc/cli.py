@@ -21,7 +21,7 @@ from .autoencoder import AeTrainConfig, _check_labels, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
-from .errors import ConfigError, XlcError, _integer, _integers
+from .errors import ConfigError, XlcError, _choice, _integer, _integers
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES
@@ -60,18 +60,16 @@ def _convert(kind, raw: str, where: str):
     """One option value, from a flag or a config file, in its declared kind:
     int, float, str, list (comma-separated integers) or a tuple of the
     allowed strings."""
+    if isinstance(kind, tuple):
+        return _choice(where, raw, kind)
     try:
-        if kind is str or (isinstance(kind, tuple) and raw in kind):
+        if kind is str:
             return raw
         if kind is list:
             return [int(t) for t in raw.split(",") if t != ""]
-        if kind in (int, float):
-            return kind(raw)
+        return kind(raw)
     except ValueError:
-        pass
-    expected = ("one of " + ", ".join(kind) if isinstance(kind, tuple)
-                else _EXPECTED[kind])
-    raise ConfigError(f"{where}: expected {expected}, got {raw!r}")
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def _resolve(args, options) -> None:
@@ -163,7 +161,7 @@ def _cmd_nmf(o) -> int:
 
 
 def _cmd_fit_reg(o) -> int:
-    kind = {"ridge": "ridge-linear", "mlp": "mlp-1hidden"}.get(o.kind, o.kind)
+    kind = {"ridge": "ridge-linear"}.get(o.kind, o.kind)
     container = load_model(o.model)
     stack = _need(container, "encoder")
     x, v = load_dataset(o.data)
@@ -172,19 +170,11 @@ def _cmd_fit_reg(o) -> int:
                                      seed=o.split_seed)
     x_train = FeatureMatrix(x.values[train_idx])
     w_train = type(w)(w.values[train_idx])
-    hyper = ({"lam": o.lam} if kind == "ridge-linear"
-             else {"hidden": o.hidden, "learning_rate": o.lr, "max_epochs": o.epochs})
-    container.regressor = fit_regressor(x_train, w_train, kind, hyper, seed=o.seed)
+    container.regressor = fit_regressor(x_train, w_train, kind, {"lam": o.lam})
     container.config.update({
-        "reg_kind": kind, "reg_seed": str(o.seed),
+        "reg_kind": kind, "reg_seed": str(o.seed), "reg_lam": repr(o.lam),
         "holdout_frac": repr(o.holdout_frac), "split_seed": str(o.split_seed),
     })
-    if kind == "ridge-linear":
-        container.config["reg_lam"] = repr(o.lam)
-    else:
-        container.config.update({"reg_hidden": str(o.hidden),
-                                 "reg_lr": repr(o.lr),
-                                 "reg_epochs": str(o.epochs)})
     save_model(o.model if o.out is None else o.out, container)
     print(f"fitted {kind} on {len(train_idx)} rows "
           f"(holdout {len(test_idx)})")
@@ -203,7 +193,7 @@ def _cmd_predict(o) -> int:
         for i, pred in enumerate(preds, start=lo):
             ranked = " ".join(f"{j}:{s:.6g}" for j, s in pred.top_n)
             lines.append(f"row {i}: {ranked}")
-    _emit(o.out, "\n".join(lines) + "\n")
+    _emit(o.out, "".join(line + "\n" for line in lines))
     return 0
 
 
@@ -218,6 +208,8 @@ def _cmd_explain(o) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, _ = load_dataset(o.data)
+    if x.rows == 0:
+        raise XlcError(f"{o.data} has no rows to explain")
     _integer("--row", o.row, 0, x.rows - 1)
     cfg = ExplainConfig(
         lime=LimeConfig(num_samples=o.samples, kernel_width=o.kernel_width,
@@ -324,12 +316,9 @@ _COMMANDS = {
     "fit-reg": (_cmd_fit_reg, "fit the feature-to-latent regressor", (
         ("data", str, _REQUIRED),
         ("model", str, _REQUIRED),
-        ("kind", ("ridge", "mlp", "ridge-linear", "mlp-1hidden"), "ridge"),
-        ("seed", int, 0),
+        ("kind", ("ridge", "ridge-linear"), "ridge"),
+        ("seed", int, 0),                       # stored as reg_seed; ridge draws nothing
         ("lam", float, 1e-3),
-        ("hidden", int, 64),
-        ("lr", float, 1e-3),
-        ("epochs", int, 500),
         ("holdout-frac", float, 0.2),
         ("split-seed", int, 0),
         ("out", str, None))),                   # None: overwrite --model

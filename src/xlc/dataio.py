@@ -365,6 +365,9 @@ def _regressor_payload(m: RegressorModel) -> bytes:
 
 def _parse_regressor(r: _Reader) -> RegressorModel:
     kind_idx, din, dout, nparams = r.unpack("<BIII")
+    if kind_idx == 1:
+        raise ModelFormatError("section 'regressor' holds an mlp-1hidden model, "
+                               "which xlc no longer reads")
     if kind_idx >= len(RegressorModel.KINDS):
         raise ModelFormatError(f"unknown regressor kind code {kind_idx}")
     params = {}
@@ -381,13 +384,10 @@ def _parse_regressor(r: _Reader) -> RegressorModel:
                 f"parameter {name!r} in section 'regressor' is tagged {ndim}-D "
                 f"but stored as {a.shape[0]}x{a.shape[1]}")
         params[name] = a[0] if ndim == 1 else a
-    kind = RegressorModel.KINDS[kind_idx]
     try:
-        return RegressorModel(kind, din, dout, params)
-    except KeyError as exc:
-        raise ModelFormatError(
-            f"section 'regressor' has no parameter {exc.args[0]!r} "
-            f"for a {kind} model") from None
+        return RegressorModel(RegressorModel.KINDS[kind_idx], din, dout, params)
+    except ConfigError as exc:
+        raise ModelFormatError(f"section 'regressor': {exc}") from None
 
 
 def _config_payload(config: dict) -> bytes:
@@ -454,8 +454,9 @@ def load_model(path) -> ModelContainer:
     """Read a container back; unknown sections are skipped with a warning.
 
     Bytes left over in a section or after the last one, a section name
-    given twice, and a regressor parameter or config key given twice are
-    format errors.
+    given twice, a regressor parameter or config key given twice, and a
+    regressor whose kind code or parameter names are not ridge-linear's
+    are format errors.
     """
     with open(path, "rb") as fh:
         r = _Reader(memoryview(fh.read()), str(path))

@@ -1,9 +1,9 @@
 """Feature-to-latent regression, ranked decoding, and ranking metrics.
 
-Step two of the pipeline: a regressor maps pre-extracted feature vectors
-to the non-negative latent codes produced by the autoencoder, predictions
-are decoded back to full-length label score vectors, and rankings are
-scored with precision@k / nDCG@k.
+Step two of the pipeline: a ridge regressor maps pre-extracted feature
+vectors to the non-negative latent codes produced by the autoencoder,
+predictions are decoded back to full-length label score vectors, and
+rankings are scored with precision@k / nDCG@k.
 
 Serving works on one feature vector or on an r x d block of them. A block
 is regressed and decoded in one product each: decoding costs O(k_L p) per
@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
-from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
-                     _choice, _integer, _real)
+from .errors import ConfigError, ShapeMismatchError, XlcError, _choice, _integer, _real
 from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
                      make_rng)
 
@@ -33,48 +32,39 @@ class FeatureMatrix(DenseMatrix):
 
 
 class RegressorModel:
-    """Fitted feature-to-latent map with an identity output head.
+    """Fitted feature-to-latent map: ridge-linear, X Theta + intercept.
 
-    kind is "ridge-linear" (closed form, with intercept) or "mlp-1hidden"
-    (one rectifier hidden layer, identity output, full-batch gradient
-    descent). Parameters are immutable after fitting.
+    The parameters are exactly theta (d x k) and intercept (length k);
+    they are immutable after fitting. Predictions pass through an identity
+    output head.
     """
 
-    KINDS = ("ridge-linear", "mlp-1hidden")
+    KINDS = ("ridge-linear",)
 
     __slots__ = ("kind", "input_dim", "output_dim", "params")
 
     def __init__(self, kind: str, input_dim: int, output_dim: int, params):
         self.kind = _choice("kind", kind, self.KINDS)
-        self.input_dim = int(input_dim)
-        self.output_dim = int(output_dim)
+        self.input_dim = _integer("input_dim", input_dim, 1)
+        self.output_dim = _integer("output_dim", output_dim, 1)
+        if sorted(params) != ["intercept", "theta"]:
+            raise ConfigError(f"{kind} parameters must be intercept and theta, "
+                              f"got {sorted(params)}")
         locked = {}
         for name, a in params.items():
             a = np.ascontiguousarray(a, dtype=np.float64)
             a.setflags(write=False)
             locked[name] = a
         self.params = locked
-        if kind == "ridge-linear":
-            theta, b = locked["theta"], locked["intercept"]
-            if theta.shape != (self.input_dim, self.output_dim) or b.shape != (self.output_dim,):
-                raise ShapeMismatchError(
-                    f"ridge parameter shapes {theta.shape}, {b.shape} do not "
-                    f"chain {self.input_dim} -> {self.output_dim}")
-        else:
-            w1, b1, w2, b2 = (locked[k] for k in ("w1", "b1", "w2", "b2"))
-            h = w1.shape[-1]
-            if (w1.shape != (self.input_dim, h) or b1.shape != (h,)
-                    or w2.shape != (h, self.output_dim) or b2.shape != (self.output_dim,)):
-                raise ShapeMismatchError(
-                    f"mlp parameter shapes do not chain "
-                    f"{self.input_dim} -> {h} -> {self.output_dim}")
+        theta, b = locked["theta"], locked["intercept"]
+        if theta.shape != (self.input_dim, self.output_dim) or b.shape != (self.output_dim,):
+            raise ShapeMismatchError(
+                f"ridge parameter shapes {theta.shape}, {b.shape} do not "
+                f"chain {self.input_dim} -> {self.output_dim}")
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
         """Identity-head outputs for a dense row block, no clamping."""
-        if self.kind == "ridge-linear":
-            return _mm(rows, self.params["theta"]) + self.params["intercept"]
-        hidden = np.maximum(_mm(rows, self.params["w1"]) + self.params["b1"], 0.0)
-        return _mm(hidden, self.params["w2"]) + self.params["b2"]
+        return _mm(rows, self.params["theta"]) + self.params["intercept"]
 
     def __repr__(self):
         return (f"RegressorModel(kind={self.kind!r}, "
@@ -151,24 +141,22 @@ def rank_labels(scores: np.ndarray) -> np.ndarray:
 
 
 def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
-                  hyperparams=None, seed: RngSeed | int = 0) -> RegressorModel:
-    """Fit the feature-to-latent regressor; deterministic given the seed.
+                  hyperparams=None) -> RegressorModel:
+    """Fit the ridge-linear feature-to-latent regressor.
 
-    ridge-linear solves min ||X Theta - W||_F^2 + lam ||Theta||_F^2 in
-    closed form on column-centered data, so the intercept absorbs the
-    column means and is not penalized. Its normal equations come from one
-    of two paths. For sparse features, _support_normal_equations sums them
-    over X's nonzeros in O(pairs of nonzeros sharing a row), without
-    forming the centered copy; it runs when that pair count is well below
-    n d^2 and its rounding certificate holds, that is, when no feature's
-    mean is large against its spread. Otherwise the centered copy
-    Xc = X - mean gives Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both
-    paths then take the same Cholesky solve. mlp-1hidden trains a single
-    rectifier hidden layer by full-batch gradient descent.
+    It solves min ||X Theta - W||_F^2 + lam ||Theta||_F^2 in closed form
+    on column-centered data, so the intercept absorbs the column means and
+    is not penalized. Its normal equations come from one of two paths. For
+    sparse features, _support_normal_equations sums them over X's nonzeros
+    in O(pairs of nonzeros sharing a row), without forming the centered
+    copy; it runs when that pair count is well below n d^2 and its
+    rounding certificate holds, that is, when no feature's mean is large
+    against its spread. Otherwise the centered copy Xc = X - mean gives
+    Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both paths then take the
+    same Cholesky solve.
 
-    Hyperparameters (all optional): lam (ridge, default 1e-3); hidden
-    (mlp width, default 64), learning_rate (default 1e-3), max_epochs
-    (default 500).
+    kind must be "ridge-linear"; the one hyperparameter is lam (optional,
+    default 1e-3).
     """
     kind = _choice("kind", kind, RegressorModel.KINDS)
     hp = dict(hyperparams or {})
@@ -177,72 +165,29 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
             f"feature rows {x.rows} != latent rows {w.rows}")
     if w.values.size and w.values.min() < 0:
         raise XlcError("latent targets have a negative entry")
+    lam = _real("lam", hp.pop("lam", 1e-3), 0.0)
+    if hp:
+        raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(hp)}")
     xv, wv = x.values, w.values
     d, k = x.cols, w.cols
-
-    if kind == "ridge-linear":
-        lam = _real("lam", hp.pop("lam", 1e-3), 0.0)
-        _reject_unknown(hp, ("ridge-linear",))
-        x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
-        w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
-        wc = wv - w_mean
-        normal = _support_normal_equations(xv, x_mean, wc)
-        if normal is None:
-            xc = xv - x_mean
-            gram, rhs = _mm(xc.T, xc), _mm(xc.T, wc)
-        else:
-            gram, rhs = normal
-        gram = gram + lam * np.eye(d)
-        try:
-            theta = _cholesky_solve(gram, rhs)
-        except XlcError as exc:
-            raise XlcError(
-                f"normal equations are singular with lam={lam}; "
-                f"use a positive lam") from exc
-        intercept = w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
-        return RegressorModel(kind, d, k,
-                              {"theta": theta, "intercept": intercept})
-
-    hidden = _integer("hidden", hp.pop("hidden", 64), 1)
-    lr = _real("learning_rate", hp.pop("learning_rate", 1e-3), 0.0, above=True)
-    max_epochs = _integer("max_epochs", hp.pop("max_epochs", 500), 1)
-    _reject_unknown(hp, ("mlp-1hidden",))
-    rng = make_rng(seed)
-    bound = np.sqrt(1.0 / max(d, 1))
-    w1 = rng.uniform(-bound, bound, size=(d, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.uniform(-np.sqrt(1.0 / hidden), np.sqrt(1.0 / hidden),
-                     size=(hidden, k))
-    b2 = np.zeros(k)
-    n = max(x.rows, 1)
-    # overflow on the way to divergence is expected and caught below, so the
-    # intermediate IEEE warnings are suppressed rather than leaked
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, max_epochs + 1):
-            pre = _mm(xv, w1) + b1
-            act = np.maximum(pre, 0.0)
-            out = _mm(act, w2) + b2
-            err = (out - wv) / n
-            if not np.all(np.isfinite(err)):
-                raise TrainingDivergedError(
-                    f"mlp loss became non-finite at epoch {epoch}; "
-                    f"lower the learning rate (currently {lr})", epoch=epoch)
-            g_w2 = _mm(act.T, err)
-            g_b2 = err.sum(axis=0)
-            back = _mm(err, w2.T) * (pre > 0)
-            g_w1 = _mm(xv.T, back)
-            g_b1 = back.sum(axis=0)
-            w1 = w1 - lr * g_w1
-            b1 = b1 - lr * g_b1
-            w2 = w2 - lr * g_w2
-            b2 = b2 - lr * g_b2
-    return RegressorModel(kind, d, k, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
-
-
-def _reject_unknown(hp: dict, kinds) -> None:
-    if hp:
-        raise ConfigError(
-            f"unknown hyperparameters for {'/'.join(kinds)}: {sorted(hp)}")
+    x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
+    w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
+    wc = wv - w_mean
+    normal = _support_normal_equations(xv, x_mean, wc)
+    if normal is None:
+        xc = xv - x_mean
+        gram, rhs = _mm(xc.T, xc), _mm(xc.T, wc)
+    else:
+        gram, rhs = normal
+    gram = gram + lam * np.eye(d)
+    try:
+        theta = _cholesky_solve(gram, rhs)
+    except XlcError as exc:
+        raise XlcError(
+            f"normal equations are singular with lam={lam}; "
+            f"use a positive lam") from exc
+    intercept = w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
+    return RegressorModel(kind, d, k, {"theta": theta, "intercept": intercept})
 
 
 def _as_features(x, d: int) -> np.ndarray:

@@ -366,11 +366,10 @@ _SETTINGS = {
     "lime-num-samples": (lambda v: LimeConfig(num_samples=v), "num_samples", 7, "int"),
     "lime-kernel-width": (lambda v: LimeConfig(kernel_width=v), "kernel_width", 0.0, ">"),
     "ridge-lam": (lambda v: _fit("ridge-linear", {"lam": v}), "lam", 0.0, ">="),
-    "mlp-hidden": (lambda v: _fit("mlp-1hidden", {"hidden": v, "max_epochs": 1}),
-                   "hidden", 1, "int"),
-    "mlp-learning-rate": (lambda v: _fit("mlp-1hidden", {"learning_rate": v, "max_epochs": 1}),
-                          "learning_rate", 0.0, ">"),
-    "mlp-max-epochs": (lambda v: _fit("mlp-1hidden", {"max_epochs": v}), "max_epochs", 1, "int"),
+    "regressor-input-dim": (lambda v: RegressorModel("ridge-linear", v, 1, {}),
+                            "input_dim", 1, "int"),
+    "regressor-output-dim": (lambda v: RegressorModel("ridge-linear", 2, v, {}),
+                             "output_dim", 1, "int"),
     "split-n-rows": (lambda v: split_rows(v, 0.2), "n_rows", 2, "int"),
     "split-test-frac": (lambda v: split_rows(10, v), "test_frac", 0.0, ">"),
     "hierarchy-m": (lambda v: extract_hierarchy(_STACK, 1, 0, v), "m", 1, "int"),

@@ -140,6 +140,11 @@ def test_unknown_config_key_names_path_and_line(tmp_path, capsys, line):
 _GEN = ("gen-synth", "--blocks", 2, "--labels-per-block", 2, "--out", "d.txt")
 _EVAL = ("eval", "--model", "m.xlc", "--data", "d.txt")
 
+# what follows the named flag: a refused choice reads as the library's
+# errors._choice words it, any other value as "expected <kind>"
+_REFUSAL = {"--kind": " must be one of ridge, ridge-linear, got 'lasso'",
+            "--split": " must be one of train, test, all, got 'bogus'"}
+
 
 @pytest.mark.parametrize("argv, config, named", [
     (_GEN, "rows=abc", "gen.cfg:1: --rows"),
@@ -156,7 +161,7 @@ def test_bad_option_value_is_a_one_line_error(tmp_path, capsys, monkeypatch,
         argv += ("--config", "gen.cfg")
     assert _run(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {named}: expected ")
+    assert err.startswith(f"error: {named}{_REFUSAL.get(named.split()[-1], ': expected ')}")
     assert len(err.rstrip("\n").splitlines()) == 1
 
 
@@ -246,13 +251,27 @@ def test_fit_reg_requires_encoder_section(tmp_path, capsys):
     assert "no 'encoder' section" in capsys.readouterr().err
 
 
-def test_mlp_kind_flag_round_trips(planted, tmp_path):
+def test_fit_reg_refuses_the_removed_mlp_kind_and_flags(planted, capsys):
     data, _, model = planted
-    assert _run("fit-reg", "--data", data, "--model", model, "--kind", "mlp",
-                "--hidden", 8, "--epochs", 40, "--seed", 3) == 0
-    stored = load_model(model)
-    assert stored.regressor.kind == "mlp-1hidden"
-    assert stored.config["reg_hidden"] == "8"
+    assert _run("fit-reg", "--data", data, "--model", model, "--kind", "mlp") == 1
+    err = capsys.readouterr().err
+    assert err == "error: --kind must be one of ridge, ridge-linear, got 'mlp'\n"
+    with pytest.raises(SystemExit) as exc:
+        _run("fit-reg", "--data", data, "--model", model, "--hidden", 8)
+    assert exc.value.code == 2
+
+
+def test_data_file_without_rows(planted, tmp_path, capsys):
+    # explain has no row to pick, and predict writes no line at all
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model) == 0
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 3 12\n")
+    assert _run("explain", "--model", model, "--data", empty, "--row", 0) == 1
+    assert capsys.readouterr().err == f"error: {empty} has no rows to explain\n"
+    preds = tmp_path / "preds.txt"
+    assert _run("predict", "--model", model, "--data", empty, "--out", preds) == 0
+    assert preds.read_bytes() == b""
 
 
 def test_eval_rejects_a_label_count_the_model_does_not_have(planted, tmp_path, capsys):

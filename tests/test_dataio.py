@@ -377,8 +377,7 @@ def _full_container():
     from xlc import encode
 
     w = encode(v, stack)
-    reg = fit_regressor(x, w, kind="mlp-1hidden",
-                        hyperparams={"hidden": 8, "max_epochs": 50}, seed=2)
+    reg = fit_regressor(x, w)
     factors = nmf_factorize(v, NmfConfig(k=3, seed=9, max_iters=50))
     return ModelContainer(encoder=stack, regressor=reg,
                           config={"ae_dims": "4,2", "seed": "0"},
@@ -393,10 +392,10 @@ def test_model_round_trip_bitwise(tmp_path):
     for h1, h2 in zip(c.encoder.layers, c2.encoder.layers):
         np.testing.assert_array_equal(h1.values, h2.values)
     assert c.encoder.training_trace == c2.encoder.training_trace
-    assert c2.regressor.kind == "mlp-1hidden"
+    assert c2.regressor.kind == "ridge-linear"
     for key in c.regressor.params:
         got = c2.regressor.params[key]
-        assert got.shape == c.regressor.params[key].shape  # 1-D biases stay 1-D
+        assert got.shape == c.regressor.params[key].shape  # the 1-D intercept stays 1-D
         np.testing.assert_array_equal(got, c.regressor.params[key])
     assert c2.config == c.config
     assert c2.label_names == c.label_names
@@ -604,23 +603,27 @@ def _regressor_file(path, kind_code, params):
 
 
 def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
-    # an mlp kind code carrying ridge parameters: the error names the
-    # first parameter the kind needs and the section lacks
+    # a ridge regressor holds exactly intercept and theta: a missing or an
+    # extra name, or the retired kind code 1, is a one-line format error
     path = tmp_path / "m.xlc"
-    ridge = [("intercept", 1, np.ones((1, 2))), ("theta", 2, np.ones((3, 2)))]
-    _regressor_file(path, 1, ridge)
-    with pytest.raises(ModelFormatError,
-                       match="'regressor' has no parameter 'w1' for a mlp-1hidden"):
-        load_model(path)
-    assert main(["predict", "--model", str(path), "--data", str(tmp_path / "d.txt")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: section 'regressor'") and err.count("\n") == 1
-    _regressor_file(path, 0, ridge)
+    intercept, theta = ("intercept", 1, np.ones((1, 2))), ("theta", 2, np.ones((3, 2)))
+    for code, params, match in [
+            (0, [intercept], r"ridge-linear parameters must be intercept and theta, "
+                             r"got \['intercept'\]"),
+            (0, [intercept, theta, ("w1", 2, np.ones((3, 4)))],
+             r"got \['intercept', 'theta', 'w1'\]"),
+            (1, [intercept, theta], "holds an mlp-1hidden model, which xlc no longer reads")]:
+        _regressor_file(path, code, params)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+        assert main(["predict", "--model", str(path), "--data", str(tmp_path / "d.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: section 'regressor'") and err.count("\n") == 1
+    _regressor_file(path, 0, [intercept, theta])
     assert load_model(path).regressor.kind == "ridge-linear"
     # a weight matrix stored as a vector fails its shape check
-    _regressor_file(path, 1, [("b1", 1, np.ones((1, 4))), ("b2", 1, np.ones((1, 2))),
-                              ("w1", 1, np.ones((1, 4))), ("w2", 2, np.ones((4, 2)))])
-    with pytest.raises(ShapeMismatchError, match="do not chain 3 -> 4 -> 2"):
+    _regressor_file(path, 0, [intercept, ("theta", 1, np.ones((1, 6)))])
+    with pytest.raises(ShapeMismatchError, match="do not chain 3 -> 2"):
         load_model(path)
 
 

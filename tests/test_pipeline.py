@@ -16,7 +16,6 @@ from xlc import (
     RankedPrediction,
     RegressorModel,
     ShapeMismatchError,
-    TrainingDivergedError,
     XlcError,
     encode,
     fit_regressor,
@@ -153,44 +152,6 @@ def test_fit_regressor_input_validation():
         fit_regressor(FeatureMatrix(np.ones((5, 3))), w, kind="forest")
     with pytest.raises(ConfigError):
         fit_regressor(FeatureMatrix(np.ones((5, 3))), w, hyperparams={"depth": 3})
-
-
-# ---------------------------------------------------------------- mlp
-
-
-def test_mlp_fits_learnable_mapping():
-    rng = np.random.default_rng(8)
-    x = FeatureMatrix(rng.uniform(size=(60, 5)))
-    theta = rng.uniform(0.2, 1.0, size=(5, 3))
-    w = DenseMatrix(x.values @ theta)
-    m = fit_regressor(
-        x, w, kind="mlp-1hidden",
-        hyperparams={"hidden": 16, "learning_rate": 5e-2, "max_epochs": 2000},
-        seed=1,
-    )
-    pred = m.raw_outputs(x.values)
-    rel = np.linalg.norm(pred - w.values) / np.linalg.norm(w.values)
-    assert rel < 0.05
-
-
-def test_mlp_deterministic():
-    rng = np.random.default_rng(2)
-    x = FeatureMatrix(rng.uniform(size=(20, 4)))
-    w = _random_latents(20, 2, seed=2)
-    m1 = fit_regressor(x, w, kind="mlp-1hidden", seed=6)
-    m2 = fit_regressor(x, w, kind="mlp-1hidden", seed=6)
-    for key in m1.params:
-        np.testing.assert_array_equal(m1.params[key], m2.params[key])
-
-
-def test_mlp_divergence_reported():
-    rng = np.random.default_rng(2)
-    x = FeatureMatrix(rng.uniform(1.0, 2.0, size=(20, 4)))
-    w = _random_latents(20, 2, seed=2)
-    with pytest.raises(TrainingDivergedError):
-        fit_regressor(
-            x, w, kind="mlp-1hidden", hyperparams={"learning_rate": 1e12}, seed=0
-        )
 
 
 # ---------------------------------------------------------------- predict
