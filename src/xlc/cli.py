@@ -104,6 +104,15 @@ def _emit(path, text: str) -> None:
             fh.write(text)
 
 
+def _load_rows(path, purpose: str):
+    """load_dataset for a command that works row by row: a file with no
+    rows is refused by its path, not by a bound derived from its row count."""
+    x, v = load_dataset(path)
+    if x.rows == 0:
+        raise XlcError(f"{path} has no rows to {purpose}")
+    return x, v
+
+
 def _need(container: ModelContainer, section: str):
     value = getattr(container, section)
     if value is None:
@@ -164,7 +173,7 @@ def _cmd_fit_reg(o) -> int:
     kind = {"ridge": "ridge-linear"}.get(o.kind, o.kind)
     container = load_model(o.model)
     stack = _need(container, "encoder")
-    x, v = load_dataset(o.data)
+    x, v = _load_rows(o.data, "fit")
     w = encode(v, stack)
     train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
                                      seed=o.split_seed)
@@ -207,9 +216,7 @@ def _cmd_explain(o) -> int:
     container = load_model(o.model)
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
-    x, _ = load_dataset(o.data)
-    if x.rows == 0:
-        raise XlcError(f"{o.data} has no rows to explain")
+    x, _ = _load_rows(o.data, "explain")
     _integer("--row", o.row, 0, x.rows - 1)
     cfg = ExplainConfig(
         lime=LimeConfig(num_samples=o.samples, kernel_width=o.kernel_width,
@@ -235,7 +242,7 @@ def _cmd_eval(o) -> int:
     container = load_model(o.model)
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
-    x, v = load_dataset(o.data)
+    x, v = _load_rows(o.data, "evaluate")
     _check_labels(v, stack.p)
     ks = _integers("--k", o.k, 1)
     if len(set(ks)) != len(ks):

@@ -384,10 +384,7 @@ def _parse_regressor(r: _Reader) -> RegressorModel:
                 f"parameter {name!r} in section 'regressor' is tagged {ndim}-D "
                 f"but stored as {a.shape[0]}x{a.shape[1]}")
         params[name] = a[0] if ndim == 1 else a
-    try:
-        return RegressorModel(RegressorModel.KINDS[kind_idx], din, dout, params)
-    except ConfigError as exc:
-        raise ModelFormatError(f"section 'regressor': {exc}") from None
+    return RegressorModel(RegressorModel.KINDS[kind_idx], din, dout, params)
 
 
 def _config_payload(config: dict) -> bytes:
@@ -454,9 +451,10 @@ def load_model(path) -> ModelContainer:
     """Read a container back; unknown sections are skipped with a warning.
 
     Bytes left over in a section or after the last one, a section name
-    given twice, a regressor parameter or config key given twice, and a
-    regressor whose kind code or parameter names are not ridge-linear's
-    are format errors.
+    given twice, a regressor parameter or config key given twice, a
+    regressor whose kind code or parameter names are not ridge-linear's,
+    and any value a section's constructor refuses (a width-0 layer, a
+    NaN or negative trace entry) are format errors.
     """
     with open(path, "rb") as fh:
         r = _Reader(memoryview(fh.read()), str(path))
@@ -487,7 +485,12 @@ def load_model(path) -> ModelContainer:
             warnings.warn(f"{path}: skipping unknown section {name!r}")
             continue
         section = _Reader(payload, f"{path}: section {name!r}")
-        fields[name] = parsers[name](section)
+        try:
+            fields[name] = parsers[name](section)
+        except ConfigError as exc:
+            # a constructor refused values that were read in full: the
+            # file, not the caller, is at fault
+            raise ModelFormatError(f"section {name!r}: {exc}") from None
         section.done()
     r.done()
     return ModelContainer(**fields)

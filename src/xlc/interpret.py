@@ -4,9 +4,9 @@ LIME-style local surrogates for single predictions.
 A layer-l latent unit is explained structurally by expanding column
 `unit` of H_l into its largest entries (units one layer down), recursing
 to the named labels at layer 0. A prediction is explained locally by
-perturbing the instance with binary feature masks, fitting a weighted
-sparse linear surrogate to the black-box output, and reporting signed
-feature weights plus the fit quality.
+perturbing the instance with binary masks over its support, fitting a
+weighted sparse linear surrogate to the black-box output, and reporting
+signed feature weights plus the fit quality.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ class LimeConfig:
     """Perturbation and fit settings for the local surrogate.
 
     num_samples must be at least k_features + 2. kernel_width None means
-    the conventional 0.75 * sqrt(d). baseline is
-    the value substituted for masked-off features, a scalar or one value
-    per feature.
+    the conventional 0.75 * sqrt(d'), where d' counts the features in
+    which the explained row differs from the baseline (the ones LIME can
+    mask). baseline is the value substituted for masked-off features, a
+    scalar or one value per feature.
     """
 
     __slots__ = ("num_samples", "kernel_width", "k_features", "seed", "baseline")
@@ -232,25 +233,35 @@ def _feature_row(x_row) -> np.ndarray:
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
-    Draws num_samples binary masks (each feature kept with probability
-    1/2) and calls predict_fn once, on the num_samples x d block of masked
-    inputs, for a vector of num_samples outputs (row s of the block gives
-    output s). Weighs samples by exp(-hamming(z, all-ones)^2 /
-    kernel_width^2), rescaled so the largest weight is 1, picks k_features
-    greedily by weighted residual reduction and fits weighted least squares
-    on the selected set (see _forward_select). Deterministic given the seed.
+    The candidates are x_row's support c: the d' features where x_row
+    differs from the baseline. Masking any other feature leaves the input
+    as it is, so a weight on one would fit nothing (LIME's interpretable
+    representation). Draws num_samples binary masks z over c (each feature
+    kept with probability 1/2) and calls predict_fn once, on the
+    num_samples x d block of baseline rows whose columns c hold
+    z x_c + (1 - z) b_c, for a vector of num_samples outputs (row s of the
+    block gives output s). Weighs samples by exp(-hamming(z, all-ones)^2 /
+    kernel_width^2), rescaled so the largest weight is 1, picks up to
+    k_features of c greedily by weighted residual reduction and fits
+    weighted least squares on the selected set (see _forward_select): O(S
+    d' k) work besides predict_fn. A row with no support still makes the
+    one predict_fn call and is explained as degenerate. Deterministic given
+    the seed.
     """
     x = _feature_row(x_row)
     d = x.size
-    k = min(cfg.k_features, d)
-    kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d)
     if cfg.baseline.ndim == 1 and cfg.baseline.size != d:
         raise ShapeMismatchError(
             f"baseline has {cfg.baseline.size} values for {d} features")
+    base = np.broadcast_to(cfg.baseline, x.shape)
+    support = np.flatnonzero(x != base)
+    d_sup = support.size
+    k = min(cfg.k_features, d_sup)
 
     rng = make_rng(cfg.seed)
-    z = (rng.random((cfg.num_samples, d)) < 0.5).astype(np.float64)
-    masked = z * x + (1.0 - z) * cfg.baseline
+    z = (rng.random((cfg.num_samples, d_sup)) < 0.5).astype(np.float64)
+    masked = np.tile(base, (cfg.num_samples, 1))
+    masked[:, support] = z * x[support] + (1.0 - z) * base[support]
     out = predict_fn(masked)
     try:
         y = np.asarray(out, dtype=np.float64)
@@ -262,11 +273,16 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
             f"rows, expected ({cfg.num_samples},)")
     if not np.all(np.isfinite(y)):
         raise XlcError("predict_fn returned a non-finite value")
+    if d_sup == 0:
+        # every row of the block is x_row itself: nothing to vary
+        return SurrogateExplanation((), float(y.mean()), 0.0, "predict_fn",
+                                    degenerate=True)
 
-    ham = d - z.sum(axis=1)
+    kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d_sup)
+    ham = d_sup - z.sum(axis=1)
     h2 = ham * ham
     # shifted so the nearest sample weighs 1: unshifted, the weights
-    # underflow to 0 at large d; the fit does not depend on their scale
+    # underflow to 0 at large d'; the fit does not depend on their scale
     pi = np.exp(-(h2 - h2.min()) / (kw * kw))
 
     y_bar = float((pi * y).sum() / pi.sum())
@@ -287,7 +303,7 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     rss = float((pi * resid * resid).sum())
     order = sorted(range(len(selected)),
                    key=lambda i: (-abs(coefs[i]), selected[i]))
-    pairs = [(selected[i], coefs[i]) for i in order]
+    pairs = [(support[selected[i]], coefs[i]) for i in order]
     r2 = 1.0 - rss / ss_tot
     return SurrogateExplanation(pairs, intercept, r2, "predict_fn")
 

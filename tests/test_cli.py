@@ -274,6 +274,23 @@ def test_data_file_without_rows(planted, tmp_path, capsys):
     assert preds.read_bytes() == b""
 
 
+@pytest.mark.parametrize("command, flags, purpose", [
+    ("fit-reg", (), "fit"),
+    ("eval", (), "evaluate"),
+    ("eval", ("--split", "all"), "evaluate")])
+def test_fit_reg_and_eval_name_a_data_file_without_rows(planted, tmp_path, capsys,
+                                                        command, flags, purpose):
+    # fit-reg and eval's test split used to say "n_rows must be >= 2, got 0",
+    # the bound of an argument the user never passed
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model) == 0
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 3 12\n")
+    capsys.readouterr()
+    assert _run(command, "--model", model, "--data", empty, *flags) == 1
+    assert capsys.readouterr().err == f"error: {empty} has no rows to {purpose}\n"
+
+
 def test_eval_rejects_a_label_count_the_model_does_not_have(planted, tmp_path, capsys):
     # eval used to report P@k for a file declaring more labels than the model
     data, _, model = planted

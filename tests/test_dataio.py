@@ -655,7 +655,8 @@ def test_encoder_section_with_a_width_zero_layer(tmp_path):
     payload = struct.pack("<I", 1) + struct.pack("<II", 3, 0) + struct.pack("<Q", 0)
     path = tmp_path / "m.xlc"
     path.write_bytes(_model_bytes([(b"encoder", payload)]))
-    with pytest.raises(ConfigError, match=r"layer widths \[0\] .* be >= 1"):
+    with pytest.raises(ModelFormatError,
+                       match=r"^section 'encoder': layer widths \[0\] .* be >= 1"):
         load_model(path)
 
 
@@ -665,14 +666,15 @@ def test_encoder_section_with_a_width_zero_layer(tmp_path):
 def test_section_with_a_bad_trace_entry(tmp_path, section, trace):
     # training never records such an entry (a non-finite loss raises
     # TrainingDivergedError, and every residual is >= 0), so a model file
-    # holding one is refused
+    # holding one is refused as a format error, as a bad regressor is
     trace_bytes = struct.pack("<Q", len(trace)) + np.asarray(trace, dtype="<f8").tobytes()
     one = struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
     two = struct.pack("<II", 2, 1) + struct.pack("<2d", 1.0, 1.0)
     payload = (struct.pack("<I", 1) + two if section == b"encoder" else two + one) + trace_bytes
     path = tmp_path / "m.xlc"
     path.write_bytes(_model_bytes([(section, payload)]))
-    with pytest.raises(ConfigError, match=r"trace entry must be (a finite number|>= 0)"):
+    with pytest.raises(ModelFormatError, match=f"^section '{section.decode()}': "
+                       r"trace entry must be (a finite number|>= 0)"):
         load_model(path)
 
 

@@ -320,6 +320,104 @@ def test_lime_nonzero_baseline_shifts_neighborhood():
     assert dict(e1.feature_weights)[0] == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("per_feature", [False, True], ids=["scalar", "per-feature"])
+def test_lime_on_a_sparse_row_picks_its_support_in_true_order(per_feature):
+    # a feature where x equals the baseline cannot change the input, so
+    # only the support may be reported; masks over all d = 300 features
+    # would sit about 150 flips from x, where the 0.75 sqrt(d) kernel
+    # leaves about 1.5 effective samples of the 1000
+    rng = np.random.default_rng(17)
+    d = 300
+    coefs = rng.normal(size=d)
+    b = rng.uniform(-1.0, 1.0, size=d) if per_feature else np.zeros(d)
+    support = np.sort(rng.choice(d, size=8, replace=False))
+    effect = np.zeros(d)
+    effect[support] = [4.0, -3.2, 2.5, -1.9, 1.4, 0.9, -0.5, 0.2]
+    x = b.copy()
+    x[support] += effect[support] / coefs[support]     # coef_j (x_j - b_j) = effect_j
+    cfg = LimeConfig(num_samples=1000, k_features=5, seed=0,
+                     baseline=b if per_feature else 0.0)
+    exp = lime_explain(x, linear_fn(coefs), cfg)
+    true_top = sorted(support, key=lambda j: (-abs(effect[j]), j))[:5]
+    assert [i for i, _ in exp.feature_weights] == true_top
+    assert all(np.sign(w) == np.sign(effect[i]) for i, w in exp.feature_weights)
+    assert 0.9 < exp.local_fit_r2 < 1.0
+
+
+@st.composite
+def _support_cases(draw):
+    d = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 6))
+    s = draw(st.integers(k + 2, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))
+    per_feature = draw(st.booleans())
+    width = draw(st.sampled_from([None, 0.5, 3.0]))
+    return d, k, s, seed, density, per_feature, width
+
+
+@settings(max_examples=80, deadline=None)
+@given(_support_cases())
+def test_lime_equals_lime_on_the_support_with_a_scattering_predict_fn(case):
+    # the explanation of x is that of x restricted to its support c, with a
+    # predict_fn that scatters each row back among the baseline values,
+    # bit for bit, with each index mapped through c
+    d, k, s, seed, density, per_feature, width = case
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, size=d) if per_feature else np.full(d, 0.5)
+    x = b.copy()
+    on = rng.random(d) < density
+    x[on] += rng.uniform(0.1, 2.0, size=on.sum()) * rng.choice([-1.0, 1.0], size=on.sum())
+    w, u = rng.normal(size=d), rng.normal(size=d)
+
+    def f(rows):
+        return rows @ w + np.tanh(rows @ u) + rows[:, 0] * rows[:, -1]
+
+    c = np.flatnonzero(x != b)
+    if c.size == 0:
+        return
+
+    def scatter(rows):
+        block = np.empty((rows.shape[0], d))
+        block[:] = b
+        block[:, c] = rows
+        return block
+
+    def cfg(base):
+        return LimeConfig(num_samples=s, k_features=k, seed=seed, kernel_width=width,
+                          baseline=base)
+
+    full = lime_explain(x, f, cfg(b if per_feature else 0.5))
+    part = lime_explain(x[c], lambda rows: f(scatter(rows)), cfg(b[c] if per_feature else 0.5))
+    assert full.feature_weights == tuple((int(c[i]), wt) for i, wt in part.feature_weights)
+    assert full.intercept == part.intercept
+    assert full.local_fit_r2 == part.local_fit_r2
+    assert full.degenerate == part.degenerate
+
+
+@pytest.mark.parametrize("width", [None, 2.0], ids=["default-width", "width-2"])
+@pytest.mark.parametrize("per_feature", [False, True], ids=["scalar", "per-feature"])
+def test_lime_on_a_row_equal_to_its_baseline_is_degenerate(per_feature, width):
+    # no feature can be masked: one predict_fn call on the whole block, and
+    # no division by the default width 0.75 sqrt(0)
+    b = np.linspace(-1.0, 1.0, 7) if per_feature else np.full(7, 0.25)
+    blocks = []
+
+    def f(rows):
+        blocks.append(rows.copy())
+        return rows.sum(axis=1)
+
+    cfg = LimeConfig(num_samples=30, k_features=3, seed=4, kernel_width=width,
+                     baseline=b if per_feature else 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = lime_explain(b.copy(), f, cfg)
+    assert exp.degenerate and exp.feature_weights == () and exp.local_fit_r2 == 0.0
+    assert exp.intercept == pytest.approx(b.sum())
+    assert len(blocks) == 1 and blocks[0].shape == (30, 7)
+    assert np.array_equal(blocks[0], np.tile(b, (30, 1)))
+
+
 def _wls_rss(design, y, pi):
     """Oracle: weighted least squares with intercept by np.linalg.lstsq.
 
