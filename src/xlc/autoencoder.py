@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
                      _choice, _integer, _integers, _real)
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
+from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
+                     make_rng)
 from .nmf import NmfConfig, nmf_factorize
 
 
@@ -128,16 +129,6 @@ def _check_widths(dims, p=None) -> None:
         start = "" if p is None else f" from p={p}"
         raise ConfigError(
             f"layer widths {list(dims)} must strictly decrease{start} and be >= 1")
-
-
-def _check_labels(v: LabelMatrix, p: int) -> LabelMatrix:
-    """v, checked to be a LabelMatrix with p labels."""
-    if not isinstance(v, LabelMatrix):
-        raise XlcError(f"expected a LabelMatrix, got {type(v).__name__}")
-    if v.n_labels != p:
-        raise ShapeMismatchError(
-            f"input has {v.n_labels} labels, encoder expects {p}")
-    return v
 
 
 def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
@@ -327,7 +318,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     update, so training cannot leave it), raises TrainingDivergedError with
     the epoch index (the usual cause is a too-large learning rate).
     """
-    p = v.n_labels
+    p = _check_labels(v).n_labels
     _check_widths(cfg.layer_dims, p)
 
     rng = make_rng(cfg.seed)

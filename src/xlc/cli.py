@@ -17,14 +17,14 @@ import sys
 
 import numpy as np
 
-from .autoencoder import AeTrainConfig, _check_labels, encode, train_autoencoder
+from .autoencoder import AeTrainConfig, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
 from .errors import ConfigError, XlcError, _choice, _integer, _integers
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
-from .matrix import _BLOCK_ENTRIES
+from .matrix import _BLOCK_ENTRIES, _check_labels
 from .nmf import NmfConfig, nmf_factorize, nmf_objective
 from .pipeline import (FeatureMatrix, _metrics_at_k, fit_regressor, predict_labels,
                        split_rows)
@@ -66,7 +66,7 @@ def _convert(kind, raw: str, where: str):
         if kind is str:
             return raw
         if kind is list:
-            return [int(t) for t in raw.split(",") if t != ""]
+            return [int(t) for t in raw.split(",")]
         return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {raw!r}") from None
@@ -104,12 +104,15 @@ def _emit(path, text: str) -> None:
             fh.write(text)
 
 
-def _load_rows(path, purpose: str):
+def _load_rows(path, purpose: str, split: bool = False):
     """load_dataset for a command that works row by row: a file with no
-    rows is refused by its path, not by a bound derived from its row count."""
+    rows, or with 1 row for a command that splits them into train and test,
+    is refused by its path, not by a bound derived from its row count."""
     x, v = load_dataset(path)
     if x.rows == 0:
         raise XlcError(f"{path} has no rows to {purpose}")
+    if split and x.rows == 1:
+        raise XlcError(f"{path} has 1 row; a train/test split needs at least 2")
     return x, v
 
 
@@ -173,7 +176,7 @@ def _cmd_fit_reg(o) -> int:
     kind = {"ridge": "ridge-linear"}.get(o.kind, o.kind)
     container = load_model(o.model)
     stack = _need(container, "encoder")
-    x, v = _load_rows(o.data, "fit")
+    x, v = _load_rows(o.data, "fit", split=True)
     w = encode(v, stack)
     train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
                                      seed=o.split_seed)
@@ -242,7 +245,7 @@ def _cmd_eval(o) -> int:
     container = load_model(o.model)
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
-    x, v = _load_rows(o.data, "evaluate")
+    x, v = _load_rows(o.data, "evaluate", split=o.split != "all")
     _check_labels(v, stack.p)
     ks = _integers("--k", o.k, 1)
     if len(set(ks)) != len(ks):

@@ -369,7 +369,7 @@ def _parse_regressor(r: _Reader) -> RegressorModel:
         raise ModelFormatError("section 'regressor' holds an mlp-1hidden model, "
                                "which xlc no longer reads")
     if kind_idx >= len(RegressorModel.KINDS):
-        raise ModelFormatError(f"unknown regressor kind code {kind_idx}")
+        raise ModelFormatError(f"section 'regressor' holds unknown kind code {kind_idx}")
     params = {}
     for _ in range(nparams):
         (nlen,) = r.unpack("<H")

@@ -10,12 +10,13 @@ result depends only on the operand values and shapes, never on their memory
 layout or on thread settings, so it is bitwise reproducible across runs on
 the same build. Dense solves go through ``_cholesky_solve`` and
 ``_back_substitute``, which are built on ``_mm``; no LAPACK call is made.
-Sparse products go through scipy's sequential CSR kernels, which do not
-depend on thread settings either. ``_support_normal_equations`` sums the
-ridge normal equations over a feature block's nonzeros with
-``np.bincount``, which adds its weights one by one in input order, over
-row blocks fixed by the data, so its result depends only on the values
-and shapes too.
+Sparse products go through scipy's sequential CSR kernels, built by
+``_csr``, which do not depend on thread settings either: each output entry
+is one running sum whose terms are added in the order of the operand's
+stored indices. ``_support_normal_equations`` builds the ridge normal
+equations from those products over a feature block's nonzeros, with every
+sum running over rows in ascending order, so its result depends only on
+the values and shapes too.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def make_rng(seed) -> np.random.Generator:
 def _lock(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _csr(data, indices, indptr, shape):
+    """scipy.sparse CSR matrix from its three arrays, whose column indices
+    must already be sorted and unique within each row; xlc imports scipy
+    here and nowhere else."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 class DenseMatrix:
@@ -172,11 +181,12 @@ class LabelMatrix:
         return int(self.entry_vals.size)
 
     def to_csr(self):
-        """scipy.sparse CSR form; xlc imports scipy here and nowhere else."""
-        import scipy.sparse as sp
-        # scipy canonicalizes a matrix built from COO: its indices come out sorted
-        return sp.csr_matrix((self.entry_vals, (self.entry_rows, self.entry_cols)),
-                             shape=(self.n_rows, self.n_labels))
+        """scipy.sparse CSR form. Its data array is the matrix's own
+        read-only value array, not a copy."""
+        # the entries are row-major and unique, so they are already canonical CSR
+        indptr = np.searchsorted(self.entry_rows, np.arange(self.n_rows + 1))
+        return _csr(self.entry_vals, self.entry_cols, indptr,
+                    (self.n_rows, self.n_labels))
 
     @classmethod
     def from_dense_array(cls, a) -> "LabelMatrix":
@@ -186,6 +196,17 @@ class LabelMatrix:
 
     def __repr__(self):
         return f"LabelMatrix({self.n_rows}x{self.n_labels}, nnz={self.nnz})"
+
+
+def _check_labels(v, p: int | None = None) -> LabelMatrix:
+    """v, checked to be a LabelMatrix, and one with p labels when p is
+    given; every function that takes a label matrix checks it here."""
+    if not isinstance(v, LabelMatrix):
+        raise XlcError(f"expected a LabelMatrix, got {type(v).__name__}")
+    if p is not None and v.n_labels != p:
+        raise ShapeMismatchError(
+            f"input has {v.n_labels} labels, encoder expects {p}")
+    return v
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,6 +361,8 @@ def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
 # 2700 x 32, 2000 x 100, 3200 x 300 and 1500 x 400 at 1-35% density, 8
 # targets) the support form took 0.17-0.54 of the dense time where
 # n d^2 / pairs was 125-196, 0.63-1.23 at 39-49 and 1.0-3.0 at 14-16.
+# Those times are of an earlier np.bincount pair kernel; scipy's sparse
+# products, which replaced it, were no slower on serve-xml's 3200 x 300 block.
 _PAIR_COST = 64
 
 
@@ -351,24 +374,24 @@ def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,
 
     With S_j the rows where x_ij != 0 and s = 1^T Wc,
 
-        Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T,
+        Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T.
 
-    where X^T X sums x_ij x_ik over the pairs j <= k of nonzeros that
-    share a row, mirrored below the diagonal, and X^T Wc sums x_ij Wc_i
-    over the nonzeros. That costs one O(n d) nonzero scan plus
-    O(pairs + nnz k + d^2), against the dense O(n d^2 + n d k). Pairs go
-    through one sequential np.bincount per row block of at most
-    _BLOCK_ENTRIES pairs (a row with more is a block alone), added up in
-    block order; X^T Wc is one np.bincount per target column and s one
-    _mm. So the result depends only on the values and shapes of X, mean
-    and Wc.
+    X's nonzeros, found by one O(n d) scan, become a CSR matrix; X^T X is
+    scipy's sequential sparse product of its transpose with it, and X^T Wc
+    the sparse-dense one, O(pairs + nnz k + d^2) against the dense
+    O(n d^2 + n d k), where pairs counts the pairs j <= k of nonzeros that
+    share a row. The transpose holds each column's rows in ascending order,
+    so entry (j, k) of X^T X is one running sum of x_ij x_ik over the rows
+    in both S_j and S_k, and entry (j, c) of X^T Wc one of x_ij Wc_ic over
+    S_j, both in ascending row order; s is one _mm. So the result depends only on the values and
+    shapes of X, mean and Wc, and X^T X is exactly symmetric.
 
-    Gate and certificate, both checked before the Gram is built: the
-    support form runs only when _PAIR_COST times the pair count is below
-    n d^2, and only when its rounding bound is no worse than the dense
-    product's. Entry (j, k) of X^T X is a sum of at most m terms, m the
-    largest |S_j|, then of c block partials, then n mean_j mean_k is
-    formed and taken off: with M = m + c + 2, its error is at most
+    Gate and certificate, both checked before any product: the support
+    form runs only when _PAIR_COST times the pair count is below n d^2,
+    and only when its rounding bound is no worse than the dense product's.
+    Entry (j, k) of X^T X is one sequential sum of at most m rounded
+    products, m the largest |S_j|; then n mean_j mean_k is formed, in two
+    roundings, and taken off, in one. With M = m + 2 its error is at most
 
         gamma_M (sum_i |x_ij x_ik| + n |mean_j mean_k|) <= gamma_M sqrt(A_j A_k),
         A_j = sum_i x_ij^2 + n mean_j^2,
@@ -396,43 +419,20 @@ def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,
     flat = np.flatnonzero(x != 0.0)
     rows, cols = np.divmod(flat, max(d, 1))
     counts = np.bincount(rows, minlength=n)
-    pair_starts = np.concatenate(([0], np.cumsum(counts * (counts + 1) // 2)))
-    if certify and not int(pair_starts[-1]) * _PAIR_COST < n * d * d:
+    if certify and not int(np.sum(counts * (counts + 1) // 2)) * _PAIR_COST < n * d * d:
         return None
     vals = x.ravel()[flat]
-    # row blocks of at most _BLOCK_ENTRIES pairs; a row with more is a block alone
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        hi = np.searchsorted(pair_starts, pair_starts[lo] + _BLOCK_ENTRIES, side="right") - 1
-        bounds.append(max(lo + 1, int(hi)))
     if certify:
         col_counts = np.bincount(cols, minlength=d)
-        depth = int(col_counts.max(initial=0)) + len(bounds) + 1
+        depth = int(col_counts.max(initial=0)) + 2
         dev = vals - mean[cols]
         centered = (np.bincount(cols, weights=dev * dev, minlength=d)
                     + (n - col_counts) * (mean * mean))
         if not np.all(np.bincount(cols, weights=vals * vals, minlength=d) + n * (mean * mean)
                       <= max(_gamma(n) / _gamma(depth), 2.0) * centered):
             return None
-    # entry e pairs with itself and the later entries of its row, in order:
-    # its pairs are numbered from first_pair[e], and pair q is entry q + shift[e]
-    row_starts = np.concatenate(([0], np.cumsum(counts)))
-    reps = row_starts[rows + 1] - np.arange(rows.size)
-    first_pair = np.cumsum(reps) - reps
-    shift = np.arange(rows.size) - first_pair
-    upper = np.zeros(d * d)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        e0, e1 = row_starts[lo], row_starts[hi]
-        r = reps[e0:e1]
-        right = np.arange(pair_starts[lo], pair_starts[hi]) + np.repeat(shift[e0:e1], r)
-        upper += np.bincount(np.repeat(cols[e0:e1] * d, r) + cols[right],
-                             weights=np.repeat(vals[e0:e1], r) * vals[right],
-                             minlength=d * d)
-    upper = upper.reshape(d, d)
-    gram = upper + np.triu(upper, 1).T - n * np.multiply.outer(mean, mean)
+    xs = _csr(vals, cols, np.concatenate(([0], np.cumsum(counts))), (n, d))
+    xt = xs.T.tocsr()                       # each column's rows, ascending
+    gram = (xt @ xs).toarray() - n * np.multiply.outer(mean, mean)
     col_sums = _mm(np.ones((1, n)), wc)[0]
-    rhs = np.empty((d, wc.shape[1]))
-    for c in range(wc.shape[1]):
-        rhs[:, c] = np.bincount(cols, weights=vals * wc[rows, c], minlength=d)
-    return gram, rhs - np.multiply.outer(mean, col_sums)
+    return gram, xt @ wc - np.multiply.outer(mean, col_sums)

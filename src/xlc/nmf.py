@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, XlcError,
                      _integer, _real)
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, _lowrank_sq_error, _mm, make_rng
+from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
+                     make_rng)
 
 _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
 # Near convergence a Lee-Seung step can rise by a few ulps of the objective
@@ -67,6 +68,7 @@ class NmfFactors:
 
 def nmf_objective(v: LabelMatrix, f: NmfFactors) -> float:
     """0.5 * ||V - WH||_F^2."""
+    _check_labels(v)
     if f.w.rows != v.n_rows or f.h.cols != v.n_labels:
         raise ShapeMismatchError(
             f"factors give {f.w.rows}x{f.h.cols}, V is {v.n_rows}x{v.n_labels}")
@@ -91,7 +93,7 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     (or V is more than 1/16 dense), exactly as nmf_objective computes it.
     The split form reuses the step's W^T W and H H^T.
     """
-    n, p = v.n_rows, v.n_labels
+    n, p = _check_labels(v).n_rows, v.n_labels
     if cfg.k >= min(n, p):
         raise ConfigError(f"k={cfg.k} must be < min(n, p) = {min(n, p)}")
 

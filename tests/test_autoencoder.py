@@ -1,5 +1,7 @@
 """Tied-weight autoencoder: chain algebra, gradients, and training behavior."""
 
+import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +22,7 @@ from xlc import (
     LabelMatrix,
     LimeConfig,
     NmfConfig,
+    NmfFactors,
     RankedPrediction,
     RegressorModel,
     RngSeed,
@@ -32,9 +35,13 @@ from xlc import (
     extract_hierarchy,
     fit_regressor,
     make_block_dataset,
+    nmf_factorize,
+    nmf_objective,
     precision_at_k,
     predict_labels,
+    predict_latent,
     reconstruction_loss,
+    save_dataset,
     split_rows,
     train_autoencoder,
 )
@@ -121,6 +128,19 @@ def test_label_inputs_must_be_a_label_matrix(dense):
         with pytest.raises(XlcError, match="expected a LabelMatrix, got "
                                            + type(dense).__name__):
             call()
+
+
+@pytest.mark.parametrize("dense", [
+    np.ones((5, 4)), DenseMatrix(np.ones((5, 4))), [[1.0] * 4] * 5])
+@pytest.mark.parametrize("fit", ["train_autoencoder", "nmf_factorize", "nmf_objective"])
+def test_fitting_takes_labels_only_as_a_label_matrix(dense, fit):
+    # these used to fail with a raw AttributeError on v.n_labels or v.n_rows
+    factors = NmfFactors(DenseMatrix(np.ones((5, 2))), DenseMatrix(np.ones((2, 4))), [1.0])
+    call = {"train_autoencoder": lambda: train_autoencoder(dense, AeTrainConfig([2])),
+            "nmf_factorize": lambda: nmf_factorize(dense, NmfConfig(k=2)),
+            "nmf_objective": lambda: nmf_objective(dense, factors)}[fit]
+    with pytest.raises(XlcError, match="expected a LabelMatrix, got " + type(dense).__name__):
+        call()
 
 
 def test_encode_row_permutation_equivariance_bitwise():
@@ -429,6 +449,44 @@ def test_step_settings_must_be_finite_and_in_range(build, value):
     call, name, _, _ = _SETTINGS[build]
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         call(value)
+
+
+# every refused input that is not a setting: build -> (the call, the class of
+# its error, and a fragment of its message)
+_REFUSALS = {
+    "dense-matrix-ndim": (lambda: DenseMatrix(np.ones(3)), ShapeMismatchError,
+                          "DenseMatrix needs a 2-D array, got ndim=1"),
+    "nmf-factors-chain": (lambda: NmfFactors(DenseMatrix(np.ones((2, 2))),
+                                             DenseMatrix(np.ones((3, 2))), [1.0]),
+                          ShapeMismatchError, "W is 2x2 but H is 3x2"),
+    "ranked-2d": (lambda: RankedPrediction(np.ones((2, 3)), 2), ShapeMismatchError,
+                  "scores must be a vector, got shape (2, 3)"),
+    "ranked-non-finite": (lambda: RankedPrediction([1.0, np.nan], 1), XlcError,
+                          "scores contain a non-finite value"),
+    "ranked-negative": (lambda: RankedPrediction([1.0, -0.5], 1), XlcError,
+                        "scores contain a negative value"),
+    "predict-latent-nan": (lambda: predict_latent([np.nan, 0.0], _fit()), XlcError,
+                           "feature vector contains a non-finite value"),
+    "regressor-width": (lambda: predict_labels(np.ones(2), fit_regressor(
+                            FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 2)))),
+                            _STACK),
+                        ShapeMismatchError, "regressor outputs 2 dims but decoder expects 1"),
+    "split-empty-side": (lambda: split_rows(3, 0.2), ConfigError,
+                         "test_frac 0.2 leaves an empty split for 3 rows"),
+    "hierarchy-label-names": (lambda: extract_hierarchy(_STACK, 1, 0, 2, labels=["a"]),
+                              ShapeMismatchError, "1 label names for p=3 labels"),
+    # refused before the file is opened
+    "save-dataset-rows": (lambda: save_dataset(os.devnull, FeatureMatrix(np.ones((3, 1))), _V),
+                          ConfigError, "feature rows 3 != label rows 2"),
+}
+
+
+@pytest.mark.parametrize("build", _REFUSALS)
+def test_refused_inputs_raise_a_named_error(build):
+    call, error, fragment = _REFUSALS[build]
+    with pytest.raises(error, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is error
 
 
 def test_numpy_scalar_settings_equal_python_ones():

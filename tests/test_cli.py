@@ -125,7 +125,7 @@ def test_config_file_supplies_and_flags_override(tmp_path):
 
 
 # a key given twice is an error, not a silent override
-@pytest.mark.parametrize("line", ["bogus_key=1", "blokcs=2", "blocks=3"])
+@pytest.mark.parametrize("line", ["bogus_key=1", "blokcs=2", "blocks=3", "blocks 3"])
 def test_unknown_config_key_names_path_and_line(tmp_path, capsys, line):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text(f"blocks=2\n{line}\n")
@@ -134,11 +134,14 @@ def test_unknown_config_key_names_path_and_line(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}:2: ")
     assert len(err.rstrip("\n").splitlines()) == 1
+    if "=" not in line:
+        assert err == f"error: {cfg}:2: expected key=value, got {line!r}\n"
 
 
 # required options come first, so resolution reaches the bad value
 _GEN = ("gen-synth", "--blocks", 2, "--labels-per-block", 2, "--out", "d.txt")
 _EVAL = ("eval", "--model", "m.xlc", "--data", "d.txt")
+_AE = ("train-ae", "--data", "d.txt", "--out", "m.xlc")
 
 # what follows the named flag: a refused choice reads as the library's
 # errors._choice words it, any other value as "expected <kind>"
@@ -152,6 +155,11 @@ _REFUSAL = {"--kind": " must be one of ridge, ridge-linear, got 'lasso'",
     (_EVAL + ("--k", "1,x"), None, "--k"),
     (("fit-reg", "--data", "d.txt", "--model", "m.xlc"), "kind=lasso", "gen.cfg:1: --kind"),
     (_EVAL, "split=bogus", "gen.cfg:1: --split"),
+    # an empty list item is refused, not dropped: "4,,2" used to train [4, 2]
+    (_EVAL + ("--k", "1,,5"), None, "--k"),
+    (_AE + ("--dims", "4,,2"), None, "--dims"),
+    (_AE + ("--dims", "4,"), None, "--dims"),
+    (_AE, "dims=4,,2", "gen.cfg:1: --dims"),
 ])
 def test_bad_option_value_is_a_one_line_error(tmp_path, capsys, monkeypatch,
                                               argv, config, named):
@@ -289,6 +297,50 @@ def test_fit_reg_and_eval_name_a_data_file_without_rows(planted, tmp_path, capsy
     capsys.readouterr()
     assert _run(command, "--model", model, "--data", empty, *flags) == 1
     assert capsys.readouterr().err == f"error: {empty} has no rows to {purpose}\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit-reg", ()),
+    ("eval", ()),
+    ("eval", ("--split", "train"))])
+def test_fit_reg_and_eval_name_a_data_file_of_one_row(planted, tmp_path, capsys,
+                                                      command, flags):
+    # a train/test split of 1 row used to fail with "n_rows must be >= 2, got 1"
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model) == 0
+    head, first = data.read_text().split("\n")[:2]
+    one = tmp_path / "one.txt"
+    one.write_text(f"1 {head.split(' ', 1)[1]}\n{first}\n")
+    capsys.readouterr()
+    assert _run(command, "--model", model, "--data", one, *flags) == 1
+    assert capsys.readouterr().err == (
+        f"error: {one} has 1 row; a train/test split needs at least 2\n")
+    # without a split, eval scores the one row
+    assert _run("eval", "--model", model, "--data", one, "--split", "all") == 0
+    assert capsys.readouterr().out.startswith("rows evaluated: 1 (0 empty-truth")
+
+
+@pytest.mark.parametrize("case", ["label-names-count", "eval-rows-without-labels"])
+def test_commands_refuse_mismatched_inputs_in_one_line(planted, tmp_path, capsys,
+                                                      case):
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model) == 0
+    short = tmp_path / "names.txt"
+    short.write_text("a\nb\n")
+    x, v = load_dataset(data)
+    unlabelled = tmp_path / "unlabelled.txt"
+    save_dataset(unlabelled, x, LabelMatrix(x.rows, v.n_labels, []))
+    argv, message = {
+        "label-names-count": (("train-ae", "--data", data, "--dims", 3, "--label-names",
+                               short, "--out", tmp_path / "m.xlc"),
+                              f"{short} has 2 names for 12 labels"),
+        "eval-rows-without-labels": (("eval", "--model", model, "--data", unlabelled,
+                                      "--split", "all"),
+                                     "no rows with labels to evaluate"),
+    }[case]
+    capsys.readouterr()
+    assert _run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_rejects_a_label_count_the_model_does_not_have(planted, tmp_path, capsys):

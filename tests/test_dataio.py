@@ -85,6 +85,9 @@ def test_load_dataset_corpus_scale_header(tmp_path):
         ("0 100000000000000000000 1\n", 1, "cannot allocate the 0x100000000000000000000"),
         ("1 2 100000000000000000000\n99999999999999999999 0:1\n", None,
          "label index does not fit in 64 bits"),
+        ("", None, "empty file"),
+        ("1 2 x\n0 0:1\n", 1, "non-integer header field in '1 2 x'"),
+        ("1 0 2\n0\n", 1, "header dims must be positive (rows may be 0), got '1 0 2'"),
     ],
 )
 def test_load_dataset_errors_carry_line_numbers(tmp_path, body, lineno, fragment):
@@ -612,7 +615,8 @@ def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
                              r"got \['intercept'\]"),
             (0, [intercept, theta, ("w1", 2, np.ones((3, 4)))],
              r"got \['intercept', 'theta', 'w1'\]"),
-            (1, [intercept, theta], "holds an mlp-1hidden model, which xlc no longer reads")]:
+            (1, [intercept, theta], "holds an mlp-1hidden model, which xlc no longer reads"),
+            (7, [intercept, theta], "holds unknown kind code 7$")]:
         _regressor_file(path, code, params)
         with pytest.raises(ModelFormatError, match=match):
             load_model(path)

@@ -297,8 +297,8 @@ def test_split_residual_allocates_a_few_blocks():
 
 @st.composite
 def _feature_cases(draw):
-    # d = 400 puts a fully dense row past _BLOCK_ENTRIES pairs, so it
-    # becomes a block alone; 300 rows of 30 nonzeros fill several blocks
+    # d = 400 puts a fully dense row past 2^16 pairs; 300 rows of 30
+    # nonzeros sum hundreds of rows into each Gram entry
     d = draw(st.sampled_from([0, 1, 7, 40, 400]))
     n = draw(st.integers(1, 300 if d <= 40 else 40))
     k = draw(st.integers(1, 4))
@@ -325,8 +325,8 @@ def _features(n, d, k, density, signed, empty, seed):
 @given(_feature_cases())
 @example((1, 7, 2, 0.3, False, 0.0, 1))          # one row
 @example((5, 0, 2, 1.0, False, 0.0, 2))          # no features
-@example((3, 400, 2, 1.0, True, 0.0, 3))         # rows of 80200 pairs, one block each
-@example((300, 40, 3, 1.0, True, 0.3, 4))        # 300 x 820 pairs in several blocks
+@example((3, 400, 2, 1.0, True, 0.0, 3))         # rows of 80200 pairs each
+@example((300, 40, 3, 1.0, True, 0.3, 4))        # 300 x 820 pairs
 def test_support_normal_equations_match_the_dense_oracle(case):
     # within the Cauchy-Schwarz bound of both sums: gamma (sqrt(A_j A_k)),
     # A_j = sum_i x_ij^2 + n mean_j^2, and sqrt(A_j ||wc_k||^2) on the right
@@ -344,10 +344,47 @@ def test_support_normal_equations_match_the_dense_oracle(case):
                                  + 1e-300)
 
 
+def _row_ordered_normal_equations(x, mean, wc):
+    """The support form's (Gram, RHS) by a plain loop: x_ij x_ik and
+    x_ij Wc_ic added into zeroed sums over the rows in ascending order,
+    then centered as the support form centers them."""
+    n, d = x.shape
+    gram = [[0.0] * d for _ in range(d)]
+    rhs = [[0.0] * wc.shape[1] for _ in range(d)]
+    for row, targets in zip(x.tolist(), wc.tolist()):
+        nonzero = [(j, v) for j, v in enumerate(row) if v != 0.0]
+        for j, v in nonzero:
+            for k, u in nonzero:
+                gram[j][k] += v * u
+            for c, t in enumerate(targets):
+                rhs[j][c] += v * t
+    col_sums = _mm(np.ones((1, n)), wc)[0]
+    return (np.array(gram).reshape(d, d) - n * np.multiply.outer(mean, mean),
+            np.array(rhs).reshape(d, wc.shape[1]) - np.multiply.outer(mean, col_sums))
+
+
+@pytest.mark.parametrize("case, dense_row", [
+    ((1, 7, 2, 0.3, False, 0.0, 1), None),       # one row
+    ((5, 0, 2, 1.0, False, 0.0, 2), None),       # no features
+    ((40, 12, 3, 0.3, True, 0.3, 5), None),      # empty rows and columns
+    ((300, 40, 3, 1.0, True, 0.3, 4), None),     # 246k pairs
+    ((12, 400, 2, 0.3, True, 0.0, 6), 5),        # a row of 80200 pairs among sparse ones
+])
+def test_support_normal_equations_are_the_row_ordered_sums_bitwise(case, dense_row):
+    x, wc = _features(*case)
+    if dense_row is not None:
+        x[dense_row] = np.round(np.random.default_rng(7).uniform(0.1, 2.0, x.shape[1]), 3)
+    mean = x.mean(axis=0)
+    gram, rhs = _support_normal_equations(x, mean, wc, certify=False)
+    want_gram, want_rhs = _row_ordered_normal_equations(x, mean, wc)
+    assert gram.tobytes() == want_gram.tobytes()
+    assert rhs.tobytes() == want_rhs.tobytes()
+
+
 def test_support_normal_equations_hold_a_few_blocks_of_pairs():
-    # 573k pairs, whose index and weight vectors took 22.9 MB at once; in
-    # blocks of _BLOCK_ENTRIES the peak (6.6 MB) is the O(nnz) entry arrays,
-    # the n x d mask and a few block-long vectors
+    # 573k pairs, whose index and weight vectors would take 22.9 MB at
+    # once; the sparse products never form them, so the peak (4.4 MB) is
+    # the O(nnz) entry arrays, the n x d mask and the d x d product
     n, d = 4000, 200
     rng = np.random.default_rng(37)
     x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
