@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
-                     _choice, _integer, _integers, _real)
+                     _choice, _instance, _integer, _integers, _real)
 from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
                      make_rng)
 from .nmf import NmfConfig, nmf_factorize
@@ -136,6 +136,7 @@ def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
 
     Row-independent: permuting input rows permutes output rows bitwise.
     """
+    _instance("stack", stack, EncoderStack)
     w = np.asarray(_check_labels(v, stack.p).to_csr() @ stack.layers[0].values)
     for h in stack.layers[1:]:
         w = _mm(w, h.values)
@@ -150,6 +151,7 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     independent: a row of a decoded block is bitwise equal to that row
     decoded alone.
     """
+    _instance("stack", stack, EncoderStack)
     a = w.values if isinstance(w, DenseMatrix) else np.asarray(w, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != stack.latent_dim:
         shape = a.shape if a.ndim == 2 else (len(a),)
@@ -224,6 +226,7 @@ def reconstruction_loss(v, stack: EncoderStack) -> float:
     the direct O(n p k_L) residual over row blocks of V where the split
     form's rounding bound would exceed the direct one's (a model that
     explains most of ||V||^2) or V is more than 1/16 dense."""
+    _instance("stack", stack, EncoderStack)
     obj = _Objective(_check_labels(v, stack.p).to_csr())
     e = stack.chain()
     return obj.residual(e, *obj.expanded(e)[1:])
@@ -246,7 +249,8 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
 
 def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     """Analytic dLoss/dH_l for the 1-based layer_index, Loss = ||V - V E E^T||_F^2."""
-    layer_index = _integer("layer_index", layer_index, 1, stack.depth)
+    layer_index = _integer("layer_index", layer_index, 1,
+                           _instance("stack", stack, EncoderStack).depth)
     obj = _Objective(_check_labels(v, stack.p).to_csr())
     mats = [h.values for h in stack.layers]
     chain = _prefix_chain(mats)
@@ -319,7 +323,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     the epoch index (the usual cause is a too-large learning rate).
     """
     p = _check_labels(v).n_labels
-    _check_widths(cfg.layer_dims, p)
+    _check_widths(_instance("cfg", cfg, AeTrainConfig).layer_dims, p)
 
     rng = make_rng(cfg.seed)
     obj = _Objective(v.to_csr())

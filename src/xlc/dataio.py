@@ -23,8 +23,9 @@ from operator import contains
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import ConfigError, DatasetFormatError, ModelFormatError, _integer, _real
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, make_rng
+from .errors import (ConfigError, DatasetFormatError, ModelFormatError, _instance, _integer,
+                     _real)
+from .matrix import DenseMatrix, LabelMatrix, RngSeed, _check_labels, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
 
@@ -193,7 +194,8 @@ def _check_rows(path, lines, d, p) -> None:
 
 def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
     """Write the text format; reloading reproduces both matrices exactly."""
-    if x.rows != v.n_rows:
+    _instance("x", x, DenseMatrix)
+    if x.rows != _check_labels(v).n_rows:
         raise ConfigError(f"feature rows {x.rows} != label rows {v.n_rows}")
     cols = list(map(str, v.entry_cols.tolist()))
     lab_ptr = np.searchsorted(v.entry_rows, np.arange(v.n_rows + 1)).tolist()

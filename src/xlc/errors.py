@@ -79,3 +79,11 @@ def _choice(name: str, value, choices) -> str:
     if not (isinstance(value, str) and value in choices):
         raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
+
+
+def _instance(name: str, value, cls: type):
+    """value, which must be an instance of cls."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be of type {cls.__name__}, "
+                          f"got {type(value).__name__}")
+    return value

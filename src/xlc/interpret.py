@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import ConfigError, ShapeMismatchError, XlcError, _integer, _integers, _real
+from .errors import (ConfigError, ShapeMismatchError, XlcError, _instance, _integer, _integers,
+                     _real)
 from .matrix import RngSeed, _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
@@ -82,7 +83,7 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     Weights are the raw H entries, never renormalized. m may be a single
     count or one count per expansion level, outermost first.
     """
-    layer = _integer("layer", layer, 1, stack.depth)
+    layer = _integer("layer", layer, 1, _instance("stack", stack, EncoderStack).depth)
     unit = _integer("unit", unit, 0, stack.layers[layer - 1].cols - 1)
     if labels is not None and len(labels) != stack.p:
         raise ShapeMismatchError(
@@ -230,6 +231,15 @@ def _feature_row(x_row) -> np.ndarray:
     return x
 
 
+def _baseline(lime: LimeConfig, x: np.ndarray) -> np.ndarray:
+    """lime's baseline as a read-only vector the size of x, which a vector
+    baseline must match."""
+    b = lime.baseline
+    if b.ndim == 1 and b.size != x.size:
+        raise ShapeMismatchError(f"baseline has {b.size} values for {x.size} features")
+    return np.broadcast_to(b, x.shape)
+
+
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
@@ -249,11 +259,7 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     the seed.
     """
     x = _feature_row(x_row)
-    d = x.size
-    if cfg.baseline.ndim == 1 and cfg.baseline.size != d:
-        raise ShapeMismatchError(
-            f"baseline has {cfg.baseline.size} values for {d} features")
-    base = np.broadcast_to(cfg.baseline, x.shape)
+    base = _baseline(_instance("cfg", cfg, LimeConfig), x)
     support = np.flatnonzero(x != base)
     d_sup = support.size
     k = min(cfg.k_features, d_sup)
@@ -355,7 +361,7 @@ class ExplainConfig:
 
     def __init__(self, lime: LimeConfig | None = None, hierarchy_m=5,
                  label_names=None):
-        self.lime = lime if lime is not None else LimeConfig()
+        self.lime = LimeConfig() if lime is None else _instance("lime", lime, LimeConfig)
         self.hierarchy_m = _level_counts("hierarchy_m", hierarchy_m)
         self.label_names = label_names
 
@@ -367,18 +373,38 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
 
     The explained scalar is predict_latent(.)[top unit]; a zero latent
     prediction targets unit 0 by tie-break and is flagged degenerate.
+
+    The surrogate is lime_explain's on x_row restricted to its active
+    columns, those where x_row or the baseline is nonzero, with the model
+    restricted to the matching rows of theta. Every other column is 0 in
+    every perturbed row and adds an exact +-0 to each product (theta is
+    finite), which _mm sums in ascending feature order when k >= 2, so the
+    explanation is bitwise the one of the whole row, while predicting the S
+    samples costs O(S k) per active column instead of per feature. With
+    k = 1 _mm's summation order depends on the column count, so every
+    column is kept.
     """
-    cfg = cfg if cfg is not None else ExplainConfig()
+    cfg = ExplainConfig() if cfg is None else _instance("cfg", cfg, ExplainConfig)
     x_row = _feature_row(x_row)
     _check_latent_dim(m, stack)
+    lime = cfg.lime
+    base = _baseline(lime, x_row)
     latent = predict_latent(x_row, m)
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break
     degenerate = bool(latent[unit] == 0.0)
 
+    cols = np.flatnonzero((x_row != 0.0) | (base != 0.0))
+    if m.output_dim < 2 or cols.size == 0:
+        cols = np.arange(x_row.size)
+    sub = RegressorModel(m.kind, cols.size, m.output_dim,
+                         {"theta": m.params["theta"][cols],
+                          "intercept": m.params["intercept"]})
+    lime = LimeConfig(lime.num_samples, lime.kernel_width, lime.k_features, lime.seed,
+                      base[cols])
     surrogate = lime_explain(
-        x_row, lambda rows: predict_latent(rows, m)[:, unit], cfg.lime)
+        x_row[cols], lambda rows: predict_latent(rows, sub)[:, unit], lime)
     surrogate = SurrogateExplanation(
-        surrogate.feature_weights, surrogate.intercept,
+        [(cols[i], w) for i, w in surrogate.feature_weights], surrogate.intercept,
         surrogate.local_fit_r2, f"latent unit {unit}", surrogate.degenerate)
     hierarchy = extract_hierarchy(stack, stack.depth, unit, cfg.hierarchy_m,
                                   labels=cfg.label_names)

@@ -218,6 +218,12 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     kernel from the operand strides, so both operands are made C-contiguous
     first. Callers may pass views such as ``a.T``; one that reuses an
     operand across many calls makes it contiguous once itself.
+
+    When b has at least 2 columns, each entry is one running sum from +0
+    over ascending j, so dropping columns of a that are +-0 in every row
+    (with the matching rows of a finite b) leaves the result bitwise the
+    same. A 1-column b takes a dot kernel that splits the sum into lanes,
+    whose bits depend on the inner length, so this does not hold there.
     """
     return np.einsum("ij,jk->ik", np.ascontiguousarray(a),
                      np.ascontiguousarray(b), optimize=False)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, XlcError,
-                     _integer, _real)
+                     _instance, _integer, _real)
 from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
                      make_rng)
 
@@ -69,6 +69,7 @@ class NmfFactors:
 def nmf_objective(v: LabelMatrix, f: NmfFactors) -> float:
     """0.5 * ||V - WH||_F^2."""
     _check_labels(v)
+    _instance("f", f, NmfFactors)
     if f.w.rows != v.n_rows or f.h.cols != v.n_labels:
         raise ShapeMismatchError(
             f"factors give {f.w.rows}x{f.h.cols}, V is {v.n_rows}x{v.n_labels}")
@@ -94,7 +95,7 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
     The split form reuses the step's W^T W and H H^T.
     """
     n, p = _check_labels(v).n_rows, v.n_labels
-    if cfg.k >= min(n, p):
+    if _instance("cfg", cfg, NmfConfig).k >= min(n, p):
         raise ConfigError(f"k={cfg.k} must be < min(n, p) = {min(n, p)}")
 
     vs = v.to_csr()

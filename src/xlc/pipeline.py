@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
-from .errors import ConfigError, ShapeMismatchError, XlcError, _choice, _integer, _real
+from .errors import (ConfigError, ShapeMismatchError, XlcError, _choice, _instance, _integer,
+                     _real)
 from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
                      make_rng)
 
@@ -34,9 +35,9 @@ class FeatureMatrix(DenseMatrix):
 class RegressorModel:
     """Fitted feature-to-latent map: ridge-linear, X Theta + intercept.
 
-    The parameters are exactly theta (d x k) and intercept (length k);
-    they are immutable after fitting. Predictions pass through an identity
-    output head.
+    The parameters are exactly theta (d x k) and intercept (length k), both
+    finite; they are immutable after fitting. Predictions pass through an
+    identity output head.
     """
 
     KINDS = ("ridge-linear",)
@@ -61,6 +62,9 @@ class RegressorModel:
             raise ShapeMismatchError(
                 f"ridge parameter shapes {theta.shape}, {b.shape} do not "
                 f"chain {self.input_dim} -> {self.output_dim}")
+        for name, a in locked.items():
+            if not np.all(np.isfinite(a)):
+                raise ConfigError(f"ridge parameter {name} has a non-finite entry")
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
         """Identity-head outputs for a dense row block, no clamping."""
@@ -160,7 +164,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     """
     kind = _choice("kind", kind, RegressorModel.KINDS)
     hp = dict(hyperparams or {})
-    if x.rows != w.rows:
+    if _instance("x", x, DenseMatrix).rows != _instance("w", w, DenseMatrix).rows:
         raise ShapeMismatchError(
             f"feature rows {x.rows} != latent rows {w.rows}")
     if w.values.size and w.values.min() < 0:
@@ -209,7 +213,7 @@ def predict_latent(x, m: RegressorModel) -> np.ndarray:
     input inside the non-negative latent domain. Rows are independent: a
     row of a block gives bitwise the same result as that row alone.
     """
-    a = _as_features(x, m.input_dim)
+    a = _as_features(x, _instance("m", m, RegressorModel).input_dim)
     if a.ndim == 1:
         return np.maximum(m.raw_outputs(a.reshape(1, -1))[0], 0.0)
     return np.maximum(m.raw_outputs(a), 0.0)
@@ -217,7 +221,9 @@ def predict_latent(x, m: RegressorModel) -> np.ndarray:
 
 def _check_latent_dim(m: RegressorModel, stack: EncoderStack) -> None:
     """Raise ShapeMismatchError unless the regressor's outputs are the
-    stack's latent codes."""
+    stack's latent codes, after checking the types of both."""
+    _instance("m", m, RegressorModel)
+    _instance("stack", stack, EncoderStack)
     if m.output_dim != stack.latent_dim:
         raise ShapeMismatchError(
             f"regressor outputs {m.output_dim} dims but decoder expects "

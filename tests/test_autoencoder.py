@@ -17,6 +17,7 @@ from xlc import (
     ConfigError,
     DenseMatrix,
     EncoderStack,
+    ExplainConfig,
     FeatureMatrix,
     HierarchyNode,
     LabelMatrix,
@@ -32,8 +33,10 @@ from xlc import (
     ae_gradient,
     decode,
     encode,
+    explain_prediction,
     extract_hierarchy,
     fit_regressor,
+    lime_explain,
     make_block_dataset,
     nmf_factorize,
     nmf_objective,
@@ -487,6 +490,59 @@ def test_refused_inputs_raise_a_named_error(build):
     with pytest.raises(error, match=re.escape(fragment)) as exc:
         call()
     assert type(exc.value) is error
+
+
+# a model, stack, config or feature matrix of the wrong type: build -> (the
+# call, and the ConfigError's message)
+_W = DenseMatrix(np.ones((3, 1)))
+_WRONG_TYPES = {
+    "explain-model": (lambda: explain_prediction(np.ones(2), "m", _STACK),
+                      "m must be of type RegressorModel, got str"),
+    "explain-stack": (lambda: explain_prediction(np.ones(2), _fit(), "s"),
+                      "stack must be of type EncoderStack, got str"),
+    "explain-config": (lambda: explain_prediction(np.ones(2), _fit(), _STACK, {}),
+                       "cfg must be of type ExplainConfig, got dict"),
+    "explain-config-lime": (lambda: ExplainConfig(lime={"num_samples": 10}),
+                            "lime must be of type LimeConfig, got dict"),
+    "lime-config": (lambda: lime_explain(np.ones(2), lambda r: r.sum(axis=1), None),
+                    "cfg must be of type LimeConfig, got NoneType"),
+    "predict-latent-model": (lambda: predict_latent(np.ones(2), "m"),
+                             "m must be of type RegressorModel, got str"),
+    "predict-labels-stack": (lambda: predict_labels(np.ones(2), _fit(), "s"),
+                             "stack must be of type EncoderStack, got str"),
+    "decode-stack": (lambda: decode(np.ones((1, 1)), "s"),
+                     "stack must be of type EncoderStack, got str"),
+    "hierarchy-stack": (lambda: extract_hierarchy("s", 1, 0, 2),
+                        "stack must be of type EncoderStack, got str"),
+    "encode-stack-class": (lambda: encode(_V, DenseMatrix),
+                           "stack must be of type EncoderStack, got type"),
+    "reconstruction-loss-stack": (lambda: reconstruction_loss(_V, H1),
+                                  "stack must be of type EncoderStack, got DenseMatrix"),
+    "ae-gradient-stack": (lambda: ae_gradient(_V, [H1], 1),
+                          "stack must be of type EncoderStack, got list"),
+    "fit-regressor-features": (lambda: fit_regressor(np.ones((3, 2)), _W),
+                               "x must be of type DenseMatrix, got ndarray"),
+    "fit-regressor-latents": (lambda: fit_regressor(FeatureMatrix(np.ones((3, 2))), _W.values),
+                              "w must be of type DenseMatrix, got ndarray"),
+    "nmf-objective-factors": (lambda: nmf_objective(_V, "x"),
+                              "f must be of type NmfFactors, got str"),
+    "nmf-factorize-config": (lambda: nmf_factorize(_V, {"k": 1}),
+                             "cfg must be of type NmfConfig, got dict"),
+    "train-autoencoder-config": (lambda: train_autoencoder(_V, {"layer_dims": [1]}),
+                                 "cfg must be of type AeTrainConfig, got dict"),
+    # refused before the file is opened
+    "save-dataset-features": (lambda: save_dataset(os.devnull, np.ones((2, 1)), _V),
+                              "x must be of type DenseMatrix, got ndarray"),
+}
+
+
+@pytest.mark.parametrize("build", _WRONG_TYPES)
+def test_wrong_typed_arguments_raise_a_config_error_naming_them(build):
+    # each of these used to end in a raw AttributeError on the first
+    # attribute read
+    call, message = _WRONG_TYPES[build]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_numpy_scalar_settings_equal_python_ones():

@@ -644,6 +644,18 @@ def test_regressor_section_with_a_bad_dimension_tag(tmp_path, rows, tag):
         load_model(path)
 
 
+@pytest.mark.parametrize("name", ["intercept", "theta"])
+def test_regressor_section_with_a_non_finite_parameter(tmp_path, name):
+    path = tmp_path / "m.xlc"
+    params = {"intercept": np.ones((1, 2)), "theta": np.ones((3, 2))}
+    params[name][0, 1] = np.inf
+    _regressor_file(path, 0, [("intercept", 1, params["intercept"]),
+                              ("theta", 2, params["theta"])])
+    with pytest.raises(ModelFormatError, match=f"^section 'regressor': ridge parameter "
+                                               f"{name} has a non-finite entry$"):
+        load_model(path)
+
+
 def test_regressor_section_repeats_a_parameter(tmp_path):
     path = tmp_path / "m.xlc"
     _regressor_file(path, 0, [("intercept", 1, np.ones((1, 2))),

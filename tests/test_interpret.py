@@ -634,3 +634,60 @@ def test_explain_predicts_the_sample_block_in_one_call(monkeypatch):
     lime_explain(x, lambda rows: blocks.append(rows.shape) or rows.sum(axis=1),
                  LimeConfig(num_samples=40, k_features=2, seed=1))
     assert blocks == [(40, 12)]
+
+
+def _sparse_row_model(d, k, nnz, seed):
+    """A random d -> k model, a row with nnz nonzero features and its stack."""
+    rng = np.random.default_rng(seed)
+    stack = EncoderStack([DenseMatrix(rng.uniform(0.0, 1.0, size=(k + 3, k)))])
+    params = {"theta": rng.normal(size=(d, k)), "intercept": rng.uniform(0.5, 1.0, k)}
+    x = np.zeros(d)
+    x[rng.choice(d, nnz, replace=False)] = rng.uniform(0.1, 2.0, nnz)
+    return stack, RegressorModel("ridge-linear", d, k, params), x
+
+
+def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch):
+    stack, model, x = _sparse_row_model(300, 8, 8, seed=3)
+    calls = []
+    real = xlc.interpret.predict_latent
+    monkeypatch.setattr(xlc.interpret, "predict_latent",
+                        lambda rows, m: calls.append(np.shape(rows)) or real(rows, m))
+    exp = explain_prediction(x, model, stack,
+                             ExplainConfig(lime=LimeConfig(num_samples=400, seed=2)))
+    # the latent code on the whole row, then the mask block on its 8 nonzeros
+    assert calls == [(300,), (400, 8)]
+    assert exp.surrogate.feature_weights
+    assert all(x[j] != 0.0 for j, _ in exp.surrogate.feature_weights)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("baseline", ["zero", "scalar", "vector"])
+def test_explain_equals_lime_on_the_whole_row_bitwise(k, baseline):
+    # restricting the row and theta to the active columns changes no bit of
+    # the explanation; at k = 1 every column is kept
+    d = 60
+    stack, model, x = _sparse_row_model(d, k, 9, seed=k)
+    rng = np.random.default_rng(10 + k)
+    b = {"zero": 0.0, "scalar": 0.5,
+         "vector": np.where(rng.random(d) < 0.5, 0.0, rng.uniform(-1.0, 1.0, d))}[baseline]
+    lime = LimeConfig(num_samples=300, k_features=4, seed=6, baseline=b)
+    exp = explain_prediction(x, model, stack, ExplainConfig(lime=lime))
+    unit = exp.latent_unit
+    ref = lime_explain(x, lambda rows: predict_latent(rows, model)[:, unit], lime)
+    assert exp.surrogate.feature_weights == ref.feature_weights
+    assert exp.surrogate.intercept == ref.intercept
+    assert exp.surrogate.local_fit_r2 == ref.local_fit_r2
+    assert exp.surrogate.degenerate == ref.degenerate
+    assert len(exp.surrogate.feature_weights) == 4
+
+
+def test_explain_refuses_a_wrong_size_baseline_before_predicting(monkeypatch):
+    stack, model, x = _sparse_row_model(30, 4, 5, seed=1)
+    calls = []
+    real = xlc.interpret.predict_latent
+    monkeypatch.setattr(xlc.interpret, "predict_latent",
+                        lambda rows, m: calls.append(np.shape(rows)) or real(rows, m))
+    lime = LimeConfig(num_samples=50, seed=0, baseline=np.zeros(29))
+    with pytest.raises(ShapeMismatchError, match="^baseline has 29 values for 30 features$"):
+        explain_prediction(x, model, stack, ExplainConfig(lime=lime))
+    assert calls == []

@@ -89,6 +89,33 @@ def test_matmul_bits_do_not_depend_on_operand_layout(seed, n, m, q):
             np.testing.assert_array_equal(_mm(a2, b2), want)
 
 
+def _spread(rng, shape):
+    """Random values of either sign spanning about 1e-8 to 1e8, with a
+    tenth of them +0 or -0."""
+    v = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    zero = rng.random(shape) < 0.1
+    v[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1000), st.integers(1, 64),
+       st.integers(2, 32), st.floats(0.0, 1.0))
+def test_matmul_bits_do_not_depend_on_columns_of_a_that_are_zero(seed, r, n, k, keep):
+    # explain_prediction predicts LIME's samples on the explained row's
+    # active columns only and relies on this: with k >= 2 each entry sums
+    # from +0 in ascending column order, so a +-0 term changes no bit
+    rng = np.random.default_rng(seed)
+    c = np.flatnonzero(rng.random(n) < keep)
+    if c.size == 0:
+        c = np.array([rng.integers(n)])
+    a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
+    dropped = np.setdiff1d(np.arange(n), c)
+    a[:, dropped] = rng.choice([0.0, -0.0], size=(r, dropped.size))
+    full, part = _mm(a, b), _mm(a[:, c], b[c])
+    assert np.array_equal(full.view(np.uint64), part.view(np.uint64))
+
+
 # ---------------------------------------------------------------- solves
 
 

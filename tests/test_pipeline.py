@@ -187,6 +187,19 @@ def test_predict_latent_dimension_mismatch():
         predict_latent(np.ones((1, 4, 2)), m)
 
 
+@pytest.mark.parametrize("name, bad", [("theta", np.inf), ("theta", -np.inf),
+                                       ("theta", np.nan), ("intercept", np.nan),
+                                       ("intercept", np.inf)])
+def test_regressor_refuses_non_finite_parameters(name, bad):
+    # an infinite theta used to be accepted and give a silent NaN:
+    # 0 * inf in the product
+    params = {"theta": np.ones((2, 2)), "intercept": np.ones(2)}
+    params[name] = params[name].copy()
+    params[name].flat[1] = bad
+    with pytest.raises(ConfigError, match=f"^ridge parameter {name} has a non-finite entry$"):
+        RegressorModel("ridge-linear", 2, 2, params)
+
+
 def test_predict_labels_zero_latent_tie_break():
     stack = EncoderStack([DenseMatrix(np.ones((4, 2)))])
     m = _const_model([0.0, 0.0])
