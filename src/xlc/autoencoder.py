@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigError, ShapeMismatchError, TrainingDivergedError, XlcError,
-                     _choice, _instance, _integer, _integers, _real)
+from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, TrainingDivergedError,
+                     _array, _choice, _instance, _integer, _integers, _real)
 from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
                      make_rng)
 from .nmf import NmfConfig, nmf_factorize
@@ -61,8 +61,8 @@ class EncoderStack:
             raise ConfigError("an encoder stack needs at least one layer")
         dims = []
         for i, h in enumerate(layers):
-            if h.values.min(initial=0.0) < 0:
-                raise XlcError(f"layer {i + 1} has a negative entry")
+            if _instance(f"layer {i + 1}", h, DenseMatrix).values.min(initial=0.0) < 0:
+                raise NonNegativityError(f"layer {i + 1} has a negative entry")
             if dims and h.rows != dims[-1]:
                 raise ShapeMismatchError(
                     f"layer {i + 1} is {h.rows}x{h.cols} but layer {i} has "
@@ -152,11 +152,10 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     decoded alone.
     """
     _instance("stack", stack, EncoderStack)
-    a = w.values if isinstance(w, DenseMatrix) else np.asarray(w, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != stack.latent_dim:
-        shape = a.shape if a.ndim == 2 else (len(a),)
+    a = w.values if isinstance(w, DenseMatrix) else _array("w", w, 2)
+    if a.shape[1] != stack.latent_dim:
         raise ShapeMismatchError(
-            f"latent shape {shape} does not match k_L={stack.latent_dim}")
+            f"latent shape {a.shape} does not match k_L={stack.latent_dim}")
     return DenseMatrix(_mm(a, stack.chain_t()))
 
 

@@ -23,8 +23,8 @@ from operator import contains
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import (ConfigError, DatasetFormatError, ModelFormatError, _instance, _integer,
-                     _real)
+from .errors import (ConfigError, DatasetFormatError, ModelFormatError, XlcError, _instance,
+                     _integer, _real)
 from .matrix import DenseMatrix, LabelMatrix, RngSeed, _check_labels, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
@@ -224,6 +224,8 @@ def _names_payload(names) -> bytes:
     """The names joined by newlines, as UTF-8. A name that holds a newline
     or that UTF-8 cannot encode (a lone surrogate) raises ConfigError."""
     for name in names:
+        if not isinstance(name, str):
+            raise ConfigError(f"label name {name!r} must be a string, got {type(name).__name__}")
         if "\n" in name:
             raise ConfigError(f"label name {name!r} contains a newline")
     try:
@@ -277,11 +279,12 @@ class ModelContainer:
                  config: dict | None = None,
                  label_names=None,
                  nmf: NmfFactors | None = None):
-        self.encoder = encoder
-        self.regressor = regressor
+        self.encoder = None if encoder is None else _instance("encoder", encoder, EncoderStack)
+        self.regressor = (None if regressor is None
+                          else _instance("regressor", regressor, RegressorModel))
         self.config = dict(config or {})
         self.label_names = list(label_names) if label_names is not None else None
-        self.nmf = nmf
+        self.nmf = None if nmf is None else _instance("nmf", nmf, NmfFactors)
 
 
 class _Reader:
@@ -455,8 +458,9 @@ def load_model(path) -> ModelContainer:
     Bytes left over in a section or after the last one, a section name
     given twice, a regressor parameter or config key given twice, a
     regressor whose kind code or parameter names are not ridge-linear's,
-    and any value a section's constructor refuses (a width-0 layer, a
-    NaN or negative trace entry) are format errors.
+    and any value a section's constructor refuses (a width-0 layer, a NaN
+    or negative entry, factors that do not chain, a rising NMF trace) are
+    format errors: every refusal is a ModelFormatError naming the section.
     """
     with open(path, "rb") as fh:
         r = _Reader(memoryview(fh.read()), str(path))
@@ -489,7 +493,9 @@ def load_model(path) -> ModelContainer:
         section = _Reader(payload, f"{path}: section {name!r}")
         try:
             fields[name] = parsers[name](section)
-        except ConfigError as exc:
+        except ModelFormatError:
+            raise
+        except XlcError as exc:
             # a constructor refused values that were read in full: the
             # file, not the caller, is at fault
             raise ModelFormatError(f"section {name!r}: {exc}") from None

@@ -4,6 +4,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class XlcError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,13 +39,14 @@ class ModelFormatError(XlcError):
     """A model container is malformed, corrupted, or unsupported."""
 
 
-def _integer(name: str, value, lo: int, hi: int | None = None) -> int:
-    """value as an int >= lo, and <= hi when given: Python or numpy integers, never a float."""
+def _integer(name: str, value, lo: int | None, hi: int | None = None) -> int:
+    """value as an int >= lo when lo is not None, and <= hi when given:
+    Python or numpy integers, never a float."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < lo:
+    if lo is not None and value < lo:
         raise ConfigError(f"{name} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
         raise ConfigError(f"{name} must be <= {hi}, got {value}")
@@ -87,3 +90,23 @@ def _instance(name: str, value, cls: type):
         raise ConfigError(f"{name} must be of type {cls.__name__}, "
                           f"got {type(value).__name__}")
     return value
+
+
+def _array(name: str, value, ndim, nonneg: bool = False) -> np.ndarray:
+    """value as a C-contiguous float64 array of ndim dimensions (or of one
+    of the counts in the tuple ndim), with finite entries, all >= 0 when
+    nonneg. value itself is returned when it already is such an array."""
+    try:
+        a = np.asarray(value, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a numeric array, got "
+                          f"{type(value).__name__}") from None
+    dims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if a.ndim not in dims:
+        raise ShapeMismatchError(f"{name} must be {' or '.join(f'{n}-D' for n in dims)}, "
+                                 f"got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} must be finite, got a non-finite entry in shape {a.shape}")
+    if nonneg and a.size and a.min() < 0.0:
+        raise NonNegativityError(f"{name} must be >= 0, got {a.min()} in shape {a.shape}")
+    return a

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import (ConfigError, ShapeMismatchError, XlcError, _instance, _integer, _integers,
-                     _real)
+from .errors import (ConfigError, ShapeMismatchError, XlcError, _array, _instance, _integer,
+                     _integers, _real)
 from .matrix import RngSeed, _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
@@ -124,15 +124,8 @@ class LimeConfig:
         self.num_samples = _integer("num_samples", num_samples, self.k_features + 2)
         self.kernel_width = (None if kernel_width is None
                              else _real("kernel_width", kernel_width, 0.0, above=True))
-        try:
-            b = np.asarray(baseline, dtype=np.float64)
-        except (TypeError, ValueError):
-            b = None
-        if b is None or b.ndim > 1 or not np.all(np.isfinite(b)):
-            raise ConfigError(
-                f"baseline must be a finite scalar or vector, got {baseline!r}")
         self.seed = RngSeed(seed)
-        self.baseline = b
+        self.baseline = _array("baseline", baseline, (0, 1))
 
 
 class SurrogateExplanation:
@@ -224,10 +217,10 @@ def _forward_select(z: np.ndarray, y: np.ndarray, pi: np.ndarray, k: int,
 
 
 def _feature_row(x_row) -> np.ndarray:
-    """x_row as a float64 vector, which must be non-empty."""
-    x = np.ascontiguousarray(x_row, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeMismatchError(f"x_row must be a non-empty vector, got shape {x.shape}")
+    """x_row as a finite float64 vector, which must be non-empty."""
+    x = _array("x_row", x_row, 1)
+    if x.size == 0:
+        raise ShapeMismatchError("x_row must be a non-empty vector, got shape (0,)")
     return x
 
 
@@ -260,6 +253,8 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """
     x = _feature_row(x_row)
     base = _baseline(_instance("cfg", cfg, LimeConfig), x)
+    if not callable(predict_fn):
+        raise ConfigError(f"predict_fn must be callable, got {type(predict_fn).__name__}")
     support = np.flatnonzero(x != base)
     d_sup = support.size
     k = min(cfg.k_features, d_sup)
@@ -268,17 +263,11 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     z = (rng.random((cfg.num_samples, d_sup)) < 0.5).astype(np.float64)
     masked = np.tile(base, (cfg.num_samples, 1))
     masked[:, support] = z * x[support] + (1.0 - z) * base[support]
-    out = predict_fn(masked)
-    try:
-        y = np.asarray(out, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise XlcError(f"predict_fn returned non-numeric values: {exc}") from None
-    if y.shape != (cfg.num_samples,):
+    y = _array("predict_fn output", predict_fn(masked), 1)
+    if y.size != cfg.num_samples:
         raise ShapeMismatchError(
-            f"predict_fn returned shape {y.shape} for {cfg.num_samples} "
+            f"predict_fn output has shape {y.shape} for {cfg.num_samples} "
             f"rows, expected ({cfg.num_samples},)")
-    if not np.all(np.isfinite(y)):
-        raise XlcError("predict_fn returned a non-finite value")
     if d_sup == 0:
         # every row of the block is x_row itself: nothing to vary
         return SurrogateExplanation((), float(y.mean()), 0.0, "predict_fn",

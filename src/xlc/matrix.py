@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonNegativityError, ShapeMismatchError, XlcError, _integer
+from .errors import ConfigError, ShapeMismatchError, XlcError, _array, _integer
 
 
 class RngSeed:
@@ -77,12 +77,7 @@ class DenseMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        a = np.ascontiguousarray(values, dtype=np.float64)
-        if a.ndim != 2:
-            raise ShapeMismatchError(f"DenseMatrix needs a 2-D array, got ndim={a.ndim}")
-        if not np.all(np.isfinite(a)):
-            raise XlcError("DenseMatrix entries must be finite")
-        self.values = _lock(a)
+        self.values = _lock(_array("values", values, 2))
 
     @property
     def rows(self) -> int:
@@ -109,10 +104,11 @@ class LabelMatrix:
 
     def __init__(self, n_rows: int, n_labels: int, entries):
         entries = list(entries)
-        self._set(n_rows, n_labels,
-                  np.array([e[0] for e in entries], dtype=np.int64),
-                  np.array([e[1] for e in entries], dtype=np.int64),
-                  np.array([e[2] for e in entries], dtype=np.float64))
+        for e in entries:
+            if not (isinstance(e, (tuple, list)) and len(e) == 3):
+                raise ConfigError(f"entries must be (row, col, value) triples, got {e!r}")
+        self._set(n_rows, n_labels, [e[0] for e in entries], [e[1] for e in entries],
+                  [e[2] for e in entries])
 
     @classmethod
     def from_coo(cls, n_rows: int, n_labels: int, rows, cols, vals) -> "LabelMatrix":
@@ -120,31 +116,31 @@ class LabelMatrix:
         with the same checks and canonical form as the entry constructor.
         The matrix stores its own copies; the caller's arrays stay as they
         are."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.ndim == cols.ndim == vals.ndim == 1
-                and rows.shape == cols.shape == vals.shape):
-            raise ShapeMismatchError(
-                f"row, col and value arrays must be 1-D of one length, got "
-                f"shapes {rows.shape}, {cols.shape}, {vals.shape}")
-        if rows.size and not (np.issubdtype(rows.dtype, np.integer)
-                              and np.issubdtype(cols.dtype, np.integer)):
-            raise XlcError("row and col indices must be integers")
         self = cls.__new__(cls)
-        self._set(n_rows, n_labels, np.asarray(rows, dtype=np.int64),
-                  np.asarray(cols, dtype=np.int64), vals)
+        self._set(n_rows, n_labels, rows, cols, vals)
         return self
 
     def _set(self, n_rows, n_labels, rows, cols, vals) -> None:
-        """Check int64/float64 COO arrays, drop zeros, sort row-major, and
-        store one fresh copy of each array."""
+        """Check the COO columns (integer rows and cols, values >= 0, all
+        1-D of one length), drop zeros, sort row-major, and store one fresh
+        copy of each as int64, int64 and float64."""
         n_rows = _integer("n_rows", n_rows, 0)
         n_labels = _integer("n_labels", n_labels, 0)
-        if not np.all(np.isfinite(vals)):
-            raise XlcError("LabelMatrix values must be finite")
-        if vals.size and vals.min() < 0.0:
-            raise NonNegativityError(
-                f"LabelMatrix values must be >= 0, min is {vals.min()}")
+        vals = _array("vals", vals, 1, nonneg=True)
+        index = []
+        for name, a in (("rows", rows), ("cols", cols)):
+            try:
+                a = np.asarray(a)
+            except ValueError:              # a ragged list
+                raise ConfigError(f"{name} must be an index array, got "
+                                  f"{type(a).__name__}") from None
+            if a.shape != vals.shape:
+                raise ShapeMismatchError(
+                    f"{name} must have the shape of vals {vals.shape}, got {a.shape}")
+            if a.size and a.dtype.kind not in "iu":
+                raise ConfigError(f"{name} must hold integers, got dtype {a.dtype}")
+            index.append(a.astype(np.int64, copy=False))
+        rows, cols = index
         if rows.size:
             if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_labels:
                 raise XlcError(
@@ -190,7 +186,7 @@ class LabelMatrix:
 
     @classmethod
     def from_dense_array(cls, a) -> "LabelMatrix":
-        a = np.asarray(a, dtype=np.float64)
+        a = _array("a", a, 2, nonneg=True)
         r, c = np.nonzero(a)
         return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
 
@@ -363,13 +359,12 @@ def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
 
 # The ridge fit sums its normal equations over X's nonzeros only when the
 # pair count sum_i nnz_i (nnz_i + 1) / 2, times this factor, is below the
-# dense products' n d^2. On one x86-64 Xeon thread (numpy 2.4; n x d =
-# 2700 x 32, 2000 x 100, 3200 x 300 and 1500 x 400 at 1-35% density, 8
-# targets) the support form took 0.17-0.54 of the dense time where
-# n d^2 / pairs was 125-196, 0.63-1.23 at 39-49 and 1.0-3.0 at 14-16.
-# Those times are of an earlier np.bincount pair kernel; scipy's sparse
-# products, which replaced it, were no slower on serve-xml's 3200 x 300 block.
-_PAIR_COST = 64
+# dense products' n d^2. On one x86-64 Xeon thread (numpy 2.4, scipy 1.17;
+# 3379 x 32, 2000 x 100, 3200 x 300 and 1200 x 400 blocks, 8 targets, both
+# forms timed with the nonzero scan) scipy's sparse products took 0.06-0.37
+# of the dense time where n d^2 / pairs was 49-2515, 0.54-0.88 at 21-31,
+# 0.67-1.0 at 15-19, 1.0-1.3 at 12-14 and 4.6 at 2.
+_PAIR_COST = 16
 
 
 def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,

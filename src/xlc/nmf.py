@@ -47,7 +47,7 @@ class NmfFactors:
     __slots__ = ("w", "h", "k", "objective_trace")
 
     def __init__(self, w: DenseMatrix, h: DenseMatrix, objective_trace):
-        if w.cols != h.rows:
+        if _instance("w", w, DenseMatrix).cols != _instance("h", h, DenseMatrix).rows:
             raise ShapeMismatchError(
                 f"W is {w.rows}x{w.cols} but H is {h.rows}x{h.cols}")
         if w.values.min(initial=0.0) < 0 or h.values.min(initial=0.0) < 0:

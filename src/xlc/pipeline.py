@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
-from .errors import (ConfigError, ShapeMismatchError, XlcError, _choice, _instance, _integer,
-                     _real)
-from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _mm, _support_normal_equations,
-                     make_rng)
+from .errors import (ConfigError, ShapeMismatchError, XlcError, _array, _choice, _instance,
+                     _integer, _real)
+from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _lock, _mm,
+                     _support_normal_equations, make_rng)
 
 
 class FeatureMatrix(DenseMatrix):
@@ -51,20 +51,13 @@ class RegressorModel:
         if sorted(params) != ["intercept", "theta"]:
             raise ConfigError(f"{kind} parameters must be intercept and theta, "
                               f"got {sorted(params)}")
-        locked = {}
-        for name, a in params.items():
-            a = np.ascontiguousarray(a, dtype=np.float64)
-            a.setflags(write=False)
-            locked[name] = a
-        self.params = locked
-        theta, b = locked["theta"], locked["intercept"]
+        theta = _lock(_array("theta", params["theta"], 2))
+        b = _lock(_array("intercept", params["intercept"], 1))
         if theta.shape != (self.input_dim, self.output_dim) or b.shape != (self.output_dim,):
             raise ShapeMismatchError(
                 f"ridge parameter shapes {theta.shape}, {b.shape} do not "
                 f"chain {self.input_dim} -> {self.output_dim}")
-        for name, a in locked.items():
-            if not np.all(np.isfinite(a)):
-                raise ConfigError(f"ridge parameter {name} has a non-finite entry")
+        self.params = {"theta": theta, "intercept": b}
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
         """Identity-head outputs for a dense row block, no clamping."""
@@ -85,15 +78,7 @@ class RankedPrediction:
     __slots__ = ("scores", "top_n")
 
     def __init__(self, scores: np.ndarray, n: int):
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
-        if scores.ndim != 1:
-            raise ShapeMismatchError(f"scores must be a vector, got shape {scores.shape}")
-        if not np.all(np.isfinite(scores)):
-            raise XlcError("scores contain a non-finite value")
-        if scores.size and scores.min() < 0:
-            raise XlcError("scores contain a negative value")
-        scores.setflags(write=False)
-        self.scores = scores
+        self.scores = scores = _lock(_array("scores", scores, 1, nonneg=True))
         self.top_n = _top_n(scores.reshape(1, -1), _integer("n", n, 1))[0]
 
     @classmethod
@@ -196,12 +181,9 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
 
 def _as_features(x, d: int) -> np.ndarray:
     """A feature vector of length d or an r x d block, as float64."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[-1] != d:
-        raise ShapeMismatchError(
-            f"feature shape {a.shape} does not match input_dim {d}")
-    if not np.all(np.isfinite(a)):
-        raise XlcError("feature vector contains a non-finite value")
+    a = _array("x", x, (1, 2))
+    if a.shape[-1] != d:
+        raise ShapeMismatchError(f"feature shape {a.shape} does not match input_dim {d}")
     return a
 
 
@@ -267,7 +249,8 @@ def _metrics_at_k(ranked, base, keys, counts, k: int) -> tuple[np.ndarray, np.nd
 def _row_metrics(pred: RankedPrediction, truth, k: int) -> tuple[float, float | None]:
     """(P@k, nDCG@k) of one prediction; nDCG@k is None for empty truth."""
     k = _integer("k", k, 1)
-    truth = {int(t) for t in truth}     # a label outside [0, p) counts but never hits
+    # a label outside [0, p) counts but never hits
+    truth = {_integer("truth label", t, None) for t in truth}
     keys = np.array(sorted(t for t in truth if 0 <= t < pred.scores.size), dtype=np.int64)
     ranked = np.array([[j for j, _ in _top_n(pred.scores.reshape(1, -1), k)[0]]])
     prec, ndcg = _metrics_at_k(ranked, np.zeros(1, int), keys, np.array([len(truth)]), k)

@@ -22,8 +22,10 @@ from xlc import (
     HierarchyNode,
     LabelMatrix,
     LimeConfig,
+    ModelContainer,
     NmfConfig,
     NmfFactors,
+    NonNegativityError,
     RankedPrediction,
     RegressorModel,
     RngSeed,
@@ -38,6 +40,7 @@ from xlc import (
     fit_regressor,
     lime_explain,
     make_block_dataset,
+    ndcg_at_k,
     nmf_factorize,
     nmf_objective,
     precision_at_k,
@@ -45,6 +48,8 @@ from xlc import (
     predict_latent,
     reconstruction_loss,
     save_dataset,
+    save_label_names,
+    save_model,
     split_rows,
     train_autoencoder,
 )
@@ -458,18 +463,18 @@ def test_step_settings_must_be_finite_and_in_range(build, value):
 # its error, and a fragment of its message)
 _REFUSALS = {
     "dense-matrix-ndim": (lambda: DenseMatrix(np.ones(3)), ShapeMismatchError,
-                          "DenseMatrix needs a 2-D array, got ndim=1"),
+                          "values must be 2-D, got shape (3,)"),
     "nmf-factors-chain": (lambda: NmfFactors(DenseMatrix(np.ones((2, 2))),
                                              DenseMatrix(np.ones((3, 2))), [1.0]),
                           ShapeMismatchError, "W is 2x2 but H is 3x2"),
     "ranked-2d": (lambda: RankedPrediction(np.ones((2, 3)), 2), ShapeMismatchError,
-                  "scores must be a vector, got shape (2, 3)"),
-    "ranked-non-finite": (lambda: RankedPrediction([1.0, np.nan], 1), XlcError,
-                          "scores contain a non-finite value"),
-    "ranked-negative": (lambda: RankedPrediction([1.0, -0.5], 1), XlcError,
-                        "scores contain a negative value"),
-    "predict-latent-nan": (lambda: predict_latent([np.nan, 0.0], _fit()), XlcError,
-                           "feature vector contains a non-finite value"),
+                  "scores must be 1-D, got shape (2, 3)"),
+    "ranked-non-finite": (lambda: RankedPrediction([1.0, np.nan], 1), ConfigError,
+                          "scores must be finite, got a non-finite entry in shape (2,)"),
+    "ranked-negative": (lambda: RankedPrediction([1.0, -0.5], 1), NonNegativityError,
+                        "scores must be >= 0, got -0.5 in shape (2,)"),
+    "predict-latent-nan": (lambda: predict_latent([np.nan, 0.0], _fit()), ConfigError,
+                           "x must be finite, got a non-finite entry in shape (2,)"),
     "regressor-width": (lambda: predict_labels(np.ones(2), fit_regressor(
                             FeatureMatrix(np.ones((3, 2))), DenseMatrix(np.ones((3, 2)))),
                             _STACK),
@@ -533,6 +538,26 @@ _WRONG_TYPES = {
     # refused before the file is opened
     "save-dataset-features": (lambda: save_dataset(os.devnull, np.ones((2, 1)), _V),
                               "x must be of type DenseMatrix, got ndarray"),
+    # the parts of containers and callbacks: each used to end in a raw
+    # AttributeError or TypeError
+    "stack-layer": (lambda: EncoderStack([H1, np.ones((2, 1))]),
+                    "layer 2 must be of type DenseMatrix, got ndarray"),
+    "nmf-factors-w": (lambda: NmfFactors(np.ones((2, 1)), np.ones((1, 3)), []),
+                      "w must be of type DenseMatrix, got ndarray"),
+    "nmf-factors-h": (lambda: NmfFactors(DenseMatrix(np.ones((2, 1))), np.ones((1, 3)), []),
+                      "h must be of type DenseMatrix, got ndarray"),
+    "container-encoder": (lambda: save_model(os.devnull, ModelContainer(encoder="x")),
+                          "encoder must be of type EncoderStack, got str"),
+    "container-regressor": (lambda: ModelContainer(regressor=_STACK),
+                            "regressor must be of type RegressorModel, got EncoderStack"),
+    "container-nmf": (lambda: ModelContainer(nmf=H1), "nmf must be of type NmfFactors, "
+                                                      "got DenseMatrix"),
+    "container-label-names": (lambda: save_model(os.devnull, ModelContainer(label_names=[1, 2])),
+                              "label name 1 must be a string, got int"),
+    "save-label-names": (lambda: save_label_names(os.devnull, ["a", b"b"]),
+                         "label name b'b' must be a string, got bytes"),
+    "lime-predict-fn": (lambda: lime_explain(np.ones(2), None, LimeConfig(num_samples=10)),
+                        "predict_fn must be callable, got NoneType"),
 }
 
 
@@ -543,6 +568,87 @@ def test_wrong_typed_arguments_raise_a_config_error_naming_them(build):
     call, message = _WRONG_TYPES[build]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# every array argument that errors._array converts: build -> (the call, the
+# argument's name as its errors give it, and the most dimensions it takes)
+_ARRAYS = {
+    "dense-matrix": (DenseMatrix, "values", 2),
+    "feature-matrix": (FeatureMatrix, "values", 2),
+    "label-matrix-entry-value": (lambda a: LabelMatrix(2, 2, [(0, 0, a)]), "vals", 0),
+    "label-matrix-coo-vals": (lambda a: LabelMatrix.from_coo(2, 2, [0, 1], [0, 1], a),
+                              "vals", 1),
+    "label-matrix-dense": (LabelMatrix.from_dense_array, "a", 2),
+    "regressor-theta": (lambda a: RegressorModel("ridge-linear", 2, 2,
+                                                 {"theta": a, "intercept": np.ones(2)}),
+                        "theta", 2),
+    "regressor-intercept": (lambda a: RegressorModel("ridge-linear", 2, 2,
+                                                     {"theta": np.ones((2, 2)), "intercept": a}),
+                            "intercept", 1),
+    "ranked-scores": (lambda a: RankedPrediction(a, 1), "scores", 1),
+    "predict-latent": (lambda a: predict_latent(a, _fit()), "x", 2),
+    "predict-labels": (lambda a: predict_labels(a, _fit(), _STACK), "x", 2),
+    "decode": (lambda a: decode(a, _STACK), "w", 2),
+    "lime-baseline": (lambda a: LimeConfig(baseline=a), "baseline", 1),
+    "lime-row": (lambda a: lime_explain(a, lambda rows: rows.sum(axis=1),
+                                        LimeConfig(num_samples=10)), "x_row", 1),
+    "explain-row": (lambda a: explain_prediction(a, _fit(), _STACK), "x_row", 1),
+    "lime-output": (lambda a: lime_explain(np.ones(2), lambda rows: a,
+                                           LimeConfig(num_samples=10)),
+                    "predict_fn output", 1),
+}
+
+# bad value -> (its error class, and how its message goes on after the name)
+_BAD_ARRAYS = {
+    "string": (lambda top: "abc", ConfigError, " must be a numeric array, got str$"),
+    "ragged": (lambda top: [[1.0, 2.0], [3.0]], ConfigError,
+               " must be a numeric array, got list$"),
+    "nan": (lambda top: np.full((2,) * top, np.nan), ConfigError,
+            r" must be finite, got a non-finite entry in shape \("),
+    "ndim": (lambda top: np.ones((2,) * (top + 1)), ShapeMismatchError,
+             r" must be \d-D( or \d-D)*, got shape \("),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_ARRAYS)
+@pytest.mark.parametrize("build", _ARRAYS)
+def test_array_arguments_are_refused_by_name(build, bad):
+    # a string or a ragged list used to end in a raw ValueError from numpy
+    # at most of these, and a NaN in a plain XlcError or a silent NaN
+    call, name, top = _ARRAYS[build]
+    value, error, rest = _BAD_ARRAYS[bad]
+    if build == "label-matrix-entry-value":     # the entries' values go in one list
+        rest = rest.replace("got str", "got list")
+    with pytest.raises(error, match="^" + re.escape(name) + rest) as exc:
+        call(value(top))
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((1.5, 0, 1.0), "rows must hold integers, got dtype float64"),
+    ((0, 0.5, 1.0), "cols must hold integers, got dtype float64"),
+    (("1", 0, 1.0), "rows must hold integers, got dtype <U1"),
+    ((0, 0), "entries must be (row, col, value) triples, got (0, 0)"),
+    (7, "entries must be (row, col, value) triples, got 7"),
+])
+def test_label_matrix_entries_are_integer_triples(entry, message):
+    # (1.5, 0, 1.0) used to be stored as row 1, and (0, 0) to end in a raw
+    # IndexError; from_coo refuses the same columns with the same message
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        LabelMatrix(3, 3, [entry])
+    if isinstance(entry, tuple) and len(entry) == 3:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            LabelMatrix.from_coo(3, 3, *([e] for e in entry))
+
+
+@pytest.mark.parametrize("metric", [precision_at_k, ndcg_at_k])
+@pytest.mark.parametrize("label", [1.5, "1", None])
+def test_truth_labels_must_be_integers(metric, label):
+    # 1.5 used to be scored as label 1
+    pred = RankedPrediction([0.1, 0.9, 0.5], 2)
+    with pytest.raises(ConfigError, match="^truth label must be an integer, got "):
+        metric(pred, [0, label], 1)
+    assert metric(pred, [np.int64(1), True], 1) == 1.0
 
 
 def test_numpy_scalar_settings_equal_python_ones():

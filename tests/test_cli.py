@@ -444,12 +444,12 @@ def test_serving_commands_do_not_import_scipy(planted, tmp_path):
     assert loaded == []
 
 
-@pytest.mark.parametrize("d, zeros, support", [(400, 0.8, False), (300, 0.975, True)],
+@pytest.mark.parametrize("d, zeros, support", [(400, 0.6, False), (300, 0.975, True)],
                          ids=["dense", "sparse"])
 def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path, d, zeros,
                                                                     support):
     # Features with several nonzeros per row, unlike gen-synth's one-hot
-    # rows. At d=400 and 20% density the ridge fit takes the dense products,
+    # rows. At d=400 and 40% density the ridge fit takes the dense products,
     # where a LAPACK solve of its normal equations once gave different bits
     # with 1 and 2 BLAS threads; at d=300 and 2.5% density, serve-xml's
     # shape, it sums them over the features' nonzeros.

@@ -1,5 +1,6 @@
 """Dataset text format, planted generator, and the binary model container."""
 
+import re
 import struct
 import tracemalloc
 import warnings
@@ -22,7 +23,6 @@ from xlc import (
     ModelContainer,
     ModelFormatError,
     NmfConfig,
-    ShapeMismatchError,
     fit_regressor,
     load_dataset,
     load_label_names,
@@ -627,7 +627,8 @@ def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
     assert load_model(path).regressor.kind == "ridge-linear"
     # a weight matrix stored as a vector fails its shape check
     _regressor_file(path, 0, [intercept, ("theta", 1, np.ones((1, 6)))])
-    with pytest.raises(ShapeMismatchError, match="do not chain 3 -> 2"):
+    with pytest.raises(ModelFormatError,
+                       match=r"^section 'regressor': theta must be 2-D, got shape \(6,\)$"):
         load_model(path)
 
 
@@ -651,8 +652,8 @@ def test_regressor_section_with_a_non_finite_parameter(tmp_path, name):
     params[name][0, 1] = np.inf
     _regressor_file(path, 0, [("intercept", 1, params["intercept"]),
                               ("theta", 2, params["theta"])])
-    with pytest.raises(ModelFormatError, match=f"^section 'regressor': ridge parameter "
-                                               f"{name} has a non-finite entry$"):
+    with pytest.raises(ModelFormatError, match=f"^section 'regressor': {name} must be finite, "
+                                               f"got a non-finite entry in shape"):
         load_model(path)
 
 
@@ -692,6 +693,39 @@ def test_section_with_a_bad_trace_entry(tmp_path, section, trace):
     with pytest.raises(ModelFormatError, match=f"^section '{section.decode()}': "
                        r"trace entry must be (a finite number|>= 0)"):
         load_model(path)
+
+
+def _stored(*mats, trace=()) -> bytes:
+    """Matrices and a trace in the container's payload layout."""
+    out = b""
+    for a in mats:
+        a = np.asarray(a, dtype="<f8")
+        out += struct.pack("<II", *a.shape) + a.tobytes()
+    return out + struct.pack("<Q", len(trace)) + np.asarray(trace, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("section, payload, message", [
+    (b"encoder", struct.pack("<I", 1) + _stored([[np.nan], [1.0]]),
+     "values must be finite, got a non-finite entry in shape (2, 1)"),
+    (b"encoder", struct.pack("<I", 1) + _stored([[-1.0], [1.0]]),
+     "layer 1 has a negative entry"),
+    (b"encoder", struct.pack("<I", 2) + _stored(np.ones((3, 2)), np.ones((3, 1))),
+     "layer 2 is 3x1 but layer 1 has 2 columns"),
+    (b"nmf", _stored([[-1.0]], [[1.0]], trace=[1.0]), "NMF factors must be entrywise >= 0"),
+    (b"nmf", _stored([[1.0]], [[1.0]], trace=[1.0, 2.0]),
+     "objective trace increases at step 1: 1 -> 2"),
+    (b"nmf", _stored(np.ones((2, 2)), np.ones((3, 2)), trace=[1.0]), "W is 2x2 but H is 3x2"),
+], ids=["encoder-nan", "encoder-negative", "encoder-chain", "nmf-negative", "nmf-rising-trace",
+        "nmf-chain"])
+def test_every_refused_section_is_a_format_error(tmp_path, section, payload, message):
+    # each of these used to escape as the constructor's own XlcError,
+    # ShapeMismatchError or NonNegativityError, naming no section
+    path = tmp_path / "m.xlc"
+    path.write_bytes(_model_bytes([(section, payload)]))
+    with pytest.raises(ModelFormatError, match=f"^section '{section.decode()}': "
+                                               f"{re.escape(message)}$") as exc:
+        load_model(path)
+    assert type(exc.value) is ModelFormatError
 
 
 def test_config_rejects_unserializable_keys(tmp_path):

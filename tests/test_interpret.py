@@ -274,7 +274,7 @@ def test_lime_rejects_non_finite_outputs():
                                     lambda rows: [[1.0, 2.0], [3.0]]],
                          ids=["strings", "ragged"])
 def test_lime_rejects_outputs_that_are_not_numbers(result):
-    with pytest.raises(XlcError, match="predict_fn returned non-numeric values"):
+    with pytest.raises(ConfigError, match="^predict_fn output must be a numeric array, got list$"):
         lime_explain(np.ones(3), result, LimeConfig(num_samples=50, seed=0))
 
 
@@ -282,7 +282,9 @@ def test_lime_rejects_outputs_that_are_not_numbers(result):
                          ids=["column", "scalar", "one-short"])
 def test_lime_rejects_outputs_not_one_per_row(shape):
     # an (S, 1) result would otherwise broadcast against the (S,) weights
-    with pytest.raises(ShapeMismatchError, match=r"shape .* for 50 rows"):
+    with pytest.raises(ShapeMismatchError, match=r"^predict_fn output (must be 1-D, got shape "
+                                                 r"\(50, 1\)|must be 1-D, got shape \(\)|has "
+                                                 r"shape \(49,\) for 50 rows)"):
         lime_explain(np.ones(3), lambda rows: np.ones(shape),
                      LimeConfig(num_samples=50, seed=0))
 
@@ -297,9 +299,11 @@ def test_lime_config_validation():
     with pytest.raises(ConfigError):
         LimeConfig(kernel_width=float("nan"))
     # a NaN baseline used to surface as "predict_fn returned a non-finite value"
-    for baseline in (float("nan"), [0.0, float("inf")], np.zeros((2, 2)), "abc"):
+    for baseline in (float("nan"), [0.0, float("inf")], "abc"):
         with pytest.raises(ConfigError):
             LimeConfig(baseline=baseline)
+    with pytest.raises(ShapeMismatchError):
+        LimeConfig(baseline=np.zeros((2, 2)))
     # a per-feature baseline of the wrong length used to fail in np.broadcast_to
     cfg = LimeConfig(num_samples=20, k_features=2, baseline=[0.0, 1.0, 2.0])
     with pytest.raises(ShapeMismatchError, match="3 values for 2 features"):
@@ -569,8 +573,7 @@ def test_explain_refuses_a_row_block_before_predicting():
     # a 1 x d block used to reach argmax over the 1 x k latent block and end
     # in a raw IndexError
     stack, model = _stack_and_model()
-    with pytest.raises(ShapeMismatchError, match=r"^x_row must be a non-empty vector, "
-                                                 r"got shape \(1, 2\)"):
+    with pytest.raises(ShapeMismatchError, match=r"^x_row must be 1-D, got shape \(1, 2\)"):
         explain_prediction(np.array([[0.2, 1.5]]), model, stack)
 
 

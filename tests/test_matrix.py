@@ -408,6 +408,20 @@ def test_support_normal_equations_are_the_row_ordered_sums_bitwise(case, dense_r
     assert rhs.tobytes() == want_rhs.tobytes()
 
 
+@pytest.mark.parametrize("per_row, support", [(10, True), (11, False)])
+def test_support_form_runs_below_sixteen_times_the_pair_count(per_row, support):
+    # n d^2 = 200 * 32^2: 10 signed nonzeros per row make 55 pairs a row,
+    # n d^2 / pairs = 18.6, and take the support form; 11 make 66, 15.5,
+    # and take the dense products, where those are the faster ones
+    n, d = 200, 32
+    rng = np.random.default_rng(5)
+    x = np.zeros((n, d))
+    for row in x:
+        row[rng.choice(d, per_row, replace=False)] = rng.uniform(-1.0, 1.0, per_row)
+    normal = _support_normal_equations(x, x.mean(axis=0), np.zeros((n, 1)))
+    assert (normal is not None) == support
+
+
 def test_support_normal_equations_hold_a_few_blocks_of_pairs():
     # 573k pairs, whose index and weight vectors would take 22.9 MB at
     # once; the sparse products never form them, so the peak (4.4 MB) is

@@ -196,7 +196,8 @@ def test_regressor_refuses_non_finite_parameters(name, bad):
     params = {"theta": np.ones((2, 2)), "intercept": np.ones(2)}
     params[name] = params[name].copy()
     params[name].flat[1] = bad
-    with pytest.raises(ConfigError, match=f"^ridge parameter {name} has a non-finite entry$"):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got a non-finite entry "
+                                          f"in shape"):
         RegressorModel("ridge-linear", 2, 2, params)
 
 
