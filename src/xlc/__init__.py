@@ -17,7 +17,7 @@ from .errors import (ConfigError, DatasetFormatError, ModelFormatError,
 from .interpret import (ExplainConfig, Explanation, HierarchyNode, LimeConfig,
                         SurrogateExplanation, explain_prediction,
                         extract_hierarchy, lime_explain, render_hierarchy)
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, make_rng
+from .matrix import DenseMatrix, LabelMatrix, make_rng
 from .nmf import NmfConfig, NmfFactors, nmf_factorize, nmf_objective
 from .pipeline import (FeatureMatrix, RankedPrediction, RegressorModel,
                        fit_regressor, ndcg_at_k, precision_at_k,
@@ -31,7 +31,7 @@ __all__ = [
     "EncoderStack", "ExplainConfig", "Explanation", "FeatureMatrix",
     "HierarchyNode", "LabelMatrix", "LimeConfig", "ModelContainer",
     "ModelFormatError", "NmfConfig", "NmfFactors", "NonNegativityError",
-    "RankedPrediction", "RegressorModel", "RngSeed", "ShapeMismatchError",
+    "RankedPrediction", "RegressorModel", "ShapeMismatchError",
     "SurrogateExplanation", "TrainingDivergedError", "XlcError", "ae_gradient",
     "decode", "encode", "explain_prediction", "extract_hierarchy",
     "fit_regressor", "lime_explain", "load_dataset", "load_label_names",

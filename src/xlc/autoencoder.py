@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, TrainingDivergedError,
                      _array, _choice, _instance, _integer, _integers, _real)
-from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
-                     make_rng)
+from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lowrank_sq_error, _mm, make_rng
 from .nmf import NmfConfig, nmf_factorize
 
 
@@ -112,14 +111,14 @@ class AeTrainConfig:
     def __init__(self, layer_dims, max_epochs: int = 2000,
                  learning_rate: float = 1e-3, rel_tol: float = 1e-7,
                  init_scheme: str = "random-uniform",
-                 seed: RngSeed | int = 0):
+                 seed: int = 0):
         self.layer_dims = _integers("layer_dims", layer_dims, 1, item="layer width")
         _check_widths(self.layer_dims)
         self.max_epochs = _integer("max_epochs", max_epochs, 1)
         self.learning_rate = _real("learning_rate", learning_rate, 0.0, above=True)
         self.rel_tol = _real("rel_tol", rel_tol, 0.0)
         self.init_scheme = _choice("init_scheme", init_scheme, self.INIT_SCHEMES)
-        self.seed = RngSeed(seed)
+        self.seed = _integer("seed", seed, 0, 2**64 - 1)
 
 
 def _check_widths(dims, p=None) -> None:
@@ -152,10 +151,7 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     decoded alone.
     """
     _instance("stack", stack, EncoderStack)
-    a = w.values if isinstance(w, DenseMatrix) else _array("w", w, 2)
-    if a.shape[1] != stack.latent_dim:
-        raise ShapeMismatchError(
-            f"latent shape {a.shape} does not match k_L={stack.latent_dim}")
+    a = _array("w", w.values if isinstance(w, DenseMatrix) else w, (None, stack.latent_dim))
     return DenseMatrix(_mm(a, stack.chain_t()))
 
 

@@ -21,7 +21,7 @@ from .autoencoder import AeTrainConfig, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
-from .errors import ConfigError, XlcError, _choice, _integer, _integers
+from .errors import ConfigError, ModelFormatError, XlcError, _choice, _integer, _integers
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES, _check_labels
@@ -110,16 +110,16 @@ def _load_rows(path, purpose: str, split: bool = False):
     is refused by its path, not by a bound derived from its row count."""
     x, v = load_dataset(path)
     if x.rows == 0:
-        raise XlcError(f"{path} has no rows to {purpose}")
+        raise ConfigError(f"{path} has no rows to {purpose}")
     if split and x.rows == 1:
-        raise XlcError(f"{path} has 1 row; a train/test split needs at least 2")
+        raise ConfigError(f"{path} has 1 row; a train/test split needs at least 2")
     return x, v
 
 
 def _need(container: ModelContainer, section: str):
     value = getattr(container, section)
     if value is None:
-        raise XlcError(
+        raise ModelFormatError(
             f"model file has no {section!r} section; run the producing "
             f"command first")
     return value
@@ -271,7 +271,7 @@ def _cmd_eval(o) -> int:
     used_rows = rows[counts[rows] > 0]
     used, skipped = used_rows.size, rows.size - used_rows.size
     if used == 0:
-        raise XlcError("no rows with labels to evaluate")
+        raise ConfigError("no rows with labels to evaluate")
 
     keys = v.entry_rows * v.n_labels + v.entry_cols
     scores = np.empty((2, len(ks), used))       # P@k and nDCG@k of every row

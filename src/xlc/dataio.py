@@ -17,6 +17,7 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
+from collections.abc import Mapping
 from itertools import repeat
 from operator import contains
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from .autoencoder import EncoderStack
 from .errors import (ConfigError, DatasetFormatError, ModelFormatError, XlcError, _instance,
-                     _integer, _real)
-from .matrix import DenseMatrix, LabelMatrix, RngSeed, _check_labels, make_rng
+                     _integer, _names, _real)
+from .matrix import DenseMatrix, LabelMatrix, _check_labels, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
 
@@ -221,13 +222,9 @@ def load_label_names(path) -> list[str]:
 
 
 def _names_payload(names) -> bytes:
-    """The names joined by newlines, as UTF-8. A name that holds a newline
-    or that UTF-8 cannot encode (a lone surrogate) raises ConfigError."""
-    for name in names:
-        if not isinstance(name, str):
-            raise ConfigError(f"label name {name!r} must be a string, got {type(name).__name__}")
-        if "\n" in name:
-            raise ConfigError(f"label name {name!r} contains a newline")
+    """The names, checked by errors._names, joined by newlines as UTF-8; one
+    that UTF-8 cannot encode (a lone surrogate) raises ConfigError."""
+    names = _names("label_names", names)
     try:
         return "\n".join(names).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -236,14 +233,13 @@ def _names_payload(names) -> bytes:
 
 
 def save_label_names(path, names) -> None:
-    names = list(names)
     payload = _names_payload(names)
     with open(path, "wb") as fh:
         fh.write(payload + b"\n" if names else b"")
 
 
 def make_block_dataset(blocks: int, rows: int, labels_per_block: int,
-                       noise: float, seed: RngSeed | int = 0):
+                       noise: float, seed: int = 0):
     """Planted generator: each row belongs to one block, carries that
     block's labels with each of the p bits flipped with probability
     `noise`, and a one-hot block-indicator feature vector.
@@ -282,8 +278,8 @@ class ModelContainer:
         self.encoder = None if encoder is None else _instance("encoder", encoder, EncoderStack)
         self.regressor = (None if regressor is None
                           else _instance("regressor", regressor, RegressorModel))
-        self.config = dict(config or {})
-        self.label_names = list(label_names) if label_names is not None else None
+        self.config = {} if config is None else dict(_instance("config", config, Mapping))
+        self.label_names = None if label_names is None else _names("label_names", label_names)
         self.nmf = None if nmf is None else _instance("nmf", nmf, NmfFactors)
 
 
@@ -436,6 +432,7 @@ _SECTIONS = (                   # (name, pack, parse), in file order
 
 def save_model(path, container: ModelContainer) -> None:
     """Write the container; section payloads carry individual CRC-32s."""
+    _instance("container", container, ModelContainer)
     sections = []
     for name, pack, _ in _SECTIONS:
         value = getattr(container, name)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import (ConfigError, ShapeMismatchError, XlcError, _array, _instance, _integer,
-                     _integers, _real)
-from .matrix import RngSeed, _back_substitute, _mm, make_rng
+from .errors import (ConfigError, ShapeMismatchError, _array, _instance, _integer, _integers,
+                     _names, _real)
+from .matrix import _back_substitute, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
 
@@ -59,7 +59,7 @@ def render_hierarchy(node: HierarchyNode, indent: int = 0) -> str:
     """Line-oriented tree rendering; layer-1 nodes print their labels
     inline, e.g. "H1, unit 64: garlic, onion, chicken stock"."""
     pad = " " * indent
-    if node.layer == 0:
+    if _instance("node", node, HierarchyNode).layer == 0:
         return f"{pad}{_label_text(node)} (weight {node.weight:.6g})"
     if all(c.layer == 0 for c in node.children):
         names = ", ".join(_label_text(c) for c in node.children)
@@ -85,9 +85,8 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     """
     layer = _integer("layer", layer, 1, _instance("stack", stack, EncoderStack).depth)
     unit = _integer("unit", unit, 0, stack.layers[layer - 1].cols - 1)
-    if labels is not None and len(labels) != stack.p:
-        raise ShapeMismatchError(
-            f"{len(labels)} label names for p={stack.p} labels")
+    if labels is not None:
+        labels = _names("labels", labels, stack.p)
     m = _level_counts("m", m)
     counts = (m,) * layer if isinstance(m, int) else m
     if len(counts) < layer:
@@ -119,13 +118,13 @@ class LimeConfig:
     __slots__ = ("num_samples", "kernel_width", "k_features", "seed", "baseline")
 
     def __init__(self, num_samples: int = 1000, kernel_width=None,
-                 k_features: int = 5, seed: RngSeed | int = 0, baseline=0.0):
+                 k_features: int = 5, seed: int = 0, baseline=0.0):
         self.k_features = _integer("k_features", k_features, 1)
         self.num_samples = _integer("num_samples", num_samples, self.k_features + 2)
         self.kernel_width = (None if kernel_width is None
                              else _real("kernel_width", kernel_width, 0.0, above=True))
-        self.seed = RngSeed(seed)
-        self.baseline = _array("baseline", baseline, (0, 1))
+        self.seed = _integer("seed", seed, 0, 2**64 - 1)
+        self.baseline = _array("baseline", baseline, (), (None,))
 
 
 class SurrogateExplanation:
@@ -145,7 +144,7 @@ class SurrogateExplanation:
         self.feature_weights = tuple((int(i), float(w)) for i, w in feature_weights)
         self.intercept = float(intercept)
         if local_fit_r2 > 1.0 + 1e-12:
-            raise XlcError(f"r2 {local_fit_r2} above 1")
+            raise ConfigError(f"r2 {local_fit_r2} above 1")
         self.local_fit_r2 = min(float(local_fit_r2), 1.0)
         self.target = str(target)
         self.degenerate = bool(degenerate)
@@ -218,7 +217,7 @@ def _forward_select(z: np.ndarray, y: np.ndarray, pi: np.ndarray, k: int,
 
 def _feature_row(x_row) -> np.ndarray:
     """x_row as a finite float64 vector, which must be non-empty."""
-    x = _array("x_row", x_row, 1)
+    x = _array("x_row", x_row, (None,))
     if x.size == 0:
         raise ShapeMismatchError("x_row must be a non-empty vector, got shape (0,)")
     return x
@@ -227,10 +226,7 @@ def _feature_row(x_row) -> np.ndarray:
 def _baseline(lime: LimeConfig, x: np.ndarray) -> np.ndarray:
     """lime's baseline as a read-only vector the size of x, which a vector
     baseline must match."""
-    b = lime.baseline
-    if b.ndim == 1 and b.size != x.size:
-        raise ShapeMismatchError(f"baseline has {b.size} values for {x.size} features")
-    return np.broadcast_to(b, x.shape)
+    return np.broadcast_to(_array("baseline", lime.baseline, (), x.shape), x.shape)
 
 
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
@@ -263,11 +259,7 @@ def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     z = (rng.random((cfg.num_samples, d_sup)) < 0.5).astype(np.float64)
     masked = np.tile(base, (cfg.num_samples, 1))
     masked[:, support] = z * x[support] + (1.0 - z) * base[support]
-    y = _array("predict_fn output", predict_fn(masked), 1)
-    if y.size != cfg.num_samples:
-        raise ShapeMismatchError(
-            f"predict_fn output has shape {y.shape} for {cfg.num_samples} "
-            f"rows, expected ({cfg.num_samples},)")
+    y = _array("predict_fn output", predict_fn(masked), (cfg.num_samples,))
     if d_sup == 0:
         # every row of the block is x_row itself: nothing to vary
         return SurrogateExplanation((), float(y.mean()), 0.0, "predict_fn",
@@ -352,7 +344,7 @@ class ExplainConfig:
                  label_names=None):
         self.lime = LimeConfig() if lime is None else _instance("lime", lime, LimeConfig)
         self.hierarchy_m = _level_counts("hierarchy_m", hierarchy_m)
-        self.label_names = label_names
+        self.label_names = None if label_names is None else _names("label_names", label_names)
 
 
 def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,

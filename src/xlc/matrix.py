@@ -23,32 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError, XlcError, _array, _integer
+from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _indices,
+                     _instance, _integer)
 
 
-class RngSeed:
-    """A 64-bit unsigned seed. Same seed => bitwise-identical random streams."""
-
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: RngSeed | int):
-        self.seed = (seed.seed if isinstance(seed, RngSeed)
-                     else _integer("seed", seed, 0, 2**64 - 1))
-
-    def __repr__(self):
-        return f"RngSeed({self.seed})"
-
-    def __eq__(self, other):
-        return isinstance(other, RngSeed) and other.seed == self.seed
-
-    def __hash__(self):
-        return hash(self.seed)
-
-
-def make_rng(seed) -> np.random.Generator:
-    """PCG64 generator from an RngSeed or a plain int, which must be a valid
-    RngSeed."""
-    return np.random.Generator(np.random.PCG64(RngSeed(seed).seed))
+def make_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator from a seed in [0, 2**64 - 1]. Equal seeds give
+    bitwise-identical random streams."""
+    return np.random.Generator(np.random.PCG64(_integer("seed", seed, 0, 2**64 - 1)))
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -77,7 +59,7 @@ class DenseMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = _lock(_array("values", values, 2))
+        self.values = _lock(_array("values", values, (None, None)))
 
     @property
     def rows(self) -> int:
@@ -121,30 +103,14 @@ class LabelMatrix:
         return self
 
     def _set(self, n_rows, n_labels, rows, cols, vals) -> None:
-        """Check the COO columns (integer rows and cols, values >= 0, all
-        1-D of one length), drop zeros, sort row-major, and store one fresh
-        copy of each as int64, int64 and float64."""
+        """Check the COO columns (values >= 0, and rows and cols in bounds,
+        all 1-D of one length), drop zeros, sort row-major, and store one
+        fresh copy of each as int64, int64 and float64."""
         n_rows = _integer("n_rows", n_rows, 0)
         n_labels = _integer("n_labels", n_labels, 0)
-        vals = _array("vals", vals, 1, nonneg=True)
-        index = []
-        for name, a in (("rows", rows), ("cols", cols)):
-            try:
-                a = np.asarray(a)
-            except ValueError:              # a ragged list
-                raise ConfigError(f"{name} must be an index array, got "
-                                  f"{type(a).__name__}") from None
-            if a.shape != vals.shape:
-                raise ShapeMismatchError(
-                    f"{name} must have the shape of vals {vals.shape}, got {a.shape}")
-            if a.size and a.dtype.kind not in "iu":
-                raise ConfigError(f"{name} must hold integers, got dtype {a.dtype}")
-            index.append(a.astype(np.int64, copy=False))
-        rows, cols = index
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_labels:
-                raise XlcError(
-                    f"entry index out of bounds for {n_rows}x{n_labels} matrix")
+        vals = _array("vals", vals, (None,), nonneg=True)
+        rows = _indices("rows", rows, vals.shape, n_rows)
+        cols = _indices("cols", cols, vals.shape, n_labels)
         keep = vals > 0.0
         step = np.diff(rows)
         if not np.all((step > 0) | ((step == 0) & (np.diff(cols) >= 0))):
@@ -158,8 +124,7 @@ class LabelMatrix:
             dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
             if dup.any():
                 i = int(np.argmax(dup))
-                raise XlcError(
-                    f"duplicate entry at (row={rows[i]}, col={cols[i]})")
+                raise ConfigError(f"duplicate entry at (row={rows[i]}, col={cols[i]})")
         self.n_rows = n_rows
         self.n_labels = n_labels
         self.entry_rows = _lock(rows)
@@ -186,7 +151,7 @@ class LabelMatrix:
 
     @classmethod
     def from_dense_array(cls, a) -> "LabelMatrix":
-        a = _array("a", a, 2, nonneg=True)
+        a = _array("a", a, (None, None), nonneg=True)
         r, c = np.nonzero(a)
         return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
 
@@ -197,8 +162,7 @@ class LabelMatrix:
 def _check_labels(v, p: int | None = None) -> LabelMatrix:
     """v, checked to be a LabelMatrix, and one with p labels when p is
     given; every function that takes a label matrix checks it here."""
-    if not isinstance(v, LabelMatrix):
-        raise XlcError(f"expected a LabelMatrix, got {type(v).__name__}")
+    _instance("v", v, LabelMatrix)
     if p is not None and v.n_labels != p:
         raise ShapeMismatchError(
             f"input has {v.n_labels} labels, encoder expects {p}")
@@ -243,15 +207,16 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Factors A = U^T U, row j of U from rows 0..j-1 through one _mm, then
     solves U^T Y = B and U X = Y with _back_substitute (the lower solve runs
     it on the row- and column-reversed U^T). No LAPACK or BLAS call takes
-    part, so X obeys the determinism contract. Raises XlcError when a pivot
-    is not positive, i.e. A is singular or indefinite to working precision.
+    part, so X obeys the determinism contract. Raises NonNegativityError
+    when a pivot is not positive, i.e. A is singular or indefinite to
+    working precision.
     """
     n = a.shape[0]
     u = np.zeros((n, n))
     for j in range(n):
         row = a[j, j:] - _mm(u[:j, j:j + 1].T, u[:j, j:])[0]
         if not row[0] > 0.0:
-            raise XlcError(f"matrix is not positive definite: pivot {j} is {row[0]}")
+            raise NonNegativityError(f"matrix is not positive definite: pivot {j} is {row[0]}")
         u[j, j:] = row / np.sqrt(row[0])
     y = _back_substitute(u.T[::-1, ::-1], b[::-1])[::-1]
     return _back_substitute(u, y)

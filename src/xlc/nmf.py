@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, XlcError,
-                     _instance, _integer, _real)
-from .matrix import (DenseMatrix, LabelMatrix, RngSeed, _check_labels, _lowrank_sq_error, _mm,
-                     make_rng)
+from .errors import ConfigError, NonNegativityError, ShapeMismatchError, _instance, _integer, _real
+from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lowrank_sq_error, _mm, make_rng
 
 _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
 # Near convergence a Lee-Seung step can rise by a few ulps of the objective
@@ -31,11 +29,11 @@ class NmfConfig:
     __slots__ = ("k", "max_iters", "rel_tol", "seed")
 
     def __init__(self, k: int, max_iters: int = 5000, rel_tol: float = 1e-6,
-                 seed: RngSeed | int = 0):
+                 seed: int = 0):
         self.k = _integer("k", k, 1)
         self.max_iters = _integer("max_iters", max_iters, 1)
         self.rel_tol = _real("rel_tol", rel_tol, 0.0)
-        self.seed = RngSeed(seed)
+        self.seed = _integer("seed", seed, 0, 2**64 - 1)
 
 
 class NmfFactors:
@@ -57,7 +55,7 @@ class NmfFactors:
         slack = max(1e-12, _TRACE_SLACK_ULPS * np.finfo(np.float64).eps * first)
         for i in range(len(trace) - 1):
             if trace[i + 1] > trace[i] + slack:
-                raise XlcError(
+                raise ConfigError(
                     f"objective trace increases at step {i + 1}: "
                     f"{trace[i]:.6g} -> {trace[i + 1]:.6g}")
         self.w = w

@@ -15,13 +15,14 @@ the same (descending score, ascending index) order as rank_labels.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
-from .errors import (ConfigError, ShapeMismatchError, XlcError, _array, _choice, _instance,
-                     _integer, _real)
-from .matrix import (DenseMatrix, RngSeed, _cholesky_solve, _lock, _mm,
-                     _support_normal_equations, make_rng)
+from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _choice,
+                     _instance, _integer, _real)
+from .matrix import DenseMatrix, _cholesky_solve, _lock, _mm, _support_normal_equations, make_rng
 
 
 class FeatureMatrix(DenseMatrix):
@@ -51,12 +52,8 @@ class RegressorModel:
         if sorted(params) != ["intercept", "theta"]:
             raise ConfigError(f"{kind} parameters must be intercept and theta, "
                               f"got {sorted(params)}")
-        theta = _lock(_array("theta", params["theta"], 2))
-        b = _lock(_array("intercept", params["intercept"], 1))
-        if theta.shape != (self.input_dim, self.output_dim) or b.shape != (self.output_dim,):
-            raise ShapeMismatchError(
-                f"ridge parameter shapes {theta.shape}, {b.shape} do not "
-                f"chain {self.input_dim} -> {self.output_dim}")
+        theta = _lock(_array("theta", params["theta"], (self.input_dim, self.output_dim)))
+        b = _lock(_array("intercept", params["intercept"], (self.output_dim,)))
         self.params = {"theta": theta, "intercept": b}
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
@@ -78,7 +75,7 @@ class RankedPrediction:
     __slots__ = ("scores", "top_n")
 
     def __init__(self, scores: np.ndarray, n: int):
-        self.scores = scores = _lock(_array("scores", scores, 1, nonneg=True))
+        self.scores = scores = _lock(_array("scores", scores, (None,), nonneg=True))
         self.top_n = _top_n(scores.reshape(1, -1), _integer("n", n, 1))[0]
 
     @classmethod
@@ -148,12 +145,12 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     default 1e-3).
     """
     kind = _choice("kind", kind, RegressorModel.KINDS)
-    hp = dict(hyperparams or {})
+    hp = {} if hyperparams is None else dict(_instance("hyperparams", hyperparams, Mapping))
     if _instance("x", x, DenseMatrix).rows != _instance("w", w, DenseMatrix).rows:
         raise ShapeMismatchError(
             f"feature rows {x.rows} != latent rows {w.rows}")
     if w.values.size and w.values.min() < 0:
-        raise XlcError("latent targets have a negative entry")
+        raise NonNegativityError("latent targets have a negative entry")
     lam = _real("lam", hp.pop("lam", 1e-3), 0.0)
     if hp:
         raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(hp)}")
@@ -171,20 +168,12 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     gram = gram + lam * np.eye(d)
     try:
         theta = _cholesky_solve(gram, rhs)
-    except XlcError as exc:
-        raise XlcError(
+    except NonNegativityError as exc:
+        raise ConfigError(
             f"normal equations are singular with lam={lam}; "
             f"use a positive lam") from exc
     intercept = w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
     return RegressorModel(kind, d, k, {"theta": theta, "intercept": intercept})
-
-
-def _as_features(x, d: int) -> np.ndarray:
-    """A feature vector of length d or an r x d block, as float64."""
-    a = _array("x", x, (1, 2))
-    if a.shape[-1] != d:
-        raise ShapeMismatchError(f"feature shape {a.shape} does not match input_dim {d}")
-    return a
 
 
 def predict_latent(x, m: RegressorModel) -> np.ndarray:
@@ -195,7 +184,8 @@ def predict_latent(x, m: RegressorModel) -> np.ndarray:
     input inside the non-negative latent domain. Rows are independent: a
     row of a block gives bitwise the same result as that row alone.
     """
-    a = _as_features(x, _instance("m", m, RegressorModel).input_dim)
+    d = _instance("m", m, RegressorModel).input_dim
+    a = _array("x", x, (d,), (None, d))
     if a.ndim == 1:
         return np.maximum(m.raw_outputs(a.reshape(1, -1))[0], 0.0)
     return np.maximum(m.raw_outputs(a), 0.0)
@@ -248,6 +238,7 @@ def _metrics_at_k(ranked, base, keys, counts, k: int) -> tuple[np.ndarray, np.nd
 
 def _row_metrics(pred: RankedPrediction, truth, k: int) -> tuple[float, float | None]:
     """(P@k, nDCG@k) of one prediction; nDCG@k is None for empty truth."""
+    _instance("pred", pred, RankedPrediction)
     k = _integer("k", k, 1)
     # a label outside [0, p) counts but never hits
     truth = {_integer("truth label", t, None) for t in truth}
@@ -270,12 +261,12 @@ def ndcg_at_k(pred: RankedPrediction, truth, k: int) -> float:
     """
     ndcg = _row_metrics(pred, truth, k)[1]
     if ndcg is None:
-        raise XlcError("ndcg needs a non-empty truth set")
+        raise ConfigError("ndcg needs a non-empty truth set")
     return ndcg
 
 
 def split_rows(n_rows: int, test_frac: float = 0.2,
-               seed: RngSeed | int = 0) -> tuple[np.ndarray, np.ndarray]:
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic train/test row split by seeded shuffle.
 
     Returns (train_idx, test_idx), each sorted ascending. The test side

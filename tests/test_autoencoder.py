@@ -11,6 +11,7 @@ from conftest import planted_rank4_dense, random_label_matrix, svd_floor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlc.cli
 import xlc.matrix
 from xlc import (
     AeTrainConfig,
@@ -23,13 +24,14 @@ from xlc import (
     LabelMatrix,
     LimeConfig,
     ModelContainer,
+    ModelFormatError,
     NmfConfig,
     NmfFactors,
     NonNegativityError,
     RankedPrediction,
     RegressorModel,
-    RngSeed,
     ShapeMismatchError,
+    SurrogateExplanation,
     TrainingDivergedError,
     XlcError,
     ae_gradient,
@@ -40,6 +42,7 @@ from xlc import (
     fit_regressor,
     lime_explain,
     make_block_dataset,
+    make_rng,
     ndcg_at_k,
     nmf_factorize,
     nmf_objective,
@@ -47,6 +50,7 @@ from xlc import (
     predict_labels,
     predict_latent,
     reconstruction_loss,
+    render_hierarchy,
     save_dataset,
     save_label_names,
     save_model,
@@ -133,8 +137,8 @@ def test_label_inputs_must_be_a_label_matrix(dense):
     for call in (lambda: encode(dense, stack),
                  lambda: reconstruction_loss(dense, stack),
                  lambda: ae_gradient(dense, stack, 1)):
-        with pytest.raises(XlcError, match="expected a LabelMatrix, got "
-                                           + type(dense).__name__):
+        with pytest.raises(ConfigError, match="v must be of type LabelMatrix, got "
+                                              + type(dense).__name__):
             call()
 
 
@@ -147,7 +151,8 @@ def test_fitting_takes_labels_only_as_a_label_matrix(dense, fit):
     call = {"train_autoencoder": lambda: train_autoencoder(dense, AeTrainConfig([2])),
             "nmf_factorize": lambda: nmf_factorize(dense, NmfConfig(k=2)),
             "nmf_objective": lambda: nmf_objective(dense, factors)}[fit]
-    with pytest.raises(XlcError, match="expected a LabelMatrix, got " + type(dense).__name__):
+    with pytest.raises(ConfigError, match="v must be of type LabelMatrix, got "
+                                          + type(dense).__name__):
         call()
 
 
@@ -411,7 +416,12 @@ _SETTINGS = {
     "gen-labels-per-block": (lambda v: make_block_dataset(2, 4, v, 0.0),
                              "labels_per_block", 1, "int"),
     "gen-noise": (lambda v: make_block_dataset(2, 4, 2, v), "noise", 0.0, ">="),
-    "rng-seed": (lambda v: RngSeed(v), "seed", 0, "int"),
+    "rng-seed": (lambda v: make_rng(v), "seed", 0, "int"),
+    "ae-seed": (lambda v: AeTrainConfig((4,), seed=v), "seed", 0, "int"),
+    "nmf-seed": (lambda v: NmfConfig(k=2, seed=v), "seed", 0, "int"),
+    "lime-seed": (lambda v: LimeConfig(seed=v), "seed", 0, "int"),
+    "split-seed": (lambda v: split_rows(10, 0.2, seed=v), "seed", 0, "int"),
+    "gen-seed": (lambda v: make_block_dataset(2, 4, 2, 0.0, seed=v), "seed", 0, "int"),
     "gradient-layer-index": (lambda v: ae_gradient(_V, _STACK, v), "layer_index", 1, "int"),
     "hierarchy-layer": (lambda v: extract_hierarchy(_STACK, v, 0, 2), "layer", 1, "int"),
     "hierarchy-unit": (lambda v: extract_hierarchy(_STACK, 1, v, 2), "unit", 0, "int"),
@@ -430,7 +440,8 @@ _SETTINGS = {
 
 # the upper bound of each bounded setting: inclusive for an integer, exclusive
 # for a real; the depth and the width of _STACK are 1
-_UPPER = {"rng-seed": 2**64 - 1, "split-test-frac": 1.0, "gen-noise": 0.5,
+_UPPER = {"rng-seed": 2**64 - 1, "ae-seed": 2**64 - 1, "nmf-seed": 2**64 - 1,
+          "lime-seed": 2**64 - 1, "split-seed": 2**64 - 1, "gen-seed": 2**64 - 1, "split-test-frac": 1.0, "gen-noise": 0.5,
           "gradient-layer-index": 1, "hierarchy-layer": 1, "hierarchy-unit": 0}
 
 
@@ -463,12 +474,12 @@ def test_step_settings_must_be_finite_and_in_range(build, value):
 # its error, and a fragment of its message)
 _REFUSALS = {
     "dense-matrix-ndim": (lambda: DenseMatrix(np.ones(3)), ShapeMismatchError,
-                          "values must be 2-D, got shape (3,)"),
+                          "values must have shape (*, *), got shape (3,)"),
     "nmf-factors-chain": (lambda: NmfFactors(DenseMatrix(np.ones((2, 2))),
                                              DenseMatrix(np.ones((3, 2))), [1.0]),
                           ShapeMismatchError, "W is 2x2 but H is 3x2"),
     "ranked-2d": (lambda: RankedPrediction(np.ones((2, 3)), 2), ShapeMismatchError,
-                  "scores must be 1-D, got shape (2, 3)"),
+                  "scores must have shape (*,), got shape (2, 3)"),
     "ranked-non-finite": (lambda: RankedPrediction([1.0, np.nan], 1), ConfigError,
                           "scores must be finite, got a non-finite entry in shape (2,)"),
     "ranked-negative": (lambda: RankedPrediction([1.0, -0.5], 1), NonNegativityError,
@@ -570,6 +581,125 @@ def test_wrong_typed_arguments_raise_a_config_error_naming_them(build):
         call()
 
 
+# arguments of public entry points that used to end in a raw exception: build
+# -> (the call, and the ConfigError's message)
+_RAW_AT_ENTRY = {
+    "fit-hyperparams-text": (lambda: _fit(hyper="abc"),          # a raw ValueError
+                             "hyperparams must be of type Mapping, got str"),
+    "fit-hyperparams-int": (lambda: _fit(hyper=5),               # a raw TypeError
+                            "hyperparams must be of type Mapping, got int"),
+    "hierarchy-labels-int": (lambda: extract_hierarchy(_STACK, 1, 0, 2, labels=5),
+                             "labels must be a sequence of strings, got int"),
+    "explain-label-names-int": (lambda: ExplainConfig(label_names=5),
+                                "label_names must be a sequence of strings, got int"),
+    # a raw TypeError in render_hierarchy's join
+    "hierarchy-labels-not-text": (
+        lambda: render_hierarchy(extract_hierarchy(_STACK, 1, 0, 2, labels=[0, 1, 2])),
+        "label name 0 must be a string, got int"),
+    "precision-pred": (lambda: precision_at_k("x", [1], 1),
+                       "pred must be of type RankedPrediction, got str"),
+    "ndcg-pred": (lambda: ndcg_at_k(None, [1], 1),
+                  "pred must be of type RankedPrediction, got NoneType"),
+    "render-node": (lambda: render_hierarchy("x"), "node must be of type HierarchyNode, got str"),
+    "save-model-container": (lambda: save_model(os.devnull, "x"),
+                             "container must be of type ModelContainer, got str"),
+    "container-config": (lambda: ModelContainer(config=5),
+                         "config must be of type Mapping, got int"),
+    "container-label-names-int": (lambda: ModelContainer(label_names=5),
+                                  "label_names must be a sequence of strings, got int"),
+    # used to write one name per character
+    "save-label-names-text": (lambda: save_label_names(os.devnull, "abc"),
+                              "label_names must be a sequence of strings, got str"),
+}
+
+
+@pytest.mark.parametrize("build", _RAW_AT_ENTRY)
+def test_entry_point_arguments_raise_a_config_error_naming_them(build):
+    call, message = _RAW_AT_ENTRY[build]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert type(exc.value) is ConfigError
+
+
+def _no_label_files(tmp):
+    """A model with an encoder and a regressor, and a 3-row dataset with no
+    labels, written under tmp."""
+    save_model(tmp / "m.xlc", ModelContainer(encoder=_STACK, regressor=_fit()))
+    save_dataset(tmp / "d.txt", FeatureMatrix(np.ones((3, 2))), LabelMatrix(3, 3, []))
+    return tmp / "m.xlc", tmp / "d.txt"
+
+
+def _text_file(tmp, text):
+    path = tmp / "data.txt"
+    path.write_text(text)
+    return path
+
+
+def _cli(*argv):
+    """Run one xlc command, letting its error through."""
+    args = xlc.cli._build_parser().parse_args([str(a) for a in argv])
+    handler, _, options = xlc.cli._COMMANDS[args.command]
+    xlc.cli._resolve(args, options)
+    return handler(args)
+
+
+# refusals that raised a plain XlcError: build -> (the call, given a scratch
+# directory, and the named class it raises now)
+_RECLASSED = {
+    "cli-no-rows": (lambda tmp: xlc.cli._load_rows(_text_file(tmp, "0 2 3\n"), "fit"),
+                    ConfigError),
+    "cli-one-row-split": (lambda tmp: xlc.cli._load_rows(_text_file(tmp, "1 2 3\n0 0:1.0\n"),
+                                                         "fit", split=True), ConfigError),
+    "cli-missing-section": (lambda tmp: xlc.cli._need(ModelContainer(), "encoder"),
+                            ModelFormatError),
+    "cli-eval-no-labelled-rows": (lambda tmp: _cli("eval", "--model", _no_label_files(tmp)[0],
+                                                   "--data", tmp / "d.txt", "--split", "all"),
+                                  ConfigError),
+    "surrogate-r2-above-1": (lambda tmp: SurrogateExplanation((), 0.0, 1.5, "t"), ConfigError),
+    "cholesky-pivot": (lambda tmp: xlc.matrix._cholesky_solve(np.zeros((2, 2)), np.ones((2, 1))),
+                       NonNegativityError),
+    "ridge-singular": (lambda tmp: _fit(hyper={"lam": 0.0}), ConfigError),
+    "nmf-rising-trace": (lambda tmp: NmfFactors(DenseMatrix(np.ones((2, 1))),
+                                                DenseMatrix(np.ones((1, 2))), [1.0, 2.0]),
+                         ConfigError),
+    "ridge-negative-targets": (lambda tmp: fit_regressor(FeatureMatrix(np.ones((3, 2))),
+                                                         DenseMatrix(-np.ones((3, 1)))),
+                               NonNegativityError),
+    "ndcg-empty-truth": (lambda tmp: ndcg_at_k(RankedPrediction([1.0, 0.5], 1), [], 1),
+                         ConfigError),
+    "labels-out-of-bounds": (lambda tmp: LabelMatrix(2, 2, [(2, 0, 1.0)]), ConfigError),
+    "labels-negative-index": (lambda tmp: LabelMatrix.from_coo(2, 2, [0], [-1], [1.0]),
+                              ConfigError),
+    "labels-duplicate": (lambda tmp: LabelMatrix(2, 2, [(0, 1, 1.0), (0, 1, 2.0)]), ConfigError),
+    "labels-not-a-label-matrix": (lambda tmp: encode(np.ones((2, 3)), _STACK), ConfigError),
+}
+
+
+@pytest.mark.parametrize("build", _RECLASSED)
+def test_plain_refusals_raise_a_named_class(build, tmp_path):
+    call, error = _RECLASSED[build]
+    with pytest.raises(XlcError) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseMatrix([["1", "2.5"]]),
+    lambda: LimeConfig(baseline="0.5"),
+    lambda: predict_latent(["1"] * 2, _fit()),
+    lambda: FeatureMatrix(np.array([[1, "2"]], dtype=object)),
+], ids=["dense-matrix", "lime-baseline", "predict-latent", "object-array"])
+def test_numeric_text_is_refused_not_parsed(build):
+    # each used to be parsed as numbers
+    with pytest.raises(ConfigError, match=" must be a numeric array, got (list|str|ndarray)$"):
+        build()
+
+
+def test_object_arrays_of_numbers_convert():
+    np.testing.assert_array_equal(DenseMatrix(np.array([[1, 2.5]], dtype=object)).values,
+                                  [[1.0, 2.5]])
+
+
 # every array argument that errors._array converts: build -> (the call, the
 # argument's name as its errors give it, and the most dimensions it takes)
 _ARRAYS = {
@@ -606,12 +736,23 @@ _BAD_ARRAYS = {
     "nan": (lambda top: np.full((2,) * top, np.nan), ConfigError,
             r" must be finite, got a non-finite entry in shape \("),
     "ndim": (lambda top: np.ones((2,) * (top + 1)), ShapeMismatchError,
-             r" must be \d-D( or \d-D)*, got shape \("),
+             r" must have shape \(.*\), got shape \("),
+    # text used to be parsed: np.full(shape, "1") was taken as ones
+    "text": (lambda top: np.full((2,) * top, "1"), ConfigError,
+             " must be a numeric array, got (ndarray|list)$"),
+    # 3 where the caller fixes 2, 1 or 10: only for the arguments in _FIXED_AXES
+    "length": (lambda top: np.ones((3,) * top), ShapeMismatchError,
+               r" must have shape \(.*\), got shape \(3"),
 }
 
+# the arguments whose own check fixes the length of an axis
+_FIXED_AXES = {"regressor-theta", "regressor-intercept", "predict-latent", "predict-labels",
+               "decode", "lime-output"}
 
-@pytest.mark.parametrize("bad", _BAD_ARRAYS)
-@pytest.mark.parametrize("build", _ARRAYS)
+
+@pytest.mark.parametrize("build, bad", [
+    (build, bad) for bad in _BAD_ARRAYS for build in _ARRAYS
+    if bad != "length" or build in _FIXED_AXES])
 def test_array_arguments_are_refused_by_name(build, bad):
     # a string or a ragged list used to end in a raw ValueError from numpy
     # at most of these, and a NaN in a plain XlcError or a silent NaN

@@ -628,7 +628,8 @@ def test_regressor_section_missing_a_parameter_of_its_kind(tmp_path, capsys):
     # a weight matrix stored as a vector fails its shape check
     _regressor_file(path, 0, [intercept, ("theta", 1, np.ones((1, 6)))])
     with pytest.raises(ModelFormatError,
-                       match=r"^section 'regressor': theta must be 2-D, got shape \(6,\)$"):
+                       match=r"^section 'regressor': theta must have shape \(3, 2\), "
+                             r"got shape \(6,\)$"):
         load_model(path)
 
 

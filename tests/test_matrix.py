@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 import xlc.matrix
 from xlc import (
+    AeTrainConfig,
+    ConfigError,
     DenseMatrix,
     LabelMatrix,
+    LimeConfig,
+    NmfConfig,
     NonNegativityError,
-    RngSeed,
     ShapeMismatchError,
     XlcError,
     make_rng,
@@ -558,29 +561,34 @@ def test_label_matrix_csr_matches_dense():
 
 
 def test_rng_seed_rejects_negative():
-    with pytest.raises(XlcError):
-        RngSeed(-1)
-    # make_rng validates a plain int seed through RngSeed
-    for bad in (-1, 2**64):
-        with pytest.raises(XlcError):
-            make_rng(bad)
-    make_rng(2**64 - 1)
+    # make_rng and every config check a seed as an int in [0, 2**64 - 1]
+    takes_seed = (make_rng, lambda s: AeTrainConfig((2,), seed=s),
+                  lambda s: NmfConfig(k=1, seed=s), lambda s: LimeConfig(seed=s))
+    for take in takes_seed:
+        for bad in (-1, 2**64, 2.5):
+            with pytest.raises(ConfigError, match="^seed must be "):
+                take(bad)
+        take(2**64 - 1)
 
 
 def test_make_rng_streams_are_bitwise_reproducible():
-    a = make_rng(RngSeed(42)).uniform(size=100)
+    a = make_rng(42).uniform(size=100)
     b = make_rng(42).uniform(size=100)
     np.testing.assert_array_equal(a, b)
-    assert RngSeed(RngSeed(5)) == RngSeed(5)
-    np.testing.assert_array_equal(make_rng(RngSeed(RngSeed(42))).uniform(size=100), a)
+    np.testing.assert_array_equal(make_rng(np.uint64(42)).uniform(size=100), a)
     c = make_rng(43).uniform(size=100)
     assert (a != c).any()
 
 
-def test_rng_seed_is_hashable_and_equal_seeds_hash_equally():
-    assert hash(RngSeed(5)) == hash(RngSeed(RngSeed(5)))
-    assert len({RngSeed(5), RngSeed(5), RngSeed(6)}) == 2
-    assert {RngSeed(2**64 - 1): "a"}[RngSeed(2**64 - 1)] == "a"
+def test_config_seeds_are_plain_ints_giving_equal_streams():
+    # numpy integers are taken and held as the Python int; a config's seed
+    # and the same int give bit-identical streams
+    for seed in (5, np.int64(5), np.uint64(5)):
+        cfgs = (AeTrainConfig((2,), seed=seed), NmfConfig(k=1, seed=seed), LimeConfig(seed=seed))
+        for cfg in cfgs:
+            assert type(cfg.seed) is int and cfg.seed == 5
+            np.testing.assert_array_equal(make_rng(cfg.seed).uniform(size=100),
+                                          make_rng(5).uniform(size=100))
 
 
 def test_dense_matrix_rejects_non_finite():
