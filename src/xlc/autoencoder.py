@@ -237,7 +237,8 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
         if suffix is not None:
             gl = _mm(gl, suffix.T)
         grads.append(gl)
-        suffix = mats[l] if suffix is None else _mm(mats[l], suffix)
+        if l:                               # S_0 = E is never read
+            suffix = mats[l] if suffix is None else _mm(mats[l], suffix)
     grads.reverse()
     return grads
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -198,14 +199,15 @@ def _cmd_predict(o) -> int:
     stack = _need(container, "encoder")
     reg = _need(container, "regressor")
     x, _ = load_dataset(o.data)
+    # every row ranks min(top_n, p) labels, so one template formats each line
+    line = "row {}: " + " ".join(["{}:{:.6g}"] * min(o.top_n, stack.p)) + "\n"
     lines = []
     step = _block_rows(stack)
     for lo in range(0, x.rows, step):
         preds = predict_labels(x.values[lo:lo + step], reg, stack, n=o.top_n)
-        for i, pred in enumerate(preds, start=lo):
-            ranked = " ".join(f"{j}:{s:.6g}" for j, s in pred.top_n)
-            lines.append(f"row {i}: {ranked}")
-    _emit(o.out, "".join(line + "\n" for line in lines))
+        lines += [line.format(i, *chain.from_iterable(pred.top_n))
+                  for i, pred in enumerate(preds, start=lo)]
+    _emit(o.out, "".join(lines))
     return 0
 
 
@@ -366,7 +368,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command, with the options of command only, or of all when None."""
     parser = argparse.ArgumentParser(
         prog="xlc",
         description="Compress a label matrix, regress features to the "
@@ -374,6 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="key=value config file")
         for flag, kind, _ in options:
             if isinstance(kind, tuple):
@@ -384,7 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no xlc option takes a value, so the first command name is the command
+    args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     handler, _, options = _COMMANDS[args.command]
     try:
         _resolve(args, options)

@@ -99,10 +99,9 @@ def _parse_rows(lines, x: np.ndarray, p: int):
 
     Each block of _PARSE_ROWS lines is split once per line. Its label
     tokens are joined and split on ",", its feature tokens joined and split
-    on ":", and the parts converted by the int and float calls the line
-    checker makes: they raise ValueError on a malformed token, and
-    np.fromiter raises OverflowError on an index beyond int64. Every check
-    is one vectorized test per block.
+    on ":", and the parts converted as the line checker converts them (the
+    indices by _ints): ValueError on a malformed token, OverflowError on an
+    index beyond int64. Every check is one vectorized test per block.
     """
     d = x.shape[1]
     label_counts, label_cols = [], [np.empty(0, dtype=np.int64)]
@@ -125,7 +124,7 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         block_rows = np.arange(lo - 1, lo - 1 + len(n_feats))
 
         rows = np.repeat(block_rows, n_labels)
-        cols = np.fromiter(map(int, parts), dtype=np.int64, count=len(parts))
+        cols = _ints(parts)
         if cols.size and (cols.min() < 0 or int(cols.max()) >= p):
             return None
         if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
@@ -134,7 +133,7 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         label_cols.append(cols)
 
         rows = np.repeat(block_rows, n_feats)
-        cols = np.fromiter(map(int, pairs[0::2]), dtype=np.int64, count=len(feats))
+        cols = _ints(pairs[0::2])
         vals = np.fromiter(map(float, pairs[1::2]), dtype=np.float64, count=len(feats))
         if cols.size and (cols.min() < 0 or cols.max() >= d):
             return None
@@ -144,6 +143,24 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         x[rows, cols] = vals
     return (np.repeat(np.arange(len(label_counts)), label_counts),
             np.concatenate(label_cols))
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    """int(t) for each token as int64, or the error of int() or np.fromiter.
+    numpy's C reader converts them in one call; int() takes over when that
+    reader stops at a token (1_0, a non-ASCII digit), gives the wrong count
+    (an empty token) or a value saturated at +-2^63, or ends on a bare sign,
+    read as 0 (elsewhere a sign joins the next token and the count comes short)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy warns
+            a = np.fromstring(" ".join(tokens), np.int64, sep=" ")
+        if (a.size == len(tokens) > 0 and tokens[-1] not in ("-", "+")
+                and -2**63 < a.min() and a.max() < 2**63 - 1):
+            return a
+    except (ValueError, DeprecationWarning):
+        pass
+    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
 
 
 def _check_rows(path, lines, d, p) -> None:

@@ -98,7 +98,11 @@ def _names(name: str, value, p: int | None = None) -> list[str]:
     strings that hold no newline, and of p of them when p is given."""
     if isinstance(value, str) or not isinstance(value, Sequence):
         raise ConfigError(f"{name} must be a sequence of strings, got {type(value).__name__}")
-    for item in value:
+    try:                # one pass in C: join refuses a non-str item
+        ok = "\n" not in "".join(value)
+    except TypeError:
+        ok = False
+    for item in () if ok else value:        # word the refusal
         if not isinstance(item, str):
             raise ConfigError(f"label name {item!r} must be a string, got {type(item).__name__}")
         if "\n" in item:

@@ -99,7 +99,8 @@ def _expand(stack, layer, unit, weight, counts, labels) -> HierarchyNode:
     if layer == 0:
         name = labels[unit] if labels is not None else None
         return HierarchyNode(0, unit, weight, label_name=name)
-    (top,) = _top_n(stack.layers[layer - 1].values[None, :, unit], counts[0])
+    # contiguous: ndarray.take in _top_n would copy a strided column whole
+    (top,) = _top_n(np.ascontiguousarray(stack.layers[layer - 1].values[None, :, unit]), counts[0])
     children = [_expand(stack, layer - 1, idx, w, counts[1:], labels)
                 for idx, w in top if w > 0]
     return HierarchyNode(layer, unit, weight, children=children)

@@ -7,10 +7,10 @@ rankings are scored with precision@k / nDCG@k.
 
 Serving works on one feature vector or on an r x d block of them. A block
 is regressed and decoded in one product each: decoding costs O(k_L p) per
-row through the stack's cached collapsed chain E^T. Ranking the top n of a
-row then costs O(p) to pick the candidates (every label scoring at least
-the row's n-th largest score) plus a sort of only those candidates, in
-the same (descending score, ascending index) order as rank_labels.
+row through the stack's cached collapsed chain E^T. Ranking the top n of
+every row then costs O(p) per row to pick the candidates (every label
+scoring at least the row's n-th largest score) plus one sort of the
+block's candidates in rank_labels' order, with no loop over the rows.
 """
 
 from __future__ import annotations
@@ -94,13 +94,14 @@ class RankedPrediction:
 
 def _top_n(scores: np.ndarray, n: int) -> list[tuple]:
     """rank_labels(row)[:n] as (label, score) pairs, for each row of an
-    r x p score block.
+    r x p score block, with no loop over the rows.
 
     np.partition finds each row's n-th largest score in O(p). Every label
     scoring at least that much is a candidate, so all ties at the cutoff
-    are kept; candidates come in ascending label order, so rank_labels
-    over their scores breaks ties by ascending label index, and only the
-    candidates are sorted.
+    are kept. The candidates come in row-major order, so one rank_labels
+    call orders each row's by descending score, then ascending label; a
+    stable argsort by row groups them in that order, and each row's first
+    n are taken by offset. Only the candidates are sorted.
     """
     r, p = scores.shape
     n = min(n, p)
@@ -108,22 +109,16 @@ def _top_n(scores: np.ndarray, n: int) -> list[tuple]:
         return [()] * r
     cutoff = np.partition(scores, p - n, axis=1)[:, p - n:p - n + 1]
     flat = np.flatnonzero(scores >= cutoff)
-    ends = np.searchsorted(flat, np.arange(1, r + 1) * p).tolist()
-    out = []
-    lo = 0
-    for i, (row, hi) in enumerate(zip(scores, ends)):
-        cand = flat[lo:hi] - i * p
-        s = row[cand]
-        best = rank_labels(s)[:n]
-        out.append(tuple(zip(cand[best].tolist(), s[best].tolist())))
-        lo = hi
-    return out
+    (rows, cols), s = np.divmod(flat, p), scores.take(flat)
+    order = rank_labels(s)
+    order = order[rows[order].argsort(kind="stable")]
+    take = order[rows.searchsorted(np.arange(r)[:, None]) + np.arange(n)]
+    return list(map(tuple, map(zip, cols[take].tolist(), s[take].tolist())))
 
 
 def rank_labels(scores: np.ndarray) -> np.ndarray:
     """Total order over labels: descending score, ascending index on ties."""
-    idx = np.arange(scores.size)
-    return np.lexsort((idx, -scores))
+    return np.argsort(-scores, kind="stable")
 
 
 def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
@@ -213,7 +208,7 @@ def predict_labels(x, m: RegressorModel, stack: EncoderStack,
     n = _integer("n", n, 1)
     _check_latent_dim(m, stack)
     latent = predict_latent(x, m)
-    preds = RankedPrediction._rows(decode(np.atleast_2d(latent), stack).values, n)
+    preds = RankedPrediction._rows(decode(latent.reshape(-1, m.output_dim), stack).values, n)
     return preds if latent.ndim == 2 else preds[0]
 
 

@@ -11,6 +11,7 @@ from conftest import planted_rank4_dense, random_label_matrix, svd_floor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlc.autoencoder
 import xlc.cli
 import xlc.matrix
 from xlc import (
@@ -932,6 +933,28 @@ def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
     dense = v.to_csr().toarray()
     e = stack.chain()
     assert loss == pytest.approx(float(np.sum((dense - dense @ e @ e.T) ** 2)), rel=1e-12)
+
+
+def test_an_epoch_forms_the_collapsed_chain_once():
+    # each epoch needs E = H_1 H_2 (p x k_1 @ k_1 x k_2) for its loss; the
+    # layer gradients need only the suffix products S_2 .. S_L, never E
+    n, p, dims = 60, 30, (8, 3)
+    _, v, _ = make_block_dataset(3, n, p // 3, 0.1, seed=4)
+    products = []
+
+    def counted(a, b):
+        products.append((a.shape, b.shape))
+        return xlc.matrix._mm(a, b)
+
+    def chain_products(epochs):
+        products.clear()
+        cfg = AeTrainConfig(list(dims), max_epochs=epochs, learning_rate=1e-4,
+                            rel_tol=0.0, seed=4)
+        with mock.patch.object(xlc.autoencoder, "_mm", counted):
+            assert len(train_autoencoder(v, cfg).training_trace) == epochs + 1
+        return products.count(((p, dims[0]), dims))
+
+    assert chain_products(5) - chain_products(2) == 3
 
 
 def test_training_never_allocates_a_dense_label_matrix():

@@ -236,6 +236,13 @@ def _parse_outcome(load, path):
 @example("3 2 2\n0 0:1\n\n1 0:1 1:2 0:3\n", 2)
 @example("1 2 2\n0,2 1:1\n", 512)
 @example("1 2 2\n0 2:1\n", 512)
+# numpy's integer reader saturates a 20-digit index at 2^63 - 1, which lies
+# below this p; the bulk parser must see past it and refuse the label
+@example("1 2 10000000000000000000\n99999999999999999999 0:1\n", 512)
+@example("1 2 9223372036854775808\n9223372036854775807 0:1\n", 512)
+# the same reader takes a bare sign as 0 when it is the last token
+@example("1 2 2\n0,- 1:1\n", 512)
+@example("1 2 2\n0 1:1 +:1\n", 512)
 def test_bulk_parser_matches_the_line_parser(tmp_path_factory, text, block_rows):
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_text(text, encoding="utf-8")

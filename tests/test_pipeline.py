@@ -1,11 +1,14 @@
 """Feature-to-latent regression, ranked decoding, and ranking metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import planted_rank4_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlc.pipeline
 from xlc import (
     AeTrainConfig,
     ConfigError,
@@ -231,6 +234,38 @@ def test_partial_ranking_equals_full_ranking_on_tie_heavy_blocks(data):
     for row, top in zip(scores, _top_n(scores, n)):
         order = rank_labels(row)[:n]
         assert top == tuple((int(j), float(row[j])) for j in order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_block_ranking_equals_rank_labels_of_each_row(data):
+    # _top_n ranks a whole block in one sort: rows of 1 to 100 whose scores
+    # tie among a few values, 0.0 among them, n from 1 to past p, and strided
+    # 1 x p views of a layer's column such as interpret._expand ranks
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300]),
+                                min_size=1, max_size=4, unique=True), label="values")
+    p = data.draw(st.integers(1, 30), label="labels")
+    n = data.draw(st.integers(1, p + 3), label="n")
+    if data.draw(st.booleans(), label="column view"):
+        layer = rng.choice(values, size=(p, 3))
+        scores = layer[None, :, data.draw(st.integers(0, 2), label="unit")]
+    else:
+        scores = rng.choice(values, size=(data.draw(st.integers(1, 100), label="rows"), p))
+    got = _top_n(scores, n)
+    assert len(got) == len(scores)
+    for row, top in zip(scores, got):
+        assert top == tuple((int(j), float(row[j])) for j in rank_labels(row)[:n])
+
+
+def test_block_ranking_calls_rank_labels_once():
+    # one sort ranks every row: the traced benchmark counts these calls
+    rng = np.random.default_rng(23)
+    scores = np.round(rng.random((40, 30)), 1)
+    with mock.patch.object(xlc.pipeline, "rank_labels", wraps=rank_labels) as spy:
+        top = _top_n(scores, 5)
+    assert spy.call_count == 1
+    assert len(top) == 40 and all(len(t) == 5 for t in top)
 
 
 def test_block_predict_labels_equals_per_row_bitwise():
