@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, TrainingDivergedError,
                      _array, _choice, _instance, _integer, _integers, _real)
-from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lowrank_sq_error, _mm, make_rng
+from .matrix import (DenseMatrix, LabelMatrix, _check_labels, _lock, _lowrank_sq_error, _mm,
+                     make_rng)
 from .nmf import NmfConfig, nmf_factorize
 
 
@@ -139,7 +140,7 @@ def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
     w = np.asarray(_check_labels(v, stack.p).to_csr() @ stack.layers[0].values)
     for h in stack.layers[1:]:
         w = _mm(w, h.values)
-    return DenseMatrix(w)
+    return DenseMatrix(_lock(w))
 
 
 def decode(w, stack: EncoderStack) -> DenseMatrix:
@@ -152,7 +153,7 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
     """
     _instance("stack", stack, EncoderStack)
     a = _array("w", w.values if isinstance(w, DenseMatrix) else w, (None, stack.latent_dim))
-    return DenseMatrix(_mm(a, stack.chain_t()))
+    return DenseMatrix(_lock(_mm(a, stack.chain_t())))
 
 
 # The expanded loss adds and subtracts terms of size ||V||^2, so its error
@@ -161,11 +162,21 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
 _NOISE_ULPS = 256
 
 
+def _narrow_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_mm(a, b) bit for bit, run as _mm(b.T, a.T).T, which is faster for a
+    narrow b: the einsum's inner loop then runs along a's rows, not b's few
+    columns. A 1-column b (k_L = 1) keeps the direct form, where the
+    identity does not hold (see _mm)."""
+    if a.shape[0] < 2 or b.shape[1] < 2:
+        return _mm(a, b)
+    return _mm(b.T, a.T).T
+
+
 def _prefix_chain(mats) -> list[np.ndarray]:
     """[H_1, H_1 H_2, ..., E]: the left-to-right prefix products of the chain."""
     out = [mats[0]]
     for h in mats[1:]:
-        out.append(_mm(out[-1], h))
+        out.append(_narrow_mm(out[-1], h))
     return out
 
 
@@ -196,7 +207,7 @@ class _Objective:
     def chain_gradient(self, e, a, g, c) -> np.ndarray:
         """dLoss/dE = -2 (2 M - M C - E G) with M = V^T A, from expanded(e)."""
         m = np.asarray(self.vs.T @ a)
-        return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
+        return -2.0 * (2.0 * m - _narrow_mm(m, c) - _narrow_mm(e, g))
 
     def accurate(self, expanded_loss: float, e, a, g, c) -> float:
         """expanded_loss, or residual(e, a, g, c) when expanded_loss is
@@ -233,7 +244,7 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
     grads = []
     suffix = None                           # S_L is the identity
     for l in range(len(mats) - 1, -1, -1):
-        gl = g if l == 0 else _mm(prefixes[l - 1].T, g)
+        gl = g if l == 0 else _narrow_mm(prefixes[l - 1].T, g)
         if suffix is not None:
             gl = _mm(gl, suffix.T)
         grads.append(gl)
@@ -252,7 +263,7 @@ def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     chain = _prefix_chain(mats)
     _, a, g, c = obj.expanded(chain[-1])
     grads = _layer_gradients(mats, chain, obj.chain_gradient(chain[-1], a, g, c))
-    return DenseMatrix(grads[layer_index - 1])
+    return DenseMatrix(_lock(grads[layer_index - 1]))
 
 
 def _init_random(p, layer_dims, rng) -> list[np.ndarray]:
@@ -353,4 +364,4 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
             f"every entry of the collapsed chain E is zero after epoch {epoch}: "
             f"the steps clamped the stack to the all-zero model; lower the "
             f"learning rate (currently {lr})", epoch=epoch)
-    return EncoderStack([DenseMatrix(h) for h in layers], training_trace=trace)
+    return EncoderStack([DenseMatrix(_lock(h)) for h in layers], training_trace=trace)

@@ -25,7 +25,7 @@ from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
 from .errors import ConfigError, ModelFormatError, XlcError, _choice, _integer, _integers
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
-from .matrix import _BLOCK_ENTRIES, _check_labels
+from .matrix import _BLOCK_ENTRIES, _check_labels, _lock
 from .nmf import NmfConfig, nmf_factorize, nmf_objective
 from .pipeline import (FeatureMatrix, _metrics_at_k, fit_regressor, predict_labels,
                        split_rows)
@@ -181,8 +181,8 @@ def _cmd_fit_reg(o) -> int:
     w = encode(v, stack)
     train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
                                      seed=o.split_seed)
-    x_train = FeatureMatrix(x.values[train_idx])
-    w_train = type(w)(w.values[train_idx])
+    x_train = FeatureMatrix(_lock(x.values[train_idx]))
+    w_train = type(w)(_lock(w.values[train_idx]))
     container.regressor = fit_regressor(x_train, w_train, kind, {"lam": o.lam})
     container.config.update({
         "reg_kind": kind, "reg_seed": str(o.seed), "reg_lam": repr(o.lam),

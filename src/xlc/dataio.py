@@ -26,7 +26,7 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import (ConfigError, DatasetFormatError, ModelFormatError, XlcError, _instance,
                      _integer, _names, _real)
-from .matrix import DenseMatrix, LabelMatrix, _check_labels, make_rng
+from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lock, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
 
@@ -90,7 +90,7 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
         # declared label count that large
         raise DatasetFormatError(f"{path}: a label index does not fit in 64 bits")
     v = LabelMatrix.from_coo(n_rows, p, *labels, np.ones(labels[1].size))
-    return FeatureMatrix(x), v
+    return FeatureMatrix(_lock(x)), v
 
 
 def _parse_rows(lines, x: np.ndarray, p: int):
@@ -98,10 +98,11 @@ def _parse_rows(lines, x: np.ndarray, p: int):
     the (rows, cols) arrays of their labels, or None when a check fails.
 
     Each block of _PARSE_ROWS lines is split once per line. Its label
-    tokens are joined and split on ",", its feature tokens joined and split
-    on ":", and the parts converted as the line checker converts them (the
-    indices by _ints): ValueError on a malformed token, OverflowError on an
-    index beyond int64. Every check is one vectorized test per block.
+    fields are joined with their commas turned into spaces, its feature
+    tokens joined and split on ":", and the parts converted as the line
+    checker converts them (the indices by _ints): ValueError on a malformed
+    token, OverflowError on an index beyond int64. Every check is one
+    vectorized test per block.
     """
     d = x.shape[1]
     label_counts, label_cols = [], [np.empty(0, dtype=np.int64)]
@@ -115,7 +116,6 @@ def _parse_rows(lines, x: np.ndarray, p: int):
                 n_labels.append(0)
             n_feats.append(len(toks))
             feats += toks
-        parts = ",".join(labels).split(",") if labels else []
         pairs = ":".join(feats).split(":") if feats else []
         # as many ":" as tokens, and one in each: exactly one per token
         if (len(pairs) != 2 * len(feats)
@@ -124,7 +124,7 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         block_rows = np.arange(lo - 1, lo - 1 + len(n_feats))
 
         rows = np.repeat(block_rows, n_labels)
-        cols = _ints(parts)
+        cols = _ints(",".join(labels).replace(",", " "), sum(n_labels))
         if cols.size and (cols.min() < 0 or int(cols.max()) >= p):
             return None
         if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
@@ -133,7 +133,7 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         label_cols.append(cols)
 
         rows = np.repeat(block_rows, n_feats)
-        cols = _ints(pairs[0::2])
+        cols = _ints(" ".join(pairs[0::2]), len(feats))
         vals = np.fromiter(map(float, pairs[1::2]), dtype=np.float64, count=len(feats))
         if cols.size and (cols.min() < 0 or cols.max() >= d):
             return None
@@ -145,22 +145,24 @@ def _parse_rows(lines, x: np.ndarray, p: int):
             np.concatenate(label_cols))
 
 
-def _ints(tokens: list[str]) -> np.ndarray:
-    """int(t) for each token as int64, or the error of int() or np.fromiter.
-    numpy's C reader converts them in one call; int() takes over when that
-    reader stops at a token (1_0, a non-ASCII digit), gives the wrong count
-    (an empty token) or a value saturated at +-2^63, or ends on a bare sign,
-    read as 0 (elsewhere a sign joins the next token and the count comes short)."""
+def _ints(text: str, count: int) -> np.ndarray:
+    """int(t) as int64 for each of the count tokens that single spaces join
+    into text, or the error of int() or np.fromiter. numpy's C reader
+    converts them in one call; the text is split and int() takes over when
+    that reader stops at a token (1_0, a non-ASCII digit), gives the wrong
+    count (an empty token) or a value saturated at +-2^63, or ends on a bare
+    sign, read as 0 (elsewhere a sign joins the next token and the count
+    comes short)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # older numpy warns
-            a = np.fromstring(" ".join(tokens), np.int64, sep=" ")
-        if (a.size == len(tokens) > 0 and tokens[-1] not in ("-", "+")
+            a = np.fromstring(text, np.int64, sep=" ")
+        if (a.size == count > 0 and text.rpartition(" ")[2] not in ("-", "+")
                 and -2**63 < a.min() and a.max() < 2**63 - 1):
             return a
     except (ValueError, DeprecationWarning):
         pass
-    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    return np.fromiter(map(int, text.split(" ") if count else ()), dtype=np.int64, count=count)
 
 
 def _check_rows(path, lines, d, p) -> None:
@@ -324,7 +326,7 @@ class _Reader:
     def matrix(self) -> np.ndarray:
         rows, cols = self.unpack("<II")
         raw = self.take(rows * cols * 8, "matrix payload")
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        return _lock(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy())
 
     def trace(self) -> list[float]:
         (n,) = self.unpack("<Q")

@@ -16,7 +16,7 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import (ConfigError, ShapeMismatchError, _array, _instance, _integer, _integers,
                      _names, _real)
-from .matrix import _back_substitute, _mm, make_rng
+from .matrix import _back_substitute, _lock, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
 
@@ -379,7 +379,7 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     if m.output_dim < 2 or cols.size == 0:
         cols = np.arange(x_row.size)
     sub = RegressorModel(m.kind, cols.size, m.output_dim,
-                         {"theta": m.params["theta"][cols],
+                         {"theta": _lock(m.params["theta"][cols]),
                           "intercept": m.params["intercept"]})
     lime = LimeConfig(lime.num_samples, lime.kernel_width, lime.k_features, lime.seed,
                       base[cols])

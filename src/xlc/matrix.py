@@ -38,6 +38,15 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(name: str, value, *shapes: tuple, nonneg: bool = False) -> np.ndarray:
+    """_array(name, value, *shapes, nonneg=nonneg), read-only. When that is
+    value itself, it is copied first if writeable, so a caller's array is
+    never locked; a producer that locks its fresh array hands it over
+    without a copy."""
+    a = _array(name, value, *shapes, nonneg=nonneg)
+    return _lock(a.copy() if a is value and a.flags.writeable else a)
+
+
 def _csr(data, indices, indptr, shape):
     """scipy.sparse CSR matrix from its three arrays, whose column indices
     must already be sorted and unique within each row; xlc imports scipy
@@ -53,13 +62,14 @@ class DenseMatrix:
     Attributes
     ----------
     values : ndarray, shape (rows, cols)
-        Read-only C-contiguous float64 array.
+        Read-only C-contiguous float64 array: the argument itself when it
+        already was one, else the matrix's own copy.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = _lock(_array("values", values, (None, None)))
+        self.values = _frozen("values", values, (None, None))
 
     @property
     def rows(self) -> int:
@@ -184,6 +194,11 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (with the matching rows of a finite b) leaves the result bitwise the
     same. A 1-column b takes a dot kernel that splits the sum into lanes,
     whose bits depend on the inner length, so this does not hold there.
+    So when b has at least 2 columns and a at least 2 rows (the columns of
+    a.T, the right operand of the swapped form), _mm(b.T, a.T).T equals
+    _mm(a, b) bit for bit: each entry is still one running sum over the
+    same j, in ascending order, of products that commute. A tall a and a
+    narrow b run faster that way round.
     """
     return np.einsum("ij,jk->ik", np.ascontiguousarray(a),
                      np.ascontiguousarray(b), optimize=False)
@@ -201,25 +216,40 @@ def _back_substitute(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+# _cholesky_solve takes the row sums of this many factor rows at once from
+# the rows above them. At d = 300 and 8 right-hand sides (one x86-64 Xeon
+# thread, numpy 2.4, medians of 150 interleaved runs) panels of 16, 32 and
+# 64 rows took 0.76, 0.77 and 0.80 of the time of a row-by-row factor
+# followed by a separate lower solve; at d = 32, 0.72-0.73 with any of them.
+_PANEL = 32
+
+
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for a symmetric positive-definite n x n A and an n x m B.
 
-    Factors A = U^T U, row j of U from rows 0..j-1 through one _mm, then
-    solves U^T Y = B and U X = Y with _back_substitute (the lower solve runs
-    it on the row- and column-reversed U^T). No LAPACK or BLAS call takes
-    part, so X obeys the determinism contract. Raises NonNegativityError
-    when a pivot is not positive, i.e. A is singular or indefinite to
-    working precision.
+    Factors the augmented block [A | B] row by row into [U | Y], with
+    A = U^T U and U^T Y = B, so the lower solve comes out of the same loop,
+    then solves U X = Y with _back_substitute. Row j of [U | Y] is
+    [A | B]_j minus the sum over rows i < j of u_ij [U | Y]_i, divided by
+    the square root of its pivot. The rows are taken in panels of _PANEL:
+    one _mm gives each panel row its sum over all rows above the panel,
+    and one more per row adds the rows of its own panel. No LAPACK or BLAS
+    call takes part, so X obeys the determinism contract. Raises
+    NonNegativityError when a pivot is not positive, i.e. A is singular or
+    indefinite to working precision.
     """
     n = a.shape[0]
-    u = np.zeros((n, n))
-    for j in range(n):
-        row = a[j, j:] - _mm(u[:j, j:j + 1].T, u[:j, j:])[0]
-        if not row[0] > 0.0:
-            raise NonNegativityError(f"matrix is not positive definite: pivot {j} is {row[0]}")
-        u[j, j:] = row / np.sqrt(row[0])
-    y = _back_substitute(u.T[::-1, ::-1], b[::-1])[::-1]
-    return _back_substitute(u, y)
+    aug = np.concatenate((a, b), axis=1)
+    uy = np.zeros(aug.shape)
+    for lo in range(0, n, _PANEL):
+        hi = min(lo + _PANEL, n)
+        above = aug[lo:hi, lo:] - _mm(uy[:lo, lo:hi].T, uy[:lo, lo:])
+        for j in range(lo, hi):
+            row = above[j - lo, j - lo:] - _mm(uy[lo:j, j:j + 1].T, uy[lo:j, j:])[0]
+            if not row[0] > 0.0:
+                raise NonNegativityError(f"matrix is not positive definite: pivot {j} is {row[0]}")
+            uy[j, j:] = row / np.sqrt(row[0])
+    return _back_substitute(uy[:, :n], uy[:, n:])
 
 
 # The low-rank residual is summed, and the CLI serves predictions, over row
@@ -322,6 +352,14 @@ def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
+def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the nonzeros of a C-contiguous 2-D x in
+    row-major order, from one O(x.size) scan."""
+    flat = np.flatnonzero(x != 0.0)
+    rows, cols = np.divmod(flat, max(x.shape[1], 1))
+    return rows, cols, x.ravel()[flat]
+
+
 # The ridge fit sums its normal equations over X's nonzeros only when the
 # pair count sum_i nnz_i (nnz_i + 1) / 2, times this factor, is below the
 # dense products' n d^2. On one x86-64 Xeon thread (numpy 2.4, scipy 1.17;
@@ -332,24 +370,25 @@ def _direct_sq_error(vs, a: np.ndarray, b: np.ndarray) -> float:
 _PAIR_COST = 16
 
 
-def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,
+def _support_normal_equations(nonzeros, mean: np.ndarray, wc: np.ndarray,
                               certify: bool = True):
     """(Xc^T Xc, Xc^T Wc) for Xc = X - 1 mean^T, summed over the nonzeros
-    of the n x d X, or None where the dense products are the better ones;
-    Wc is n x k. With certify=False the support form is always returned.
+    of the n x d X, given as _nonzeros(X), or None where the dense products
+    are the better ones; Wc is n x k and mean has length d. With
+    certify=False the support form is always returned.
 
     With S_j the rows where x_ij != 0 and s = 1^T Wc,
 
         Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T.
 
-    X's nonzeros, found by one O(n d) scan, become a CSR matrix; X^T X is
-    scipy's sequential sparse product of its transpose with it, and X^T Wc
-    the sparse-dense one, O(pairs + nnz k + d^2) against the dense
-    O(n d^2 + n d k), where pairs counts the pairs j <= k of nonzeros that
-    share a row. The transpose holds each column's rows in ascending order,
-    so entry (j, k) of X^T X is one running sum of x_ij x_ik over the rows
-    in both S_j and S_k, and entry (j, c) of X^T Wc one of x_ij Wc_ic over
-    S_j, both in ascending row order; s is one _mm. So the result depends only on the values and
+    X's nonzeros become a CSR matrix; X^T X is scipy's sequential sparse
+    product of its transpose with it, and X^T Wc the sparse-dense one,
+    O(pairs + nnz k + d^2) against the dense O(n d^2 + n d k), where pairs
+    counts the pairs j <= k of nonzeros that share a row. The transpose
+    holds each column's rows in ascending order, so entry (j, k) of X^T X
+    is one running sum of x_ij x_ik over the rows in both S_j and S_k, and
+    entry (j, c) of X^T Wc one of x_ij Wc_ic over S_j, both in ascending
+    row order; s is one _mm. So the result depends only on the values and
     shapes of X, mean and Wc, and X^T X is exactly symmetric.
 
     Gate and certificate, both checked before any product: the support
@@ -381,13 +420,11 @@ def _support_normal_equations(x: np.ndarray, mean: np.ndarray, wc: np.ndarray,
     gamma_n sqrt(n mean_j^2 ||Wc_k||^2), under the certificate
     sqrt((f - 1) / 2) times the dense bound gamma_n sqrt(C_j ||Wc_k||^2).
     """
-    n, d = x.shape
-    flat = np.flatnonzero(x != 0.0)
-    rows, cols = np.divmod(flat, max(d, 1))
+    rows, cols, vals = nonzeros
+    n, d = wc.shape[0], mean.size
     counts = np.bincount(rows, minlength=n)
     if certify and not int(np.sum(counts * (counts + 1) // 2)) * _PAIR_COST < n * d * d:
         return None
-    vals = x.ravel()[flat]
     if certify:
         col_counts = np.bincount(cols, minlength=d)
         depth = int(col_counts.max(initial=0)) + 2

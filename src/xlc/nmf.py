@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NonNegativityError, ShapeMismatchError, _instance, _integer, _real
-from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lowrank_sq_error, _mm, make_rng
+from .matrix import (DenseMatrix, LabelMatrix, _check_labels, _lock, _lowrank_sq_error, _mm,
+                     make_rng)
 
 _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
 # Near convergence a Lee-Seung step can rise by a few ulps of the objective
@@ -122,4 +123,4 @@ def nmf_factorize(v: LabelMatrix, cfg: NmfConfig) -> NmfFactors:
             break
         prev = obj
 
-    return NmfFactors(DenseMatrix(w), DenseMatrix(h), trace)
+    return NmfFactors(DenseMatrix(_lock(w)), DenseMatrix(_lock(h)), trace)

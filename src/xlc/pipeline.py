@@ -22,7 +22,8 @@ import numpy as np
 from .autoencoder import EncoderStack, decode
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _choice,
                      _instance, _integer, _real)
-from .matrix import DenseMatrix, _cholesky_solve, _lock, _mm, _support_normal_equations, make_rng
+from .matrix import (DenseMatrix, _cholesky_solve, _frozen, _lock, _mm, _nonzeros,
+                     _support_normal_equations, make_rng)
 
 
 class FeatureMatrix(DenseMatrix):
@@ -37,8 +38,8 @@ class RegressorModel:
     """Fitted feature-to-latent map: ridge-linear, X Theta + intercept.
 
     The parameters are exactly theta (d x k) and intercept (length k), both
-    finite; they are immutable after fitting. Predictions pass through an
-    identity output head.
+    finite. They are read-only, and a caller's writeable array is copied,
+    not locked. Predictions pass through an identity output head.
     """
 
     KINDS = ("ridge-linear",)
@@ -52,8 +53,8 @@ class RegressorModel:
         if sorted(params) != ["intercept", "theta"]:
             raise ConfigError(f"{kind} parameters must be intercept and theta, "
                               f"got {sorted(params)}")
-        theta = _lock(_array("theta", params["theta"], (self.input_dim, self.output_dim)))
-        b = _lock(_array("intercept", params["intercept"], (self.output_dim,)))
+        theta = _frozen("theta", params["theta"], (self.input_dim, self.output_dim))
+        b = _frozen("intercept", params["intercept"], (self.output_dim,))
         self.params = {"theta": theta, "intercept": b}
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
@@ -75,7 +76,7 @@ class RankedPrediction:
     __slots__ = ("scores", "top_n")
 
     def __init__(self, scores: np.ndarray, n: int):
-        self.scores = scores = _lock(_array("scores", scores, (None,), nonneg=True))
+        self.scores = scores = _frozen("scores", scores, (None,), nonneg=True)
         self.top_n = _top_n(scores.reshape(1, -1), _integer("n", n, 1))[0]
 
     @classmethod
@@ -127,14 +128,17 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
 
     It solves min ||X Theta - W||_F^2 + lam ||Theta||_F^2 in closed form
     on column-centered data, so the intercept absorbs the column means and
-    is not penalized. Its normal equations come from one of two paths. For
-    sparse features, _support_normal_equations sums them over X's nonzeros
-    in O(pairs of nonzeros sharing a row), without forming the centered
-    copy; it runs when that pair count is well below n d^2 and its
-    rounding certificate holds, that is, when no feature's mean is large
-    against its spread. Otherwise the centered copy Xc = X - mean gives
-    Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both paths then take the
-    same Cholesky solve.
+    is not penalized. X is scanned for its nonzeros once, and the column
+    means are their column sums, each added in ascending row order, over n
+    (x.mean(axis=0) bit for bit when d >= 2 and no column is all -0.0;
+    numpy sums a lone column pairwise). The normal equations come from one
+    of two paths. For sparse features, _support_normal_equations sums them
+    over those nonzeros in O(pairs of nonzeros sharing a row), without
+    forming the centered copy; it runs when that pair count is well below
+    n d^2 and its rounding certificate holds, that is, when no feature's
+    mean is large against its spread. Otherwise the centered copy
+    Xc = X - mean gives Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both
+    paths then take the same Cholesky solve.
 
     kind must be "ridge-linear"; the one hyperparameter is lam (optional,
     default 1e-3).
@@ -150,11 +154,12 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     if hp:
         raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(hp)}")
     xv, wv = x.values, w.values
-    d, k = x.cols, w.cols
-    x_mean = xv.mean(axis=0) if x.rows else np.zeros(d)
-    w_mean = wv.mean(axis=0) if x.rows else np.zeros(k)
+    n, d, k = x.rows, x.cols, w.cols
+    _, cols, vals = nonzeros = _nonzeros(xv)
+    x_mean = np.bincount(cols, weights=vals, minlength=d) / max(n, 1)
+    w_mean = wv.mean(axis=0) if n else np.zeros(k)
     wc = wv - w_mean
-    normal = _support_normal_equations(xv, x_mean, wc)
+    normal = _support_normal_equations(nonzeros, x_mean, wc)
     if normal is None:
         xc = xv - x_mean
         gram, rhs = _mm(xc.T, xc), _mm(xc.T, wc)
@@ -168,7 +173,7 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
             f"normal equations are singular with lam={lam}; "
             f"use a positive lam") from exc
     intercept = w_mean - _mm(x_mean.reshape(1, -1), theta)[0]
-    return RegressorModel(kind, d, k, {"theta": theta, "intercept": intercept})
+    return RegressorModel(kind, d, k, {"theta": _lock(theta), "intercept": _lock(intercept)})
 
 
 def predict_latent(x, m: RegressorModel) -> np.ndarray:

@@ -935,9 +935,55 @@ def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
     assert loss == pytest.approx(float(np.sum((dense - dense @ e @ e.T) ** 2)), rel=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(6, 1), (12, 5, 1), (8, 2), (16, 8), (24, 12, 8)])
+def test_transposed_narrow_products_train_the_direct_products_bits(dims):
+    # the chain, P^T g, M C and E G run as (B^T A^T)^T where the right
+    # operand has >= 2 columns; k_L = 1 keeps the direct form. Layers,
+    # trace, W and the gradients must equal those of the direct products
+    rng = np.random.default_rng(len(dims) + dims[-1])
+    n, p = 90, 40
+    r, c = np.nonzero(rng.random((n, p)) < 0.15)
+    v = LabelMatrix.from_coo(n, p, r, c, np.ones(r.size))
+    cfg = AeTrainConfig(list(dims), max_epochs=6, learning_rate=1e-3, rel_tol=0.0, seed=3)
+
+    def run():
+        stack = train_autoencoder(v, cfg)
+        return ([h.values.tobytes() for h in stack.layers], stack.training_trace,
+                encode(v, stack).values.tobytes(), stack.chain_t().tobytes(),
+                [ae_gradient(v, stack, l).values.tobytes() for l in range(1, len(dims) + 1)])
+
+    with mock.patch.object(xlc.autoencoder, "_narrow_mm", xlc.autoencoder._mm):
+        want = run()
+    assert run() == want
+
+
+def test_dense_matrix_copies_a_writeable_argument_and_keeps_a_locked_one():
+    a = np.ones((3, 2))
+    m = DenseMatrix(a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0
+    assert m.values[0, 0] == 1.0 and not m.values.flags.writeable
+    a.setflags(write=False)
+    assert DenseMatrix(a).values is a
+
+
+def test_decode_block_is_the_products_own_array():
+    stack = EncoderStack([DenseMatrix(np.random.default_rng(2).uniform(size=(6, 3)))])
+    made = []
+
+    def product(a, b):
+        made.append(xlc.matrix._mm(a, b))
+        return made[-1]
+
+    with mock.patch.object(xlc.autoencoder, "_mm", product):
+        out = decode(np.ones((4, 3)), stack)
+    assert out.values is made[-1]
+
+
 def test_an_epoch_forms_the_collapsed_chain_once():
-    # each epoch needs E = H_1 H_2 (p x k_1 @ k_1 x k_2) for its loss; the
-    # layer gradients need only the suffix products S_2 .. S_L, never E
+    # each epoch needs E = H_1 H_2 for its loss, formed transposed as
+    # (H_2^T H_1^T)^T (k_2 x k_1 @ k_1 x p); the layer gradients need only
+    # the suffix products S_2 .. S_L, never E
     n, p, dims = 60, 30, (8, 3)
     _, v, _ = make_block_dataset(3, n, p // 3, 0.1, seed=4)
     products = []
@@ -952,7 +998,7 @@ def test_an_epoch_forms_the_collapsed_chain_once():
                             rel_tol=0.0, seed=4)
         with mock.patch.object(xlc.autoencoder, "_mm", counted):
             assert len(train_autoencoder(v, cfg).training_trace) == epochs + 1
-        return products.count(((p, dims[0]), dims))
+        return products.count(((dims[1], dims[0]), (dims[0], p)))
 
     assert chain_products(5) - chain_products(2) == 3
 

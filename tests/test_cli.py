@@ -14,7 +14,7 @@ from xlc import (DenseMatrix, EncoderStack, FeatureMatrix, LabelMatrix,
                  ModelContainer, RegressorModel, load_dataset, load_model,
                  rank_labels, save_dataset, save_model, split_rows)
 from xlc.cli import main
-from xlc.matrix import _support_normal_equations
+from xlc.matrix import _nonzeros, _support_normal_equations
 
 
 def _run(*argv):
@@ -458,7 +458,7 @@ def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path, d, 
     x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
     x[rng.random((n, d)) < zeros] = 0.0
     x_train = x[split_rows(n, 0.2, seed=0)[0]]         # fit-reg's default split
-    normal = _support_normal_equations(x_train, x_train.mean(axis=0),
+    normal = _support_normal_equations(_nonzeros(x_train), x_train.mean(axis=0),
                                        np.zeros((len(x_train), 1)))
     assert (normal is not None) == support
     v = LabelMatrix.from_dense_array((rng.random((n, p)) < 0.2).astype(float))

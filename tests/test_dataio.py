@@ -270,6 +270,23 @@ def test_load_dataset_peak_memory_stays_below_the_per_token_loop(tmp_path):
     assert peak < 6.0 * 2**20
 
 
+def test_load_dataset_hands_over_its_own_feature_block(tmp_path):
+    # the parser fills a fresh block and locks it, so FeatureMatrix keeps
+    # that array rather than a copy
+    f = tmp_path / "own.txt"
+    f.write_text("2 3 2\n0,1 0:1.5 2:2\n1 1:3\n", encoding="utf-8")
+    locked = []
+
+    def lock(a):
+        locked.append(a)
+        return xlc.matrix._lock(a)
+
+    with mock.patch.object(xlc.dataio, "_lock", lock):
+        x, _ = load_dataset(f)
+    assert x.values is locked[0]
+    assert x.values.tolist() == [[1.5, 0.0, 2.0], [0.0, 3.0, 0.0]]
+
+
 def test_save_dataset_round_trip_and_stable_bytes(tmp_path):
     x, v, _ = make_block_dataset(blocks=3, rows=20, labels_per_block=4,
                                  noise=0.1, seed=5)

@@ -28,6 +28,7 @@ from xlc.matrix import (
     _cholesky_solve,
     _lowrank_sq_error,
     _mm,
+    _nonzeros,
     _support_normal_equations,
 )
 
@@ -119,6 +120,28 @@ def test_matmul_bits_do_not_depend_on_columns_of_a_that_are_zero(seed, r, n, k, 
     assert np.array_equal(full.view(np.uint64), part.view(np.uint64))
 
 
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-300, 1e300, -1e300, 1.7e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(1, 40),
+       st.integers(2, 40), st.floats(0.0, 0.3), st.integers(0, 3), st.integers(0, 3))
+def test_matmul_equals_its_transposed_form_bit_for_bit(seed, r, n, k, extreme, la, lb):
+    # the autoencoder forms its narrow chain products as (B^T A^T)^T and
+    # relies on this: with >= 2 rows in a and >= 2 columns in b, each entry
+    # is one running sum over the same index, in ascending order, of
+    # products that commute; overflow to inf and NaN included
+    rng = np.random.default_rng(seed)
+    a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
+    for m in (a, b):
+        hit = rng.random(m.shape) < extreme
+        m[hit] = rng.choice(_EXTREMES, size=int(hit.sum()))
+        m[rng.random(m.shape) < extreme / 4] *= 1e-310        # subnormal
+    want = _mm(a, b).view(np.uint64)
+    got = _mm(_layouts(b)[lb].T, _layouts(a)[la].T).T
+    assert np.array_equal(got.view(np.uint64), want)
+
+
 # ---------------------------------------------------------------- solves
 
 
@@ -162,6 +185,28 @@ def test_cholesky_solve_rejects_singular_and_indefinite(seed, n, data):
             _cholesky_solve(bad, np.ones((n, 2)))
     with pytest.raises(XlcError):
         _cholesky_solve(np.ones((2, 2)), np.ones((2, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 100), st.integers(1, 5),
+       st.sampled_from([0.0, 1e-3, 1.0]))
+def test_cholesky_factor_carries_the_lower_solve(seed, n, m, lam):
+    # [A | B] is factored into [U | Y] in one pass, in panels of 32 rows:
+    # Y = U^-T B agrees with a separate lower solve on the same U within
+    # 10 n eps cond(A), and U^T U = A
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n + 3, n))
+    a = g.T @ g + lam * np.eye(n)
+    b = rng.normal(size=(n, m))
+    with mock.patch.object(xlc.matrix, "_back_substitute",
+                           wraps=xlc.matrix._back_substitute) as back:
+        _cholesky_solve(a, b)
+    u, y = back.call_args.args
+    assert np.array_equal(u, np.triu(u))
+    bound = 10 * n * np.finfo(np.float64).eps * np.linalg.cond(a)
+    want = np.linalg.solve(u.T, b)
+    assert np.abs(y - want).max() <= bound * np.abs(want).max()
+    assert np.abs(u.T @ u - a).max() <= bound * np.abs(a).max()
 
 
 # ---------------------------------------------------------------- low-rank residual
@@ -364,7 +409,7 @@ def test_support_normal_equations_match_the_dense_oracle(case):
     n = x.shape[0]
     mean = x.mean(axis=0)
     xc = x - mean
-    gram, rhs = _support_normal_equations(x, mean, wc, certify=False)
+    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc, certify=False)
     assert np.array_equal(gram, gram.T)
     a = np.sum(x * x, axis=0) + n * mean * mean
     np.testing.assert_array_less(np.abs(gram - _mm(xc.T, xc)),
@@ -405,7 +450,7 @@ def test_support_normal_equations_are_the_row_ordered_sums_bitwise(case, dense_r
     if dense_row is not None:
         x[dense_row] = np.round(np.random.default_rng(7).uniform(0.1, 2.0, x.shape[1]), 3)
     mean = x.mean(axis=0)
-    gram, rhs = _support_normal_equations(x, mean, wc, certify=False)
+    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc, certify=False)
     want_gram, want_rhs = _row_ordered_normal_equations(x, mean, wc)
     assert gram.tobytes() == want_gram.tobytes()
     assert rhs.tobytes() == want_rhs.tobytes()
@@ -421,7 +466,7 @@ def test_support_form_runs_below_sixteen_times_the_pair_count(per_row, support):
     x = np.zeros((n, d))
     for row in x:
         row[rng.choice(d, per_row, replace=False)] = rng.uniform(-1.0, 1.0, per_row)
-    normal = _support_normal_equations(x, x.mean(axis=0), np.zeros((n, 1)))
+    normal = _support_normal_equations(_nonzeros(x), x.mean(axis=0), np.zeros((n, 1)))
     assert (normal is not None) == support
 
 
@@ -437,7 +482,7 @@ def test_support_normal_equations_hold_a_few_blocks_of_pairs():
     nnz = np.count_nonzero(x)
     tracemalloc.start()
     try:
-        assert _support_normal_equations(x, mean, wc) is not None
+        assert _support_normal_equations(_nonzeros(x), mean, wc) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
