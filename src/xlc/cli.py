@@ -22,7 +22,8 @@ from .autoencoder import AeTrainConfig, encode, train_autoencoder
 from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      load_model, make_block_dataset, save_dataset, save_label_names,
                      save_model)
-from .errors import ConfigError, ModelFormatError, XlcError, _choice, _integer, _integers
+from .errors import (ConfigError, ModelFormatError, ShapeMismatchError, XlcError, _choice,
+                     _integer, _integers)
 from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES, _check_labels, _lock
@@ -105,12 +106,13 @@ def _emit(path, text: str) -> None:
             fh.write(text)
 
 
-def _load_rows(path, purpose: str, split: bool = False):
+def _load_rows(path, purpose: str | None, split: bool = False):
     """load_dataset for a command that works row by row: a file with no
-    rows, or with 1 row for a command that splits them into train and test,
-    is refused by its path, not by a bound derived from its row count."""
+    rows, for a purpose other than None, or with 1 row for a command that
+    splits them into train and test, is refused by its path, not by a
+    bound derived from its row count."""
     x, v = load_dataset(path)
-    if x.rows == 0:
+    if purpose is not None and x.rows == 0:
         raise ConfigError(f"{path} has no rows to {purpose}")
     if split and x.rows == 1:
         raise ConfigError(f"{path} has 1 row; a train/test split needs at least 2")
@@ -124,6 +126,20 @@ def _need(container: ModelContainer, section: str):
             f"model file has no {section!r} section; run the producing "
             f"command first")
     return value
+
+
+def _load_served(o, purpose: str | None, split: bool = False):
+    """(container, stack, regressor, x, v) for a command that serves the
+    --model on the rows of --data, loaded as _load_rows loads them; a file
+    whose feature count is not the regressor's input width is refused by
+    its path."""
+    container = load_model(o.model)
+    stack, reg = _need(container, "encoder"), _need(container, "regressor")
+    x, v = _load_rows(o.data, purpose, split)
+    if x.n_features != reg.input_dim:
+        raise ShapeMismatchError(
+            f"{o.data} has {x.n_features} features, regressor expects {reg.input_dim}")
+    return container, stack, reg, x, v
 
 
 # ---------------------------------------------------------------- commands
@@ -195,10 +211,7 @@ def _cmd_fit_reg(o) -> int:
 
 
 def _cmd_predict(o) -> int:
-    container = load_model(o.model)
-    stack = _need(container, "encoder")
-    reg = _need(container, "regressor")
-    x, _ = load_dataset(o.data)
+    _, stack, reg, x, _ = _load_served(o, None)
     # every row ranks min(top_n, p) labels, so one template formats each line
     line = "row {}: " + " ".join(["{}:{:.6g}"] * min(o.top_n, stack.p)) + "\n"
     lines = []
@@ -218,10 +231,7 @@ def _block_rows(stack) -> int:
 
 
 def _cmd_explain(o) -> int:
-    container = load_model(o.model)
-    stack = _need(container, "encoder")
-    reg = _need(container, "regressor")
-    x, _ = _load_rows(o.data, "explain")
+    container, stack, reg, x, _ = _load_served(o, "explain")
     _integer("--row", o.row, 0, x.rows - 1)
     cfg = ExplainConfig(
         lime=LimeConfig(num_samples=o.samples, kernel_width=o.kernel_width,
@@ -244,10 +254,7 @@ def _cmd_hierarchy(o) -> int:
 
 
 def _cmd_eval(o) -> int:
-    container = load_model(o.model)
-    stack = _need(container, "encoder")
-    reg = _need(container, "regressor")
-    x, v = _load_rows(o.data, "evaluate", split=o.split != "all")
+    container, stack, reg, x, v = _load_served(o, "evaluate", split=o.split != "all")
     _check_labels(v, stack.p)
     ks = _integers("--k", o.k, 1)
     if len(set(ks)) != len(ks):
@@ -390,7 +397,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no xlc option takes a value, so the first command name is the command
+    # the top-level parser takes no option with a value, so the command
+    # comes before any option value: it is the first argument naming one
     args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     handler, _, options = _COMMANDS[args.command]
     try:

@@ -26,7 +26,7 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import (ConfigError, DatasetFormatError, ModelFormatError, XlcError, _instance,
                      _integer, _names, _real)
-from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lock, make_rng
+from .matrix import DenseMatrix, LabelMatrix, _check_labels, _lock, _nonzeros, make_rng
 from .nmf import NmfFactors
 from .pipeline import FeatureMatrix, RegressorModel
 
@@ -81,28 +81,26 @@ def load_dataset(path) -> tuple[FeatureMatrix, LabelMatrix]:
             f"declared by {lines[0]!r} ({exc})")
 
     try:
-        labels = _parse_rows(lines, x, p)
-    except (ValueError, OverflowError):     # a bad token; an index beyond int64
-        labels = None
-    if labels is None:
+        rows, cols = _parse_rows(lines, x, p)
+    except (ValueError, OverflowError):     # a failed check or bad token; an index beyond int64
         _check_rows(path, lines, d, p)
         # the line checker accepts an index beyond int64 only below a
         # declared label count that large
-        raise DatasetFormatError(f"{path}: a label index does not fit in 64 bits")
-    v = LabelMatrix.from_coo(n_rows, p, *labels, np.ones(labels[1].size))
+        raise DatasetFormatError(f"{path}: a label index does not fit in 64 bits") from None
+    v = LabelMatrix.from_coo(n_rows, p, rows, cols, np.ones(cols.size))
     return FeatureMatrix(_lock(x)), v
 
 
 def _parse_rows(lines, x: np.ndarray, p: int):
     """Fill x with the feature pairs of the row lines lines[1:] and return
-    the (rows, cols) arrays of their labels, or None when a check fails.
+    the (rows, cols) arrays of their labels.
 
     Each block of _PARSE_ROWS lines is split once per line. Its label
     fields are joined with their commas turned into spaces, its feature
     tokens joined and split on ":", and the parts converted as the line
     checker converts them (the indices by _ints): ValueError on a malformed
-    token, OverflowError on an index beyond int64. Every check is one
-    vectorized test per block.
+    token, OverflowError on an index beyond int64. Every other check is one
+    vectorized test per block, which raises ValueError when it fails.
     """
     d = x.shape[1]
     label_counts, label_cols = [], [np.empty(0, dtype=np.int64)]
@@ -120,15 +118,15 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         # as many ":" as tokens, and one in each: exactly one per token
         if (len(pairs) != 2 * len(feats)
                 or not all(map(contains, feats, repeat(":")))):
-            return None
+            raise ValueError("a feature token without exactly one ':'")
         block_rows = np.arange(lo - 1, lo - 1 + len(n_feats))
 
         rows = np.repeat(block_rows, n_labels)
         cols = _ints(",".join(labels).replace(",", " "), sum(n_labels))
         if cols.size and (cols.min() < 0 or int(cols.max()) >= p):
-            return None
+            raise ValueError("a label index out of range")
         if np.any((np.diff(cols) <= 0) & (np.diff(rows) == 0)):
-            return None
+            raise ValueError("label indices not strictly increasing")
         label_counts += n_labels
         label_cols.append(cols)
 
@@ -136,10 +134,10 @@ def _parse_rows(lines, x: np.ndarray, p: int):
         cols = _ints(" ".join(pairs[0::2]), len(feats))
         vals = np.fromiter(map(float, pairs[1::2]), dtype=np.float64, count=len(feats))
         if cols.size and (cols.min() < 0 or cols.max() >= d):
-            return None
+            raise ValueError("a feature index out of range")
         keys = np.sort(rows * d + cols)     # in range, so below x.size
         if np.any(keys[1:] == keys[:-1]) or not np.all(np.isfinite(vals)):
-            return None
+            raise ValueError("a duplicate feature index or a non-finite value")
         x[rows, cols] = vals
     return (np.repeat(np.arange(len(label_counts)), label_counts),
             np.concatenate(label_cols))
@@ -219,8 +217,8 @@ def save_dataset(path, x: FeatureMatrix, v: LabelMatrix) -> None:
         raise ConfigError(f"feature rows {x.rows} != label rows {v.n_rows}")
     cols = list(map(str, v.entry_cols.tolist()))
     lab_ptr = np.searchsorted(v.entry_rows, np.arange(v.n_rows + 1)).tolist()
-    r, c = np.nonzero(x.values)
-    pairs = [f"{j}:{val!r}" for j, val in zip(c.tolist(), x.values[r, c].tolist())]
+    r, c, vals = _nonzeros(x.values)
+    pairs = [f"{j}:{val!r}" for j, val in zip(c.tolist(), vals.tolist())]
     feat_ptr = np.searchsorted(r, np.arange(x.rows + 1)).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{x.rows} {x.cols} {v.n_labels}\n")

@@ -13,10 +13,10 @@ the same build. Dense solves go through ``_cholesky_solve`` and
 Sparse products go through scipy's sequential CSR kernels, built by
 ``_csr``, which do not depend on thread settings either: each output entry
 is one running sum whose terms are added in the order of the operand's
-stored indices. ``_support_normal_equations`` builds the ridge normal
-equations from those products over a feature block's nonzeros, with every
-sum running over rows in ascending order, so its result depends only on
-the values and shapes too.
+stored indices. ``_centered_normal_equations`` builds the ridge normal
+equations either from those products over a feature block's nonzeros,
+with every sum running over rows in ascending order, or through ``_mm``,
+so its result depends only on the values and shapes too.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ class LabelMatrix:
     @classmethod
     def from_dense_array(cls, a) -> "LabelMatrix":
         a = _array("a", a, (None, None), nonneg=True)
-        r, c = np.nonzero(a)
-        return cls.from_coo(a.shape[0], a.shape[1], r, c, a[r, c])
+        return cls.from_coo(a.shape[0], a.shape[1], *_nonzeros(a))
 
     def __repr__(self):
         return f"LabelMatrix({self.n_rows}x{self.n_labels}, nnz={self.nnz})"
@@ -370,33 +369,26 @@ def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _PAIR_COST = 16
 
 
-def _support_normal_equations(nonzeros, mean: np.ndarray, wc: np.ndarray,
-                              certify: bool = True):
-    """(Xc^T Xc, Xc^T Wc) for Xc = X - 1 mean^T, summed over the nonzeros
-    of the n x d X, given as _nonzeros(X), or None where the dense products
-    are the better ones; Wc is n x k and mean has length d. With
-    certify=False the support form is always returned.
+def _centered_normal_equations(x: np.ndarray, wc: np.ndarray):
+    """(mean, Xc^T Xc, Xc^T Wc) for the column means of a C-contiguous
+    n x d X, its centered copy Xc = X - 1 mean^T and an n x k Wc.
 
-    With S_j the rows where x_ij != 0 and s = 1^T Wc,
-
-        Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T.
-
-    X's nonzeros become a CSR matrix; X^T X is scipy's sequential sparse
-    product of its transpose with it, and X^T Wc the sparse-dense one,
-    O(pairs + nnz k + d^2) against the dense O(n d^2 + n d k), where pairs
-    counts the pairs j <= k of nonzeros that share a row. The transpose
-    holds each column's rows in ascending order, so entry (j, k) of X^T X
-    is one running sum of x_ij x_ik over the rows in both S_j and S_k, and
-    entry (j, c) of X^T Wc one of x_ij Wc_ic over S_j, both in ascending
-    row order; s is one _mm. So the result depends only on the values and
-    shapes of X, mean and Wc, and X^T X is exactly symmetric.
+    X is scanned for its nonzeros once, and mean is their column sums,
+    each added in ascending row order, over n (x.mean(axis=0) bit for bit
+    when d >= 2 and no column is all -0.0; numpy sums a lone column
+    pairwise). The products come from one of two forms. The support form,
+    _support_normal_equations, sums them over those nonzeros in
+    O(pairs + nnz k + d^2), where pairs counts the pairs j <= k of
+    nonzeros that share a row. The dense form gives them through _mm from
+    the centered copy in O(n d^2 + n d k).
 
     Gate and certificate, both checked before any product: the support
     form runs only when _PAIR_COST times the pair count is below n d^2,
     and only when its rounding bound is no worse than the dense product's.
     Entry (j, k) of X^T X is one sequential sum of at most m rounded
-    products, m the largest |S_j|; then n mean_j mean_k is formed, in two
-    roundings, and taken off, in one. With M = m + 2 its error is at most
+    products, m the largest |S_j|, S_j the rows where x_ij != 0; then
+    n mean_j mean_k is formed, in two roundings, and taken off, in one.
+    With M = m + 2 its error is at most
 
         gamma_M (sum_i |x_ij x_ik| + n |mean_j mean_k|) <= gamma_M sqrt(A_j A_k),
         A_j = sum_i x_ij^2 + n mean_j^2,
@@ -415,26 +407,51 @@ def _support_normal_equations(nonzeros, mean: np.ndarray, wc: np.ndarray,
     feature's mean is large against its spread, as for a constant column
     or for 1e6 plus small noise, and those take the dense products. On the
     right-hand side, X^T Wc has the same depth and bound with
-    ||Wc_k||^2 for A_k; s is the residue of centering Wc, off by at most
-    gamma_n sum_i |Wc_ik|, so mean_j s_k is off by at most
+    ||Wc_k||^2 for A_k; s = 1^T Wc is the residue of centering Wc, off by
+    at most gamma_n sum_i |Wc_ik|, so mean_j s_k is off by at most
     gamma_n sqrt(n mean_j^2 ||Wc_k||^2), under the certificate
     sqrt((f - 1) / 2) times the dense bound gamma_n sqrt(C_j ||Wc_k||^2).
+    Either form's result depends only on the values and shapes of X and Wc.
     """
-    rows, cols, vals = nonzeros
-    n, d = wc.shape[0], mean.size
+    n, d = x.shape
+    rows, cols, vals = nonzeros = _nonzeros(x)
+    mean = np.bincount(cols, weights=vals, minlength=d) / max(n, 1)
     counts = np.bincount(rows, minlength=n)
-    if certify and not int(np.sum(counts * (counts + 1) // 2)) * _PAIR_COST < n * d * d:
-        return None
-    if certify:
+    if int(np.sum(counts * (counts + 1) // 2)) * _PAIR_COST < n * d * d:
         col_counts = np.bincount(cols, minlength=d)
         depth = int(col_counts.max(initial=0)) + 2
         dev = vals - mean[cols]
         centered = (np.bincount(cols, weights=dev * dev, minlength=d)
                     + (n - col_counts) * (mean * mean))
-        if not np.all(np.bincount(cols, weights=vals * vals, minlength=d) + n * (mean * mean)
-                      <= max(_gamma(n) / _gamma(depth), 2.0) * centered):
-            return None
-    xs = _csr(vals, cols, np.concatenate(([0], np.cumsum(counts))), (n, d))
+        if np.all(np.bincount(cols, weights=vals * vals, minlength=d) + n * (mean * mean)
+                  <= max(_gamma(n) / _gamma(depth), 2.0) * centered):
+            return (mean, *_support_normal_equations(nonzeros, mean, wc))
+    xc = x - mean
+    return mean, _mm(xc.T, xc), _mm(xc.T, wc)
+
+
+def _support_normal_equations(nonzeros, mean: np.ndarray, wc: np.ndarray):
+    """(Xc^T Xc, Xc^T Wc) for Xc = X - 1 mean^T, summed over the nonzeros
+    of the n x d X, given as _nonzeros(X); Wc is n x k and mean has
+    length d.
+
+    With s = 1^T Wc,
+
+        Xc^T Xc = X^T X - n mean mean^T,   Xc^T Wc = X^T Wc - mean s^T.
+
+    X's nonzeros become a CSR matrix; X^T X is scipy's sequential sparse
+    product of its transpose with it, and X^T Wc the sparse-dense one. The
+    transpose holds each column's rows in ascending order, so entry (j, k)
+    of X^T X is one running sum of x_ij x_ik over the rows where both are
+    nonzero, and entry (j, c) of X^T Wc one of x_ij Wc_ic over the rows
+    where x_ij != 0, both in ascending row order; s is one _mm. So the
+    result depends only on the values and shapes of X, mean and Wc, and
+    X^T X is exactly symmetric.
+    """
+    rows, cols, vals = nonzeros
+    n, d = wc.shape[0], mean.size
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    xs = _csr(vals, cols, indptr, (n, d))
     xt = xs.T.tocsr()                       # each column's rows, ascending
     gram = (xt @ xs).toarray() - n * np.multiply.outer(mean, mean)
     col_sums = _mm(np.ones((1, n)), wc)[0]

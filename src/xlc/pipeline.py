@@ -22,8 +22,8 @@ import numpy as np
 from .autoencoder import EncoderStack, decode
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _choice,
                      _instance, _integer, _real)
-from .matrix import (DenseMatrix, _cholesky_solve, _frozen, _lock, _mm, _nonzeros,
-                     _support_normal_equations, make_rng)
+from .matrix import (DenseMatrix, _centered_normal_equations, _cholesky_solve, _frozen,
+                     _lock, _mm, make_rng)
 
 
 class FeatureMatrix(DenseMatrix):
@@ -128,17 +128,11 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
 
     It solves min ||X Theta - W||_F^2 + lam ||Theta||_F^2 in closed form
     on column-centered data, so the intercept absorbs the column means and
-    is not penalized. X is scanned for its nonzeros once, and the column
-    means are their column sums, each added in ascending row order, over n
-    (x.mean(axis=0) bit for bit when d >= 2 and no column is all -0.0;
-    numpy sums a lone column pairwise). The normal equations come from one
-    of two paths. For sparse features, _support_normal_equations sums them
-    over those nonzeros in O(pairs of nonzeros sharing a row), without
-    forming the centered copy; it runs when that pair count is well below
-    n d^2 and its rounding certificate holds, that is, when no feature's
-    mean is large against its spread. Otherwise the centered copy
-    Xc = X - mean gives Xc^T Xc and Xc^T Wc through _mm in O(n d^2). Both
-    paths then take the same Cholesky solve.
+    is not penalized. matrix._centered_normal_equations takes those means
+    from one scan of X's nonzeros and forms the normal equations, summed
+    over the nonzeros for sparse features whose means are not large
+    against their spread, and from the centered copy otherwise; both then
+    take the same Cholesky solve.
 
     kind must be "ridge-linear"; the one hyperparameter is lam (optional,
     default 1e-3).
@@ -153,18 +147,9 @@ def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",
     lam = _real("lam", hp.pop("lam", 1e-3), 0.0)
     if hp:
         raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(hp)}")
-    xv, wv = x.values, w.values
     n, d, k = x.rows, x.cols, w.cols
-    _, cols, vals = nonzeros = _nonzeros(xv)
-    x_mean = np.bincount(cols, weights=vals, minlength=d) / max(n, 1)
-    w_mean = wv.mean(axis=0) if n else np.zeros(k)
-    wc = wv - w_mean
-    normal = _support_normal_equations(nonzeros, x_mean, wc)
-    if normal is None:
-        xc = xv - x_mean
-        gram, rhs = _mm(xc.T, xc), _mm(xc.T, wc)
-    else:
-        gram, rhs = normal
+    w_mean = w.values.mean(axis=0) if n else np.zeros(k)
+    x_mean, gram, rhs = _centered_normal_equations(x.values, w.values - w_mean)
     gram = gram + lam * np.eye(d)
     try:
         theta = _cholesky_solve(gram, rhs)

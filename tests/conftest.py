@@ -6,9 +6,12 @@ generator seed or the block layout would silently move the SVD floor that
 several tolerances were calibrated against.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import xlc.matrix
 from xlc import LabelMatrix
 
 
@@ -56,3 +59,12 @@ def random_label_matrix(
     if not dense.any():
         dense[0, 0] = 1.0
     return LabelMatrix.from_dense_array(dense), dense
+
+
+def centered_normal_equations(x: np.ndarray, wc: np.ndarray):
+    """(matrix._centered_normal_equations(x, wc), whether it took the
+    support form, summing over x's nonzeros, rather than the dense one)."""
+    with mock.patch.object(xlc.matrix, "_support_normal_equations",
+                           wraps=xlc.matrix._support_normal_equations) as support:
+        normal = xlc.matrix._centered_normal_equations(x, wc)
+    return normal, support.called

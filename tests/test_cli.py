@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import xlc.cli
+from conftest import centered_normal_equations
 from xlc import (DenseMatrix, EncoderStack, FeatureMatrix, LabelMatrix,
                  ModelContainer, RegressorModel, load_dataset, load_model,
                  rank_labels, save_dataset, save_model, split_rows)
 from xlc.cli import main
-from xlc.matrix import _nonzeros, _support_normal_equations
 
 
 def _run(*argv):
@@ -320,7 +320,8 @@ def test_fit_reg_and_eval_name_a_data_file_of_one_row(planted, tmp_path, capsys,
     assert capsys.readouterr().out.startswith("rows evaluated: 1 (0 empty-truth")
 
 
-@pytest.mark.parametrize("case", ["label-names-count", "eval-rows-without-labels"])
+@pytest.mark.parametrize("case", ["label-names-count", "eval-rows-without-labels",
+                                  "feature-count"])
 def test_commands_refuse_mismatched_inputs_in_one_line(planted, tmp_path, capsys,
                                                       case):
     data, _, model = planted
@@ -330,17 +331,25 @@ def test_commands_refuse_mismatched_inputs_in_one_line(planted, tmp_path, capsys
     x, v = load_dataset(data)
     unlabelled = tmp_path / "unlabelled.txt"
     save_dataset(unlabelled, x, LabelMatrix(x.rows, v.n_labels, []))
-    argv, message = {
-        "label-names-count": (("train-ae", "--data", data, "--dims", 3, "--label-names",
-                               short, "--out", tmp_path / "m.xlc"),
+    # one more feature column, all zero, than the regressor was fitted on
+    wide = tmp_path / "wide.txt"
+    save_dataset(wide, FeatureMatrix(np.hstack([x.values, np.zeros((x.rows, 1))])), v)
+    argvs, message = {
+        "label-names-count": ([("train-ae", "--data", data, "--dims", 3, "--label-names",
+                                short, "--out", tmp_path / "m.xlc")],
                               f"{short} has 2 names for 12 labels"),
-        "eval-rows-without-labels": (("eval", "--model", model, "--data", unlabelled,
-                                      "--split", "all"),
+        "eval-rows-without-labels": ([("eval", "--model", model, "--data", unlabelled,
+                                       "--split", "all")],
                                      "no rows with labels to evaluate"),
+        "feature-count": ([("predict", "--model", model, "--data", wide),
+                           ("eval", "--model", model, "--data", wide),
+                           ("explain", "--model", model, "--data", wide, "--row", 0)],
+                          f"{wide} has 4 features, regressor expects 3"),
     }[case]
     capsys.readouterr()
-    assert _run(*argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for argv in argvs:
+        assert _run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_rejects_a_label_count_the_model_does_not_have(planted, tmp_path, capsys):
@@ -458,9 +467,7 @@ def test_ridge_fit_and_explain_bytes_do_not_depend_on_thread_count(tmp_path, d, 
     x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
     x[rng.random((n, d)) < zeros] = 0.0
     x_train = x[split_rows(n, 0.2, seed=0)[0]]         # fit-reg's default split
-    normal = _support_normal_equations(_nonzeros(x_train), x_train.mean(axis=0),
-                                       np.zeros((len(x_train), 1)))
-    assert (normal is not None) == support
+    assert centered_normal_equations(x_train, np.zeros((len(x_train), 1)))[1] == support
     v = LabelMatrix.from_dense_array((rng.random((n, p)) < 0.2).astype(float))
     data, base = tmp_path / "dense.txt", tmp_path / "base.xlc"
     save_dataset(data, FeatureMatrix(x), v)

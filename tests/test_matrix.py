@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import random_label_matrix
+from conftest import centered_normal_equations, random_label_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -409,7 +409,7 @@ def test_support_normal_equations_match_the_dense_oracle(case):
     n = x.shape[0]
     mean = x.mean(axis=0)
     xc = x - mean
-    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc, certify=False)
+    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc)
     assert np.array_equal(gram, gram.T)
     a = np.sum(x * x, axis=0) + n * mean * mean
     np.testing.assert_array_less(np.abs(gram - _mm(xc.T, xc)),
@@ -450,7 +450,7 @@ def test_support_normal_equations_are_the_row_ordered_sums_bitwise(case, dense_r
     if dense_row is not None:
         x[dense_row] = np.round(np.random.default_rng(7).uniform(0.1, 2.0, x.shape[1]), 3)
     mean = x.mean(axis=0)
-    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc, certify=False)
+    gram, rhs = _support_normal_equations(_nonzeros(x), mean, wc)
     want_gram, want_rhs = _row_ordered_normal_equations(x, mean, wc)
     assert gram.tobytes() == want_gram.tobytes()
     assert rhs.tobytes() == want_rhs.tobytes()
@@ -466,26 +466,27 @@ def test_support_form_runs_below_sixteen_times_the_pair_count(per_row, support):
     x = np.zeros((n, d))
     for row in x:
         row[rng.choice(d, per_row, replace=False)] = rng.uniform(-1.0, 1.0, per_row)
-    normal = _support_normal_equations(_nonzeros(x), x.mean(axis=0), np.zeros((n, 1)))
-    assert (normal is not None) == support
+    assert centered_normal_equations(x, np.zeros((n, 1)))[1] == support
 
 
 def test_support_normal_equations_hold_a_few_blocks_of_pairs():
     # 573k pairs, whose index and weight vectors would take 22.9 MB at
-    # once; the sparse products never form them, so the peak (4.4 MB) is
-    # the O(nnz) entry arrays, the n x d mask and the d x d product
+    # once; the sparse products never form them, so the peak (4.0 MB) of
+    # the scan, the gate, the certificate and the sums is the O(nnz) entry
+    # arrays, the n x d mask and the d x d product
     n, d = 4000, 200
     rng = np.random.default_rng(37)
     x = np.round(rng.uniform(0.1, 2.0, size=(n, d)), 3)
     x[rng.random((n, d)) >= 0.08] = 0.0
-    mean, wc = x.mean(axis=0), np.zeros((n, 1))
+    wc = np.zeros((n, 1))
     nnz = np.count_nonzero(x)
     tracemalloc.start()
     try:
-        assert _support_normal_equations(_nonzeros(x), mean, wc) is not None
+        support = centered_normal_equations(x, wc)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert support
     assert peak <= n * d + 10 * 8 * nnz + 6 * 8 * _BLOCK_ENTRIES + 3 * 8 * d * d
 
 

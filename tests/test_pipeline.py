@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import planted_rank4_dense
+from conftest import centered_normal_equations, planted_rank4_dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +30,7 @@ from xlc import (
     split_rows,
     train_autoencoder,
 )
-from xlc.matrix import _cholesky_solve, _mm, _nonzeros, _support_normal_equations
+from xlc.matrix import _centered_normal_equations, _cholesky_solve, _mm
 from xlc.pipeline import _metrics_at_k, _top_n
 
 
@@ -127,7 +127,7 @@ def test_ridge_dense_path_is_bitwise_the_centered_copy_formula(case, d):
     # Each takes the dense products, bit for bit.
     x = _ridge_features(case, 400, d, seed=17)
     w = _random_latents(400, 4, seed=17).values
-    assert _support_normal_equations(_nonzeros(x), x.mean(axis=0), w - w.mean(axis=0)) is None
+    assert not centered_normal_equations(x, w - w.mean(axis=0))[1]
     m = fit_regressor(FeatureMatrix(x), DenseMatrix(w), hyperparams={"lam": 1e-3})
     theta, intercept = _dense_ridge(x, w, 1e-3)
     assert np.array_equal(m.params["theta"], theta)
@@ -137,7 +137,7 @@ def test_ridge_dense_path_is_bitwise_the_centered_copy_formula(case, d):
 def test_ridge_on_sparse_features_takes_the_support_path():
     x = _ridge_features("sparse", 3200, 300, seed=19)
     w = _random_latents(3200, 8, seed=19).values
-    assert _support_normal_equations(_nonzeros(x), x.mean(axis=0), w - w.mean(axis=0)) is not None
+    assert centered_normal_equations(x, w - w.mean(axis=0))[1]
     m = fit_regressor(FeatureMatrix(x), DenseMatrix(w), hyperparams={"lam": 1e-3})
     theta, intercept = _dense_ridge(x, w, 1e-3)
     scale = np.abs(theta).max()
@@ -148,16 +148,22 @@ def test_ridge_on_sparse_features_takes_the_support_path():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(2, 40), st.floats(0.0, 1.0))
 def test_ridge_means_from_the_nonzero_scan_are_numpys_bit_for_bit(seed, n, d, zeros):
-    # fit_regressor scans X for its nonzeros once and sums each column's
-    # in ascending row order; with d >= 2 numpy's column mean adds the
-    # rows in that order too, and a +0 term changes no bit
+    # fit_regressor's normal equations scan X for its nonzeros once and
+    # sum each column's in ascending row order; with d >= 2 numpy's column
+    # mean adds the rows in that order too, and a +0 term changes no bit
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, d))
     x[rng.random((n, d)) < zeros] = 0.0
-    with mock.patch.object(xlc.pipeline, "_support_normal_equations",
-                           wraps=_support_normal_equations) as normal:
+    means = []
+
+    def normal_equations(*args):
+        normal = _centered_normal_equations(*args)
+        means.append(normal[0])
+        return normal
+
+    with mock.patch.object(xlc.pipeline, "_centered_normal_equations", normal_equations):
         fit_regressor(FeatureMatrix(x), _random_latents(n, 2, seed), hyperparams={"lam": 1.0})
-    assert normal.call_args.args[1].tobytes() == x.mean(axis=0).tobytes()
+    assert [m.tobytes() for m in means] == [x.mean(axis=0).tobytes()]
 
 
 def test_regressor_copies_a_writeable_argument_and_keeps_a_locked_one():
