@@ -282,18 +282,18 @@ def _cmd_eval(o) -> int:
     if used == 0:
         raise ConfigError("no rows with labels to evaluate")
 
-    keys = v.entry_rows * v.n_labels + v.entry_cols
-    scores = np.empty((2, len(ks), used))       # P@k and nDCG@k of every row
     step = _block_rows(stack)
+    ranked = []                 # every row's ranked labels, a block at a time
     for lo in range(0, used, step):
-        block = used_rows[lo:lo + step]
-        preds = predict_labels(x.values[block], reg, stack, n=max(ks))
-        ranked = np.array([[j for j, _ in pred.top_n] for pred in preds])
-        for c, k in enumerate(ks):
-            scores[:, c, lo:lo + step] = _metrics_at_k(
-                ranked, block * v.n_labels, keys, counts[block], k)
+        preds = predict_labels(x.values[used_rows[lo:lo + step]], reg, stack, n=max(ks))
+        ranked += [[j for j, _ in pred.top_n] for pred in preds]
+    # a row's P@k and nDCG@k depend on that row alone: score every row at once
+    ranked = np.array(ranked)
+    keys = v.entry_rows * v.n_labels + v.entry_cols
+    scores = np.array([_metrics_at_k(ranked, used_rows * v.n_labels, keys, counts[used_rows], k)
+                       for k in ks])
     # one running total per metric, added in row order
-    means = np.cumsum(scores, axis=2)[:, :, -1] / used
+    means = np.cumsum(scores, axis=2)[:, :, -1].T / used
 
     lines = [f"rows evaluated: {used} ({skipped} empty-truth rows skipped)"]
     for name, row in zip(("P", "nDCG"), means):

@@ -92,18 +92,28 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     if len(counts) < layer:
         raise ConfigError(
             f"m gives {len(counts)} levels but the expansion needs {layer}")
-    return _expand(stack, layer, unit, 1.0, counts, labels)
+    return _expand(stack, layer, unit, counts, labels)
 
 
-def _expand(stack, layer, unit, weight, counts, labels) -> HierarchyNode:
-    if layer == 0:
-        name = labels[unit] if labels is not None else None
-        return HierarchyNode(0, unit, weight, label_name=name)
-    # contiguous: ndarray.take in _top_n would copy a strided column whole
-    (top,) = _top_n(np.ascontiguousarray(stack.layers[layer - 1].values[None, :, unit]), counts[0])
-    children = [_expand(stack, layer - 1, idx, w, counts[1:], labels)
-                for idx, w in top if w > 0]
-    return HierarchyNode(layer, unit, weight, children=children)
+def _expand(stack, layer, unit, counts, labels) -> HierarchyNode:
+    """The node of `unit` in `layer` and its subtree. The columns of every
+    unit chosen at one level are ranked in one _top_n call, outermost level
+    first; a depth-first walk then meets each level's units in the order
+    they were ranked, and takes their children in turn."""
+    levels, units = [], [unit]
+    for depth, m in zip(range(layer, 0, -1), counts):
+        tops = [[(j, w) for j, w in top if w > 0]
+                for top in _top_n(stack.layers[depth - 1].values.T[units], m)]
+        levels.append(iter(tops))
+        units = [j for top in tops for j, _ in top]
+
+    def node(depth, j, w):
+        if depth == 0:
+            return HierarchyNode(0, j, w, label_name=None if labels is None else labels[j])
+        return HierarchyNode(depth, j, w, children=[
+            node(depth - 1, i, v) for i, v in next(levels[layer - depth])])
+
+    return node(layer, unit, 1.0)
 
 
 class LimeConfig:

@@ -9,8 +9,10 @@ Serving works on one feature vector or on an r x d block of them. A block
 is regressed and decoded in one product each: decoding costs O(k_L p) per
 row through the stack's cached collapsed chain E^T. Ranking the top n of
 every row then costs O(p) per row to pick the candidates (every label
-scoring at least the row's n-th largest score) plus one sort of the
-block's candidates in rank_labels' order, with no loop over the rows.
+scoring at least a lower bound on the row's n-th largest score: the n-th
+largest of its chunk maxima where the row has enough chunks, else the
+score itself) plus one sort of the block's candidates in rank_labels'
+order, with no loop over the rows.
 """
 
 from __future__ import annotations
@@ -93,33 +95,68 @@ class RankedPrediction:
         return preds
 
 
+# _top_n takes its cutoff from the maxima of chunks of _CHUNK labels when a
+# row has at least _GATE * n chunks. Its candidates are then at most
+# (n - 1) * _CHUNK, an eighth of the row, plus the ties at the cutoff.
+# Measured on the benchmark workloads' decoded query blocks (seed 71; one
+# x86-64 Xeon thread, numpy 2.4; min of 40 interleaved runs, us per block,
+# the bound taken wherever n chunks exist; candidates a row in brackets,
+# n of them with the full partition):
+#   serve-xml 13 x 5000, n = 1:  full 153, chunks of 64 / 128 / 256: 89 / 80 / 72
+#                        n = 5:  full 161, 99 (6) / 91 (8) / 87 (9)
+#                        n = 25: full 211, 146 (30) / 147 (39)
+#   train-sparse 92 x 708, n = 1: full 234, 166 / 152 / 145
+#                          n = 5: full 287, 251 (7) / 232 (7)
+# 128 is the widest chunk whose gate admits serve-xml's n = 5. The gate
+# bounds the worst case, a row whose top (n - 1) * _CHUNK scores fill n - 1
+# chunks: at the gate (13 x 5000, n = 5) it took 998 against 198, and at
+# 1.6 chunks a ranked label (n = 25) 6366 against 299.
+_CHUNK = 128
+_GATE = 8
+
+
 def _top_n(scores: np.ndarray, n: int) -> list[tuple]:
     """rank_labels(row)[:n] as (label, score) pairs, for each row of an
     r x p score block, with no loop over the rows.
 
-    np.partition finds each row's n-th largest score in O(p). Every label
-    scoring at least that much is a candidate, so all ties at the cutoff
-    are kept. The candidates come in row-major order, so one rank_labels
-    call orders each row's by descending score, then ascending label; a
-    stable argsort by row groups them in that order, and each row's first
-    n are taken by offset. Only the candidates are sorted.
+    Each row's cutoff is a lower bound on its n-th largest score. With at
+    least _GATE * n chunks of _CHUNK labels it is the n-th largest chunk
+    maximum: those n maxima are the scores of n distinct labels, so the
+    row's n-th largest score is at least as large. With fewer chunks, one
+    np.partition over the row finds that score itself. Every label scoring
+    at least the cutoff is a candidate, so every label at or above the true
+    cutoff, each tie there included, is one. The candidates come in
+    row-major order, so one rank_labels call orders each row's by
+    descending score, then ascending label; a stable argsort by row groups
+    them in that order, and each row's first n are taken by offset. A
+    one-row block needs no grouping. Only the candidates are sorted.
     """
     r, p = scores.shape
     n = min(n, p)
     if n == 0:
         return [()] * r
-    cutoff = np.partition(scores, p - n, axis=1)[:, p - n:p - n + 1]
+    if -(-p // _CHUNK) >= _GATE * n:
+        bound = np.maximum.reduceat(scores, np.arange(0, p, _CHUNK), axis=1)
+        m = bound.shape[1]
+        cutoff = np.partition(bound, m - n, axis=1)[:, m - n:m - n + 1]
+    else:
+        cutoff = np.partition(scores, p - n, axis=1)[:, p - n:p - n + 1]
     flat = np.flatnonzero(scores >= cutoff)
-    (rows, cols), s = np.divmod(flat, p), scores.take(flat)
+    s = scores.take(flat)
     order = rank_labels(s)
-    order = order[rows[order].argsort(kind="stable")]
-    take = order[rows.searchsorted(np.arange(r)[:, None]) + np.arange(n)]
+    if r == 1:
+        cols, take = flat, order[None, :n]
+    else:
+        rows, cols = np.divmod(flat, p)
+        order = order[rows[order].argsort(kind="stable")]
+        take = order[rows.searchsorted(np.arange(r)[:, None]) + np.arange(n)]
     return list(map(tuple, map(zip, cols[take].tolist(), s[take].tolist())))
 
 
-def rank_labels(scores: np.ndarray) -> np.ndarray:
-    """Total order over labels: descending score, ascending index on ties."""
-    return np.argsort(-scores, kind="stable")
+def rank_labels(scores) -> np.ndarray:
+    """Total order over labels: descending score, ascending index on ties.
+    scores is a 1-D array of finite numbers."""
+    return np.argsort(-_array("scores", scores, (None,)), kind="stable")
 
 
 def fit_regressor(x: FeatureMatrix, w: DenseMatrix, kind: str = "ridge-linear",

@@ -50,6 +50,7 @@ from xlc import (
     precision_at_k,
     predict_labels,
     predict_latent,
+    rank_labels,
     reconstruction_loss,
     render_hierarchy,
     save_dataset,
@@ -717,6 +718,7 @@ _ARRAYS = {
                                                      {"theta": np.ones((2, 2)), "intercept": a}),
                             "intercept", 1),
     "ranked-scores": (lambda a: RankedPrediction(a, 1), "scores", 1),
+    "rank-labels": (rank_labels, "scores", 1),
     "predict-latent": (lambda a: predict_latent(a, _fit()), "x", 2),
     "predict-labels": (lambda a: predict_labels(a, _fit(), _STACK), "x", 2),
     "decode": (lambda a: decode(a, _STACK), "w", 2),

@@ -270,36 +270,61 @@ def test_partial_ranking_equals_full_ranking_on_tie_heavy_blocks(data):
         assert top == tuple((int(j), float(row[j])) for j in order)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_block_ranking_equals_rank_labels_of_each_row(data):
     # _top_n ranks a whole block in one sort: rows of 1 to 100 whose scores
-    # tie among a few values, 0.0 among them, n from 1 to past p, and strided
-    # 1 x p views of a layer's column such as interpret._expand ranks
+    # tie among a few values, -0.0, 0.0 and 5e-324 among them, or are mostly
+    # distinct, all-equal rows, n from 1 to past p, and strided 1 x p views
+    # of a layer's column. Chunks of 2 to 5 labels give p several chunks and
+    # a partial last one, so the chunk-maxima bound is taken for the n at or
+    # below its gate and the full partition above.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e300]),
+    chunk = data.draw(st.integers(2, 5), label="chunk")
+    values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 3.0, 1e300]),
                                 min_size=1, max_size=4, unique=True), label="values")
-    p = data.draw(st.integers(1, 30), label="labels")
-    n = data.draw(st.integers(1, p + 3), label="n")
+    values = np.concatenate((values, rng.random(data.draw(st.integers(0, 60), label="distinct"))))
+    p = data.draw(st.integers(1, 90), label="labels")
+    gated = max(1, -(-p // chunk) // xlc.pipeline._GATE)    # the largest n with the bound
+    n = data.draw(st.sampled_from([1, gated, gated + 1]) | st.integers(1, p + 3), label="n")
     if data.draw(st.booleans(), label="column view"):
         layer = rng.choice(values, size=(p, 3))
         scores = layer[None, :, data.draw(st.integers(0, 2), label="unit")]
     else:
         scores = rng.choice(values, size=(data.draw(st.integers(1, 100), label="rows"), p))
-    got = _top_n(scores, n)
+        # a run of the top score across a chunk boundary, and rows of one value
+        lo = data.draw(st.integers(0, p - 1), label="run start")
+        scores[:, lo:lo + data.draw(st.integers(1, 2 * chunk), label="run")] = max(values)
+        scores[rng.random(len(scores)) < 0.2] = rng.choice(values)
+    with mock.patch.object(xlc.pipeline, "_CHUNK", chunk):
+        got = _top_n(scores, n)
     assert len(got) == len(scores)
     for row, top in zip(scores, got):
-        assert top == tuple((int(j), float(row[j])) for j in rank_labels(row)[:n])
+        # repr tells -0.0 from 0.0: each score is the row's own entry
+        assert repr(top) == repr(tuple((int(j), float(row[j])) for j in rank_labels(row)[:n]))
 
 
 def test_block_ranking_calls_rank_labels_once():
-    # one sort ranks every row: the traced benchmark counts these calls
+    # one sort ranks every row, one-row blocks included: the traced
+    # benchmark counts these calls
     rng = np.random.default_rng(23)
-    scores = np.round(rng.random((40, 30)), 1)
-    with mock.patch.object(xlc.pipeline, "rank_labels", wraps=rank_labels) as spy:
+    for scores in (np.round(rng.random((40, 30)), 1), np.round(rng.random((1, 30)), 1),
+                   rng.random((1, 5000))):
+        with mock.patch.object(xlc.pipeline, "rank_labels", wraps=rank_labels) as spy:
+            top = _top_n(scores, 5)
+        assert spy.call_count == 1
+        assert len(top) == len(scores) and all(len(t) == 5 for t in top)
+
+
+def test_block_ranking_never_partitions_whole_rows_past_the_gate():
+    # 5000 labels make 40 chunks of _CHUNK: at n = 5 the cutoff comes from
+    # the 13 x 40 chunk maxima, and no 13 x 5000 copy is partitioned
+    scores = np.random.default_rng(71).random((13, 5000))
+    with mock.patch.object(xlc.pipeline.np, "partition", wraps=np.partition) as spy:
         top = _top_n(scores, 5)
-    assert spy.call_count == 1
-    assert len(top) == 40 and all(len(t) == 5 for t in top)
+    assert [call.args[0].shape for call in spy.call_args_list] == [(13, 40)]
+    assert top == [tuple((int(j), float(row[j])) for j in rank_labels(row)[:5])
+                   for row in scores]
 
 
 def test_block_predict_labels_equals_per_row_bitwise():
@@ -332,6 +357,9 @@ def test_ranking_invariant_under_positive_scaling():
 def test_rank_labels_breaks_ties_by_ascending_index():
     order = rank_labels(np.array([0.5, 0.9, 0.5, 0.9]))
     assert order.tolist() == [1, 3, 0, 2]
+    # a list used to end in a raw TypeError; test_autoencoder.py's _ARRAYS
+    # table checks that a NaN or a 2-D array is refused by name
+    assert rank_labels([0.5, 0.9, 0.5, 0.9]).tolist() == [1, 3, 0, 2]
 
 
 # ---------------------------------------------------------------- metrics
