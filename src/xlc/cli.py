@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -179,10 +180,10 @@ def _cmd_train_ae(o) -> int:
 
 def _cmd_nmf(o) -> int:
     _, v = load_dataset(o.data)
-    factors = nmf_factorize(v, NmfConfig(k=o.k, max_iters=o.max_iters,
-                                         rel_tol=o.rel_tol, seed=o.seed))
-    config = {"nmf_k": str(o.k), "nmf_max_iters": str(o.max_iters),
-              "nmf_rel_tol": repr(o.rel_tol), "nmf_seed": str(o.seed)}
+    cfg = NmfConfig(k=o.k, seed=o.seed)
+    factors = nmf_factorize(v, cfg)
+    config = {"nmf_k": str(o.k), "nmf_max_iters": str(cfg.max_iters),
+              "nmf_rel_tol": repr(cfg.rel_tol), "nmf_seed": str(o.seed)}
     save_model(o.out, ModelContainer(nmf=factors, config=config))
     print(f"nmf k={o.k} stopped after {len(factors.objective_trace)} "
           f"iterations, objective {nmf_objective(v, factors):.6g}")
@@ -214,29 +215,28 @@ def _cmd_predict(o) -> int:
     _, stack, reg, x, _ = _load_served(o, None)
     # every row ranks min(top_n, p) labels, so one template formats each line
     line = "row {}: " + " ".join(["{}:{:.6g}"] * min(o.top_n, stack.p)) + "\n"
-    lines = []
-    step = _block_rows(stack)
-    for lo in range(0, x.rows, step):
-        preds = predict_labels(x.values[lo:lo + step], reg, stack, n=o.top_n)
-        lines += [line.format(i, *chain.from_iterable(pred.top_n))
-                  for i, pred in enumerate(preds, start=lo)]
-    _emit(o.out, "".join(lines))
+    preds = _ranked_rows(x.values, np.arange(x.rows), reg, stack, o.top_n)
+    _emit(o.out, "".join([line.format(i, *chain.from_iterable(pred.top_n))
+                          for i, pred in enumerate(preds)]))
     return 0
 
 
-def _block_rows(stack) -> int:
-    """Rows per predict_labels call: at most _BLOCK_ENTRIES decoded scores,
-    so serving memory stays bounded whatever the row count."""
-    return max(1, _BLOCK_ENTRIES // stack.p)
+def _ranked_rows(x, rows, reg, stack, n: int):
+    """The predictions for x[rows], in order, made by one predict_labels
+    call per block of at most _BLOCK_ENTRIES decoded scores, so serving
+    memory stays bounded whatever the row count."""
+    step = max(1, _BLOCK_ENTRIES // stack.p)
+    for lo in range(0, len(rows), step):
+        yield from predict_labels(x[rows[lo:lo + step]], reg, stack, n=n)
 
 
 def _cmd_explain(o) -> int:
     container, stack, reg, x, _ = _load_served(o, "explain")
     _integer("--row", o.row, 0, x.rows - 1)
     cfg = ExplainConfig(
-        lime=LimeConfig(num_samples=o.samples, kernel_width=o.kernel_width,
-                        k_features=o.k_features, seed=o.seed, baseline=o.baseline),
-        hierarchy_m=o.top_m, label_names=container.label_names)
+        lime=LimeConfig(num_samples=o.samples, k_features=o.k_features, seed=o.seed,
+                        baseline=o.baseline),
+        label_names=container.label_names)
     report = explain_prediction(x.values[o.row], reg, stack, cfg)
     _emit(o.out, report.to_text() + "\n")
     if o.json_out:
@@ -263,17 +263,16 @@ def _cmd_eval(o) -> int:
     if o.split == "all":
         rows = np.arange(x.rows)
     else:
-        # the split defaults to the one fit-reg stored in the model, and
-        # for a model without one to fit-reg's own defaults
+        # the split fit-reg stored in the model, and for a model without
+        # one fit-reg's own defaults
         fit_reg = {flag.replace("-", "_"): (kind, default)
                    for flag, kind, default in _COMMANDS["fit-reg"][2]}
+        split = []              # test_frac, then seed
         for key in ("holdout_frac", "split_seed"):
             raw, (kind, default) = container.config.get(key), fit_reg[key]
-            if getattr(o, key) is None:
-                setattr(o, key, default if raw is None
-                        else _convert(kind, raw, f"{o.model}: stored {key}"))
-        train_idx, test_idx = split_rows(x.rows, test_frac=o.holdout_frac,
-                                         seed=o.split_seed)
+            split.append(default if raw is None
+                         else _convert(kind, raw, f"{o.model}: stored {key}"))
+        train_idx, test_idx = split_rows(x.rows, *split)
         rows = train_idx if o.split == "train" else test_idx
 
     counts = np.bincount(v.entry_rows, minlength=v.n_rows)
@@ -282,13 +281,11 @@ def _cmd_eval(o) -> int:
     if used == 0:
         raise ConfigError("no rows with labels to evaluate")
 
-    step = _block_rows(stack)
-    ranked = []                 # every row's ranked labels, a block at a time
-    for lo in range(0, used, step):
-        preds = predict_labels(x.values[used_rows[lo:lo + step]], reg, stack, n=max(ks))
-        ranked += [[j for j, _ in pred.top_n] for pred in preds]
-    # a row's P@k and nDCG@k depend on that row alone: score every row at once
-    ranked = np.array(ranked)
+    # every row ranks min(max(ks), p) labels; a row's P@k and nDCG@k depend
+    # on that row alone, so every row is scored at once
+    preds = _ranked_rows(x.values, used_rows, reg, stack, max(ks))
+    ranked = np.fromiter(chain.from_iterable(map(itemgetter(0), pred.top_n) for pred in preds),
+                         dtype=np.int64).reshape(used, -1)
     keys = v.entry_rows * v.n_labels + v.entry_cols
     scores = np.array([_metrics_at_k(ranked, used_rows * v.n_labels, keys, counts[used_rows], k)
                        for k in ks])
@@ -328,8 +325,6 @@ _COMMANDS = {
     "nmf": (_cmd_nmf, "baseline non-negative factorization", (
         ("data", str, _REQUIRED),
         ("k", int, _REQUIRED),
-        ("max-iters", int, 5000),
-        ("rel-tol", float, 1e-6),
         ("seed", int, 0),
         ("out", str, _REQUIRED))),
     "fit-reg": (_cmd_fit_reg, "fit the feature-to-latent regressor", (
@@ -352,10 +347,8 @@ _COMMANDS = {
         ("row", int, _REQUIRED),
         ("samples", int, 1000),
         ("k-features", int, 6),
-        ("kernel-width", float, None),
         ("baseline", float, 0.0),
         ("seed", int, 0),
-        ("top-m", int, 5),
         ("out", str, None),
         ("json-out", str, None))),
     "hierarchy": (_cmd_hierarchy, "print a latent unit's label hierarchy", (
@@ -369,8 +362,6 @@ _COMMANDS = {
         ("data", str, _REQUIRED),
         ("k", list, [1, 3, 5]),
         ("split", ("train", "test", "all"), "test"),
-        ("holdout-frac", float, None),          # None: the model's split
-        ("split-seed", int, None),
         ("out", str, None))),
 }
 

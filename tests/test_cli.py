@@ -269,6 +269,34 @@ def test_fit_reg_refuses_the_removed_mlp_kind_and_flags(planted, capsys):
     assert exc.value.code == 2
 
 
+# eval scores only the split fit-reg stored; explain and nmf take their
+# library defaults for the kernel width, the hierarchy m and the stop rule
+_REMOVED = [("eval", "holdout-frac", "0.3"), ("eval", "split-seed", "8"),
+            ("explain", "kernel-width", "1.5"), ("explain", "top-m", "3"),
+            ("nmf", "max-iters", "10"), ("nmf", "rel-tol", "0")]
+_REQUIRED_ARGS = {"eval": ("--model", "m.xlc", "--data", "d.txt"),
+                  "explain": ("--model", "m.xlc", "--data", "d.txt", "--row", 0),
+                  "nmf": ("--data", "d.txt", "--k", 2, "--out", "m.xlc")}
+
+
+@pytest.mark.parametrize("command, flag, value", _REMOVED)
+def test_removed_options_are_unknown_flags(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        _run(command, *_REQUIRED_ARGS[command], f"--{flag}", value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: xlc ")
+    assert f"error: unrecognized arguments: --{flag} {value}\n" in err
+
+
+@pytest.mark.parametrize("command, flag, value", _REMOVED)
+def test_removed_options_are_unknown_config_keys(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"{flag.replace('-', '_')}={value}\n")
+    assert _run(command, *_REQUIRED_ARGS[command], "--config", cfg) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: xlc {command} has no option --{flag}\n"
+
+
 def test_data_file_without_rows(planted, tmp_path, capsys):
     # explain has no row to pick, and predict writes no line at all
     data, _, model = planted
@@ -377,6 +405,32 @@ def test_eval_rejects_an_empty_or_repeating_k_list(planted, capsys, ks):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.rstrip("\n").splitlines()) == 1
+
+
+def test_predict_and_eval_rank_each_block_in_one_predict_labels_call(planted, tmp_path,
+                                                                    monkeypatch):
+    # 3 rows a block: the outputs are those of one block of every row, and
+    # each block is one predict_labels call of at most 3 rows
+    data, _, model = planted
+    assert _run("fit-reg", "--data", data, "--model", model, "--lam", "0.1") == 0
+    argvs = {"predict": ("--top-n", 4), "eval": ("--k", "1,3,5", "--split", "all")}
+    whole = {cmd: tmp_path / f"{cmd}-whole.txt" for cmd in argvs}
+    for cmd, extra in argvs.items():
+        assert _run(cmd, "--model", model, "--data", data, *extra, "--out", whole[cmd]) == 0
+    calls = []
+
+    def spy(x, *args, **kwargs):
+        calls.append(len(x))
+        return xlc.pipeline.predict_labels(x, *args, **kwargs)
+
+    monkeypatch.setattr(xlc.cli, "_BLOCK_ENTRIES", 3 * load_model(model).encoder.p)
+    monkeypatch.setattr(xlc.cli, "predict_labels", spy)
+    for cmd, extra in argvs.items():
+        blocked = tmp_path / f"{cmd}-blocked.txt"
+        assert _run(cmd, "--model", model, "--data", data, *extra, "--out", blocked) == 0
+        assert blocked.read_bytes() == whole[cmd].read_bytes()
+        assert calls == [3] * 10
+        calls.clear()
 
 
 def test_predict_and_eval_match_a_per_row_reference_when_every_label_ties(
