@@ -41,19 +41,22 @@ import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, TrainingDivergedError,
                      _array, _choice, _instance, _integer, _integers, _real)
-from .matrix import (DenseMatrix, LabelMatrix, _check_labels, _lock, _lowrank_sq_error, _mm,
-                     make_rng)
+from .matrix import (DenseMatrix, LabelMatrix, _ReadOnly, _check_labels, _lock,
+                     _lowrank_sq_error, _mm, make_rng)
 from .nmf import NmfConfig, nmf_factorize
 
 
-class EncoderStack:
+class EncoderStack(_ReadOnly):
     """Trained compression model: the ordered coefficient matrices.
 
     Invariants: at least one layer; every entry >= 0; widths are >= 1,
     strictly decrease and start below the label count p; shapes chain.
+    A stack is read-only, so what is derived from its layers is computed
+    once and kept on it: E^T (chain_t) and, in _hierarchies, one label
+    hierarchy per (layer, unit), which interpret.extract_hierarchy fills.
     """
 
-    __slots__ = ("layers", "layer_dims", "p", "training_trace", "_chain_t")
+    __slots__ = ("layers", "layer_dims", "p", "training_trace", "_chain_t", "_hierarchies")
 
     def __init__(self, layers, training_trace=()):
         layers = tuple(layers)
@@ -70,11 +73,12 @@ class EncoderStack:
             dims.append(h.cols)
         p = layers[0].rows
         _check_widths(dims, p)
-        self.layers = layers
-        self.layer_dims = tuple(dims)
-        self.p = p
-        self.training_trace = tuple(_real("trace entry", x, 0.0) for x in training_trace)
-        self._chain_t = None
+        self._set(layers=layers, layer_dims=tuple(dims), p=p,
+                  training_trace=tuple(_real("trace entry", x, 0.0) for x in training_trace),
+                  _chain_t=None, _hierarchies={})
+
+    def __reduce__(self):
+        return EncoderStack, (self.layers, self.training_trace)
 
     @property
     def depth(self) -> int:
@@ -92,9 +96,7 @@ class EncoderStack:
         """Read-only E^T (k_L x p), computed on first use and kept: the
         layers are immutable, so it never goes stale."""
         if self._chain_t is None:
-            et = np.ascontiguousarray(self.chain().T)
-            et.setflags(write=False)
-            self._chain_t = et
+            self._set(_chain_t=_lock(np.ascontiguousarray(self.chain().T)))
         return self._chain_t
 
     def __repr__(self):

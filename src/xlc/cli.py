@@ -367,16 +367,22 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every command, with the options of command only, or of all when None."""
+    """The parser of command alone, or of every command when None. The
+    one-command parser's usage line still names every command, so its
+    messages are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="xlc",
         description="Compress a label matrix, regress features to the "
                     "latent space, rank decoded labels, and explain them.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser takes no metavar: it would stand for "command" in the
+    # errors about a missing or unknown command, which a known one never meets
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         for flag, kind, _ in options:
             if isinstance(kind, tuple):
@@ -388,9 +394,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the command
-    # comes before any option value: it is the first argument naming one
-    args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
+    # the top-level parser takes only --help, so anything but a command in
+    # front (a flag, an unknown command) is left to the full parser
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     handler, _, options = _COMMANDS[args.command]
     try:
         _resolve(args, options)

@@ -16,12 +16,13 @@ import numpy as np
 from .autoencoder import EncoderStack
 from .errors import (ConfigError, ShapeMismatchError, _array, _instance, _integer, _integers,
                      _names, _real)
-from .matrix import _back_substitute, _lock, _mm, make_rng
+from .matrix import _ReadOnly, _back_substitute, _lock, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
 
 
-class HierarchyNode:
-    """One node of the expanded label hierarchy.
+class HierarchyNode(_ReadOnly):
+    """One node of the expanded label hierarchy, read-only, so that every
+    explanation of a unit can share one tree.
 
     layer 0 nodes are original labels (label_name populated when names
     are available); layer l >= 1 nodes are latent units. weight is the
@@ -32,11 +33,14 @@ class HierarchyNode:
     __slots__ = ("layer", "unit_index", "weight", "children", "label_name")
 
     def __init__(self, layer, unit_index, weight, children=(), label_name=None):
-        self.layer = _integer("layer", layer, 0)
-        self.unit_index = _integer("unit_index", unit_index, 0)
-        self.weight = _real("weight", weight, 0.0)
-        self.children = tuple(children)
-        self.label_name = label_name
+        self._set(layer=_integer("layer", layer, 0),
+                  unit_index=_integer("unit_index", unit_index, 0),
+                  weight=_real("weight", weight, 0.0), children=tuple(children),
+                  label_name=label_name)
+
+    def __reduce__(self):
+        return HierarchyNode, (self.layer, self.unit_index, self.weight, self.children,
+                               self.label_name)
 
     def to_dict(self) -> dict:
         d = {"layer": self.layer, "unit": self.unit_index, "weight": self.weight}
@@ -81,7 +85,8 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     The children of a layer-l node are the up-to-m largest positive
     entries of column `unit` of H_l, interpreted as units of layer l-1.
     Weights are the raw H entries, never renormalized. m may be a single
-    count or one count per expansion level, outermost first.
+    count or one count per expansion level, outermost first. The tree is
+    read-only and may be shared: the stack keeps it (see _expand).
     """
     layer = _integer("layer", layer, 1, _instance("stack", stack, EncoderStack).depth)
     unit = _integer("unit", unit, 0, stack.layers[layer - 1].cols - 1)
@@ -92,26 +97,48 @@ def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
     if len(counts) < layer:
         raise ConfigError(
             f"m gives {len(counts)} levels but the expansion needs {layer}")
-    return _expand(stack, layer, unit, counts, labels)
+    return _expand(stack, layer, unit, counts[:layer], labels)
 
 
 def _expand(stack, layer, unit, counts, labels) -> HierarchyNode:
-    """The node of `unit` in `layer` and its subtree. The columns of every
-    unit chosen at one level are ranked in one _top_n call, outermost level
-    first; a depth-first walk then meets each level's units in the order
-    they were ranked, and takes their children in turn."""
+    """The node of `unit` in `layer` and its subtree. The stack keeps one
+    ranking and unnamed tree per (layer, unit), for the counts of the last
+    request that ranked it: a request with other counts ranks the unit again
+    and replaces them, so the stack holds at most one tree per latent unit.
+    A request with labels builds a named tree from the kept ranking. Two
+    threads that miss at once both rank the unit, and keep equal trees."""
+    kept = stack._hierarchies.get((layer, unit))
+    if kept is None or kept[0] != counts:
+        levels = _rank_levels(stack, layer, unit, counts)
+        kept = stack._hierarchies[layer, unit] = (
+            counts, levels, _tree(layer, unit, levels, None))
+    return kept[2] if labels is None else _tree(layer, unit, kept[1], labels)
+
+
+def _rank_levels(stack, layer, unit, counts) -> list:
+    """For each expansion level, outermost first, the (unit, weight)
+    children of each unit chosen one level up, in the order a depth-first
+    walk meets those units. The columns of every unit chosen at one level
+    are ranked in one _top_n call."""
     levels, units = [], [unit]
     for depth, m in zip(range(layer, 0, -1), counts):
         tops = [[(j, w) for j, w in top if w > 0]
                 for top in _top_n(stack.layers[depth - 1].values.T[units], m)]
-        levels.append(iter(tops))
+        levels.append(tops)
         units = [j for top in tops for j, _ in top]
+    return levels
+
+
+def _tree(layer, unit, levels, labels) -> HierarchyNode:
+    """The tree of _rank_levels' levels, its leaves named by labels if given:
+    a depth-first walk takes each level's children lists in turn."""
+    walk = [iter(tops) for tops in levels]
 
     def node(depth, j, w):
         if depth == 0:
             return HierarchyNode(0, j, w, label_name=None if labels is None else labels[j])
         return HierarchyNode(depth, j, w, children=[
-            node(depth - 1, i, v) for i, v in next(levels[layer - depth])])
+            node(depth - 1, i, v) for i, v in next(walk[layer - depth])])
 
     return node(layer, unit, 1.0)
 

@@ -47,6 +47,25 @@ def _frozen(name: str, value, *shapes: tuple, nonneg: bool = False) -> np.ndarra
     return _lock(a.copy() if a is value and a.flags.writeable else a)
 
 
+class _ReadOnly:
+    """Base of a class whose attributes are set once, by _set in __init__:
+    assigning or deleting one afterwards raises AttributeError naming it.
+    A subclass's __reduce__ rebuilds a copy or an unpickled object through
+    __init__ and its checks."""
+
+    __slots__ = ()
+
+    def _set(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
 def _csr(data, indices, indptr, shape):
     """scipy.sparse CSR matrix from its three arrays, whose column indices
     must already be sorted and unique within each row; xlc imports scipy

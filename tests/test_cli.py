@@ -249,6 +249,51 @@ def test_unknown_flag_exits_nonzero():
     assert exc.value.code == 2
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_PARSER_CASES = ([["--help"], [], ["bogus"], ["bogus", "predict"], ["-h", "predict"],
+                  ["predict", "--model", "eval", "--bogus"]]
+                 + [[c, "--help"] for c in xlc.cli._COMMANDS]
+                 + [[c, "--bogus", "1"] for c in xlc.cli._COMMANDS]
+                 + [[c] for c in xlc.cli._COMMANDS])
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_the_one_command_parser_says_what_the_full_parser_says(monkeypatch, capsys, argv):
+    # xlc builds only the invoked command's parser; help, usage and error
+    # messages and exit codes must be those of the parser of every command
+    got = _outcome(capsys, argv)
+    full = xlc.cli._build_parser
+    monkeypatch.setattr(xlc.cli, "_build_parser", lambda command=None: full())
+    assert got == _outcome(capsys, argv)
+
+
+def test_usage_names_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: xlc [-h]\n"
+             "           {gen-synth,train-ae,nmf,fit-reg,predict,explain,hierarchy,eval} ...\n")
+    code, out, err = _outcome(capsys, ["predict", "--model", "m.xlc", "--bogus"])
+    assert (code, out, err) == (2, "", usage + "xlc: error: unrecognized arguments: --bogus\n")
+    code, out, err = _outcome(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+    for name, (_, help_text, _) in xlc.cli._COMMANDS.items():
+        assert f"\n    {name:<20}{help_text}\n" in out
+    code, out, err = _outcome(capsys, ["predict", "--data", "d.txt"])
+    assert (code, out, err) == (1, "", "error: missing required option --model\n")
+    code, out, err = _outcome(capsys, ["predict", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: xlc predict [-h] [--config CONFIG] [--model MODEL]")
+
+
 def test_fit_reg_requires_encoder_section(tmp_path, capsys):
     data = tmp_path / "d.txt"
     _run("gen-synth", "--blocks", 2, "--rows", 6, "--labels-per-block", 2,

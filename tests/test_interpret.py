@@ -133,10 +133,102 @@ def test_hierarchy_matches_the_full_sort_expansion_on_tie_heavy_columns(data, wi
     stack = EncoderStack(layers)
     layer = data.draw(st.integers(1, stack.depth))
     unit = data.draw(st.integers(0, stack.layers[layer - 1].cols - 1))
-    counts = data.draw(st.lists(st.integers(1, p + 1), min_size=layer, max_size=layer))
-    labels = [f"l{j}" for j in range(p)] if named else None
-    got = extract_hierarchy(stack, layer, unit, counts, labels=labels).to_dict()
-    assert got == _expand_by_full_sort(stack, layer, unit, 1.0, counts, labels)
+    # two m, each a single count or one count per level: the unit is asked
+    # for with the first, again, with the second, and so on, so both the
+    # first ranking and the kept one are checked, and a change of counts
+    # replaces the kept one
+    ms = data.draw(st.lists(st.integers(1, p + 1) | st.lists(
+        st.integers(1, p + 1), min_size=layer, max_size=layer), min_size=2, max_size=2))
+    labels = [f"l{j}" for j in range(p)]
+    for m in (ms[0], ms[0], ms[1], ms[0], ms[1], ms[1]):
+        counts = (m,) * layer if isinstance(m, int) else m
+        for names in ((labels, None) if named else (None, labels)):
+            got = extract_hierarchy(stack, layer, unit, m, labels=names).to_dict()
+            assert got == _expand_by_full_sort(stack, layer, unit, 1.0, counts, names)
+
+
+def _counting_top_n(monkeypatch):
+    """A list that grows by one entry per interpret._top_n call."""
+    calls = []
+    real = xlc.interpret._top_n
+    monkeypatch.setattr(xlc.interpret, "_top_n",
+                        lambda scores, n: calls.append(n) or real(scores, n))
+    return calls
+
+
+def test_a_kept_hierarchy_is_returned_without_ranking_again(monkeypatch):
+    calls = _counting_top_n(monkeypatch)
+    stack = EncoderStack([BLOCK_H1, DenseMatrix(np.array([[0.6], [0.4]]))])
+    first = extract_hierarchy(stack, 2, 0, m=2)
+    assert calls == [2, 2]                          # one call per level
+    # the counts a depth-2 expansion uses are m[:2], however m is given
+    for m in (2, (2, 2), [2, 2, 9]):
+        assert extract_hierarchy(stack, 2, 0, m) is first
+    named = extract_hierarchy(stack, 2, 0, 2, labels=list("abcdef"))
+    assert calls == [2, 2]
+    assert [g.label_name for c in named.children for g in c.children] == ["a", "b", "d", "f"]
+    assert first.children[0].children[0].label_name is None
+    # other counts rank again, and replace the kept tree
+    assert extract_hierarchy(stack, 2, 0, m=(2, 1)) is not first
+    assert calls == [2, 2, 2, 1]
+    assert extract_hierarchy(stack, 2, 0, m=2) is not first
+    assert calls == [2, 2, 2, 1, 2, 2]
+
+
+def test_a_stack_keeps_one_hierarchy_per_unit():
+    rng = np.random.default_rng(5)
+    stack = EncoderStack([DenseMatrix(rng.uniform(0.0, 1.0, size=(60, 3)))])
+    for m in range(1, 51):
+        node = extract_hierarchy(stack, 1, 2, m)
+        assert len(node.children) == m
+    assert list(stack._hierarchies) == [(1, 2)]
+    assert stack._hierarchies[1, 2][0] == (50,)
+    for unit in range(3):
+        extract_hierarchy(stack, 1, unit, 4)
+    assert sorted(stack._hierarchies) == [(1, 0), (1, 1), (1, 2)]
+
+
+def test_hierarchy_nodes_and_stacks_are_read_only():
+    stack = EncoderStack([DenseMatrix(np.ones((3, 2)))])
+    node = extract_hierarchy(stack, 1, 0, m=2)
+    for attr in ("layer", "unit_index", "weight", "children", "label_name", "other"):
+        with pytest.raises(AttributeError,
+                           match=f"^HierarchyNode is read-only: cannot set '{attr}'$"):
+            setattr(node, attr, 0)
+    with pytest.raises(AttributeError,
+                       match="^HierarchyNode is read-only: cannot delete 'weight'$"):
+        del node.weight
+    assert node.to_dict() == {"layer": 1, "unit": 0, "weight": 1.0, "children": [
+        {"layer": 0, "unit": 0, "weight": 1.0}, {"layer": 0, "unit": 1, "weight": 1.0}]}
+    # a stack reassigned to twos used to keep decoding through its cached E^T
+    assert xlc.decode(np.ones((1, 2)), stack).values.tolist() == [[2.0, 2.0, 2.0]]
+    twos = (DenseMatrix(np.full((3, 2), 2.0)),)
+    for attr, value in (("layers", twos), ("layer_dims", (7,)), ("p", 4),
+                        ("training_trace", ()), ("_chain_t", None), ("_hierarchies", {})):
+        with pytest.raises(AttributeError,
+                           match=f"^EncoderStack is read-only: cannot set '{attr}'$"):
+            setattr(stack, attr, value)
+    assert stack.latent_dim == 2
+    assert xlc.decode(np.ones((1, 2)), stack).values.tolist() == [[2.0, 2.0, 2.0]]
+    assert xlc.decode(np.ones((1, 2)), EncoderStack(twos)).values.tolist() == [[4.0, 4.0, 4.0]]
+    assert extract_hierarchy(stack, 1, 0, m=2) is node
+
+
+def test_hierarchy_nodes_and_stacks_survive_copy_and_pickle():
+    import copy
+    import pickle
+
+    stack = EncoderStack([BLOCK_H1], training_trace=[3.0, 1.0])
+    node = extract_hierarchy(stack, 1, 1, m=2, labels=list("abcdef"))
+    for clone in (copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))):
+        s = clone(stack)
+        assert s.layer_dims == (2,) and s.p == 6 and s.training_trace == (3.0, 1.0)
+        assert np.array_equal(s.layers[0].values, BLOCK_H1.values)
+        want = extract_hierarchy(stack, 1, 1, 2).to_dict()
+        assert extract_hierarchy(s, 1, 1, 2).to_dict() == want
+        assert clone(node).to_dict() == node.to_dict()
+        with pytest.raises(AttributeError):
+            s.p = 5
 
 
 def test_hierarchy_index_validation():
@@ -598,6 +690,28 @@ def test_explain_dict_round_trips_through_json():
     assert blob["latent_unit"] == 0
     assert blob["hierarchy"]["unit"] == 0
     assert blob["surrogate"]["feature_weights"][0]["feature"] == 0
+
+
+def test_explain_extracts_one_hierarchy_per_explanation_and_shares_it(monkeypatch):
+    # the traced bench averages interpret.extract_hierarchy spans: one a call
+    stack, model, x = _random_model()
+    units = []
+    real = xlc.interpret.extract_hierarchy
+    monkeypatch.setattr(xlc.interpret, "extract_hierarchy",
+                        lambda s, layer, unit, m, labels=None:
+                        units.append(unit) or real(s, layer, unit, m, labels))
+    calls = _counting_top_n(monkeypatch)
+    cfg = ExplainConfig(lime=LimeConfig(num_samples=50, seed=1))
+    first, again = (explain_prediction(x, model, stack, cfg) for _ in range(2))
+    assert units == [first.latent_unit] * 2
+    assert len(calls) == 1
+    assert again.hierarchy is first.hierarchy
+    # a fresh stack of the same layers, whose hierarchy is ranked anew,
+    # explains the row to the same dict
+    cold = explain_prediction(x, model, EncoderStack(stack.layers), cfg)
+    assert cold.hierarchy is not first.hierarchy
+    assert cold.to_dict() == first.to_dict() == again.to_dict()
+    assert len(calls) == 2
 
 
 def _random_model(d=12, k=3, seed=0):
