@@ -51,9 +51,10 @@ class EncoderStack(_ReadOnly):
 
     Invariants: at least one layer; every entry >= 0; widths are >= 1,
     strictly decrease and start below the label count p; shapes chain.
-    A stack is read-only, so what is derived from its layers is computed
-    once and kept on it: E^T (chain_t) and, in _hierarchies, one label
-    hierarchy per (layer, unit), which interpret.extract_hierarchy fills.
+    A stack and its layers are read-only, so what is derived from them is
+    computed once and kept on the stack: E^T (chain_t) and, in
+    _hierarchies, one (m, ranking, tree) label hierarchy per (layer, unit),
+    which interpret.extract_hierarchy fills.
     """
 
     __slots__ = ("layers", "layer_dims", "p", "training_trace", "_chain_t", "_hierarchies")
@@ -74,7 +75,8 @@ class EncoderStack(_ReadOnly):
         p = layers[0].rows
         _check_widths(dims, p)
         self._set(layers=layers, layer_dims=tuple(dims), p=p,
-                  training_trace=tuple(_real("trace entry", x, 0.0) for x in training_trace),
+                  training_trace=tuple(_array("trace entry", training_trace, (None,),
+                                              nonneg=True).tolist()),
                   _chain_t=None, _hierarchies={})
 
     def __reduce__(self):

@@ -25,7 +25,7 @@ from .dataio import (ModelContainer, _read_text, load_dataset, load_label_names,
                      save_model)
 from .errors import (ConfigError, ModelFormatError, ShapeMismatchError, XlcError, _choice,
                      _integer, _integers)
-from .interpret import (ExplainConfig, LimeConfig, explain_prediction,
+from .interpret import (_HIERARCHY_M, ExplainConfig, LimeConfig, explain_prediction,
                         extract_hierarchy, render_hierarchy)
 from .matrix import _BLOCK_ENTRIES, _check_labels, _lock
 from .nmf import NmfConfig, nmf_factorize, nmf_objective
@@ -355,7 +355,7 @@ _COMMANDS = {
         ("model", str, _REQUIRED),
         ("layer", int, _REQUIRED),
         ("unit", int, _REQUIRED),
-        ("top-m", int, 5),
+        ("top-m", int, _HIERARCHY_M),
         ("out", str, None))),
     "eval": (_cmd_eval, "score ranked predictions with P@k and nDCG@k", (
         ("model", str, _REQUIRED),

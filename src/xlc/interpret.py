@@ -14,10 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .autoencoder import EncoderStack
-from .errors import (ConfigError, ShapeMismatchError, _array, _instance, _integer, _integers,
-                     _names, _real)
+from .errors import ConfigError, ShapeMismatchError, _array, _instance, _integer, _names, _real
 from .matrix import _ReadOnly, _back_substitute, _lock, _mm, make_rng
 from .pipeline import RegressorModel, _check_latent_dim, _top_n, predict_latent
+
+# the children per node of an explanation's hierarchy, and xlc hierarchy's
+# default --top-m
+_HIERARCHY_M = 5
 
 
 class HierarchyNode(_ReadOnly):
@@ -73,55 +76,44 @@ def render_hierarchy(node: HierarchyNode, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _level_counts(name: str, m):
-    """m as one count >= 1, or as a non-empty tuple of counts >= 1, one per level."""
-    return _integer(name, m, 1) if np.isscalar(m) else _integers(name, m, 1)
-
-
-def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m,
+def extract_hierarchy(stack: EncoderStack, layer: int, unit: int, m: int,
                       labels=None) -> HierarchyNode:
     """Expand a latent unit into its hierarchy down to layer 0.
 
     The children of a layer-l node are the up-to-m largest positive
-    entries of column `unit` of H_l, interpreted as units of layer l-1.
-    Weights are the raw H entries, never renormalized. m may be a single
-    count or one count per expansion level, outermost first. The tree is
-    read-only and may be shared: the stack keeps it (see _expand).
+    entries of column `unit` of H_l, interpreted as units of layer l-1;
+    m is one count >= 1, the same at every level. Weights are the raw H
+    entries, never renormalized. The tree is read-only and may be shared:
+    the stack keeps it (see _expand).
     """
     layer = _integer("layer", layer, 1, _instance("stack", stack, EncoderStack).depth)
     unit = _integer("unit", unit, 0, stack.layers[layer - 1].cols - 1)
     if labels is not None:
         labels = _names("labels", labels, stack.p)
-    m = _level_counts("m", m)
-    counts = (m,) * layer if isinstance(m, int) else m
-    if len(counts) < layer:
-        raise ConfigError(
-            f"m gives {len(counts)} levels but the expansion needs {layer}")
-    return _expand(stack, layer, unit, counts[:layer], labels)
+    return _expand(stack, layer, unit, _integer("m", m, 1), labels)
 
 
-def _expand(stack, layer, unit, counts, labels) -> HierarchyNode:
+def _expand(stack, layer, unit, m, labels) -> HierarchyNode:
     """The node of `unit` in `layer` and its subtree. The stack keeps one
-    ranking and unnamed tree per (layer, unit), for the counts of the last
-    request that ranked it: a request with other counts ranks the unit again
+    (m, ranking, unnamed tree) per (layer, unit), for the m of the last
+    request that ranked it: a request with another m ranks the unit again
     and replaces them, so the stack holds at most one tree per latent unit.
     A request with labels builds a named tree from the kept ranking. Two
     threads that miss at once both rank the unit, and keep equal trees."""
     kept = stack._hierarchies.get((layer, unit))
-    if kept is None or kept[0] != counts:
-        levels = _rank_levels(stack, layer, unit, counts)
-        kept = stack._hierarchies[layer, unit] = (
-            counts, levels, _tree(layer, unit, levels, None))
+    if kept is None or kept[0] != m:
+        levels = _rank_levels(stack, layer, unit, m)
+        kept = stack._hierarchies[layer, unit] = (m, levels, _tree(layer, unit, levels, None))
     return kept[2] if labels is None else _tree(layer, unit, kept[1], labels)
 
 
-def _rank_levels(stack, layer, unit, counts) -> list:
+def _rank_levels(stack, layer, unit, m) -> list:
     """For each expansion level, outermost first, the (unit, weight)
     children of each unit chosen one level up, in the order a depth-first
     walk meets those units. The columns of every unit chosen at one level
     are ranked in one _top_n call."""
     levels, units = [], [unit]
-    for depth, m in zip(range(layer, 0, -1), counts):
+    for depth in range(layer, 0, -1):
         tops = [[(j, w) for j, w in top if w > 0]
                 for top in _top_n(stack.layers[depth - 1].values.T[units], m)]
         levels.append(tops)
@@ -146,23 +138,18 @@ def _tree(layer, unit, levels, labels) -> HierarchyNode:
 class LimeConfig:
     """Perturbation and fit settings for the local surrogate.
 
-    num_samples must be at least k_features + 2. kernel_width None means
-    the conventional 0.75 * sqrt(d'), where d' counts the features in
-    which the explained row differs from the baseline (the ones LIME can
-    mask). baseline is the value substituted for masked-off features, a
-    scalar or one value per feature.
+    num_samples must be at least k_features + 2. baseline is the one
+    finite value substituted for every masked-off feature.
     """
 
-    __slots__ = ("num_samples", "kernel_width", "k_features", "seed", "baseline")
+    __slots__ = ("num_samples", "k_features", "seed", "baseline")
 
-    def __init__(self, num_samples: int = 1000, kernel_width=None,
-                 k_features: int = 5, seed: int = 0, baseline=0.0):
+    def __init__(self, num_samples: int = 1000, k_features: int = 5, seed: int = 0,
+                 baseline: float = 0.0):
         self.k_features = _integer("k_features", k_features, 1)
         self.num_samples = _integer("num_samples", num_samples, self.k_features + 2)
-        self.kernel_width = (None if kernel_width is None
-                             else _real("kernel_width", kernel_width, 0.0, above=True))
         self.seed = _integer("seed", seed, 0, 2**64 - 1)
-        self.baseline = _array("baseline", baseline, (), (None,))
+        self.baseline = _real("baseline", baseline, -np.inf)
 
 
 class SurrogateExplanation:
@@ -261,49 +248,43 @@ def _feature_row(x_row) -> np.ndarray:
     return x
 
 
-def _baseline(lime: LimeConfig, x: np.ndarray) -> np.ndarray:
-    """lime's baseline as a read-only vector the size of x, which a vector
-    baseline must match."""
-    return np.broadcast_to(_array("baseline", lime.baseline, (), x.shape), x.shape)
-
-
 def lime_explain(x_row, predict_fn, cfg: LimeConfig) -> SurrogateExplanation:
     """Fit a sparse local linear surrogate to predict_fn around x_row.
 
     The candidates are x_row's support c: the d' features where x_row
-    differs from the baseline. Masking any other feature leaves the input
+    differs from the baseline b. Masking any other feature leaves the input
     as it is, so a weight on one would fit nothing (LIME's interpretable
     representation). Draws num_samples binary masks z over c (each feature
     kept with probability 1/2) and calls predict_fn once, on the
-    num_samples x d block of baseline rows whose columns c hold
-    z x_c + (1 - z) b_c, for a vector of num_samples outputs (row s of the
+    num_samples x d block of rows that hold b, save columns c, which hold
+    z x_c + (1 - z) b, for a vector of num_samples outputs (row s of the
     block gives output s). Weighs samples by exp(-hamming(z, all-ones)^2 /
-    kernel_width^2), rescaled so the largest weight is 1, picks up to
-    k_features of c greedily by weighted residual reduction and fits
-    weighted least squares on the selected set (see _forward_select): O(S
-    d' k) work besides predict_fn. A row with no support still makes the
-    one predict_fn call and is explained as degenerate. Deterministic given
-    the seed.
+    w^2) with the conventional kernel width w = 0.75 sqrt(d'), rescaled so
+    the largest weight is 1, picks up to k_features of c greedily by
+    weighted residual reduction and fits weighted least squares on the
+    selected set (see _forward_select): O(S d' k) work besides predict_fn.
+    A row with no support still makes the one predict_fn call and is
+    explained as degenerate. Deterministic given the seed.
     """
     x = _feature_row(x_row)
-    base = _baseline(_instance("cfg", cfg, LimeConfig), x)
+    b = _instance("cfg", cfg, LimeConfig).baseline
     if not callable(predict_fn):
         raise ConfigError(f"predict_fn must be callable, got {type(predict_fn).__name__}")
-    support = np.flatnonzero(x != base)
+    support = np.flatnonzero(x != b)
     d_sup = support.size
     k = min(cfg.k_features, d_sup)
 
     rng = make_rng(cfg.seed)
     z = (rng.random((cfg.num_samples, d_sup)) < 0.5).astype(np.float64)
-    masked = np.tile(base, (cfg.num_samples, 1))
-    masked[:, support] = z * x[support] + (1.0 - z) * base[support]
+    masked = np.full((cfg.num_samples, x.size), b)
+    masked[:, support] = z * x[support] + (1.0 - z) * b
     y = _array("predict_fn output", predict_fn(masked), (cfg.num_samples,))
     if d_sup == 0:
         # every row of the block is x_row itself: nothing to vary
         return SurrogateExplanation((), float(y.mean()), 0.0, "predict_fn",
                                     degenerate=True)
 
-    kw = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * np.sqrt(d_sup)
+    kw = 0.75 * np.sqrt(d_sup)
     ham = d_sup - z.sum(axis=1)
     h2 = ham * ham
     # shifted so the nearest sample weighs 1: unshifted, the weights
@@ -374,14 +355,13 @@ class Explanation:
 
 
 class ExplainConfig:
-    """Settings for a full prediction explanation."""
+    """Settings for a full prediction explanation: its hierarchy takes
+    _HIERARCHY_M children per node."""
 
-    __slots__ = ("lime", "hierarchy_m", "label_names")
+    __slots__ = ("lime", "label_names")
 
-    def __init__(self, lime: LimeConfig | None = None, hierarchy_m=5,
-                 label_names=None):
+    def __init__(self, lime: LimeConfig | None = None, label_names=None):
         self.lime = LimeConfig() if lime is None else _instance("lime", lime, LimeConfig)
-        self.hierarchy_m = _level_counts("hierarchy_m", hierarchy_m)
         self.label_names = None if label_names is None else _names("label_names", label_names)
 
 
@@ -393,38 +373,34 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     The explained scalar is predict_latent(.)[top unit]; a zero latent
     prediction targets unit 0 by tie-break and is flagged degenerate.
 
-    The surrogate is lime_explain's on x_row restricted to its active
-    columns, those where x_row or the baseline is nonzero, with the model
-    restricted to the matching rows of theta. Every other column is 0 in
-    every perturbed row and adds an exact +-0 to each product (theta is
-    finite), which _mm sums in ascending feature order when k >= 2, so the
-    explanation is bitwise the one of the whole row, while predicting the S
-    samples costs O(S k) per active column instead of per feature. With
-    k = 1 _mm's summation order depends on the column count, so every
-    column is kept.
+    With a zero baseline the surrogate is lime_explain's on x_row
+    restricted to its nonzeros, with the model restricted to the matching
+    rows of theta. Every other column is 0 in every perturbed row and adds
+    an exact +-0 to each product (theta is finite), which _mm sums in
+    ascending feature order when k >= 2, so the explanation is bitwise the
+    one of the whole row, while predicting the S samples costs O(S k) per
+    nonzero instead of per feature. With k = 1 _mm's summation order
+    depends on the column count, and a nonzero baseline can be masked into
+    every column, so both keep every column.
     """
     cfg = ExplainConfig() if cfg is None else _instance("cfg", cfg, ExplainConfig)
     x_row = _feature_row(x_row)
     _check_latent_dim(m, stack)
-    lime = cfg.lime
-    base = _baseline(lime, x_row)
     latent = predict_latent(x_row, m)
     unit = int(np.argmax(latent))            # first max wins: ascending tie-break
     degenerate = bool(latent[unit] == 0.0)
 
-    cols = np.flatnonzero((x_row != 0.0) | (base != 0.0))
-    if m.output_dim < 2 or cols.size == 0:
+    cols = np.flatnonzero(x_row)
+    if cfg.lime.baseline != 0.0 or m.output_dim < 2 or cols.size == 0:
         cols = np.arange(x_row.size)
     sub = RegressorModel(m.kind, cols.size, m.output_dim,
                          {"theta": _lock(m.params["theta"][cols]),
                           "intercept": m.params["intercept"]})
-    lime = LimeConfig(lime.num_samples, lime.kernel_width, lime.k_features, lime.seed,
-                      base[cols])
     surrogate = lime_explain(
-        x_row[cols], lambda rows: predict_latent(rows, sub)[:, unit], lime)
+        x_row[cols], lambda rows: predict_latent(rows, sub)[:, unit], cfg.lime)
     surrogate = SurrogateExplanation(
         [(cols[i], w) for i, w in surrogate.feature_weights], surrogate.intercept,
         surrogate.local_fit_r2, f"latent unit {unit}", surrogate.degenerate)
-    hierarchy = extract_hierarchy(stack, stack.depth, unit, cfg.hierarchy_m,
+    hierarchy = extract_hierarchy(stack, stack.depth, unit, _HIERARCHY_M,
                                   labels=cfg.label_names)
     return Explanation(unit, latent[unit], surrogate, hierarchy, degenerate)

@@ -48,8 +48,9 @@ def _frozen(name: str, value, *shapes: tuple, nonneg: bool = False) -> np.ndarra
 
 
 class _ReadOnly:
-    """Base of a class whose attributes are set once, by _set in __init__:
-    assigning or deleting one afterwards raises AttributeError naming it.
+    """Base of a class whose attributes are set once, in __init__, by _set
+    or object.__setattr__: assigning or deleting one afterwards raises
+    AttributeError naming it.
     A subclass's __reduce__ rebuilds a copy or an unpickled object through
     __init__ and its checks."""
 
@@ -74,9 +75,9 @@ def _csr(data, indices, indptr, shape):
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
-class DenseMatrix:
+class DenseMatrix(_ReadOnly):
     """Dense row-major float64 matrix with finite entries, immutable after
-    construction.
+    construction: neither values nor its entries can be reassigned.
 
     Attributes
     ----------
@@ -88,7 +89,10 @@ class DenseMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = _frozen("values", values, (None, None))
+        object.__setattr__(self, "values", _frozen("values", values, (None, None)))
+
+    def __reduce__(self):
+        return type(self), (self.values,)
 
     @property
     def rows(self) -> int:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativityError, ShapeMismatchError, _instance, _integer, _real
+from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _instance,
+                     _integer, _real)
 from .matrix import (DenseMatrix, LabelMatrix, _check_labels, _lock, _lowrank_sq_error, _mm,
                      make_rng)
 
@@ -51,14 +52,16 @@ class NmfFactors:
                 f"W is {w.rows}x{w.cols} but H is {h.rows}x{h.cols}")
         if w.values.min(initial=0.0) < 0 or h.values.min(initial=0.0) < 0:
             raise NonNegativityError("NMF factors must be entrywise >= 0")
-        trace = tuple(_real("trace entry", x, 0.0) for x in objective_trace)
+        a = _array("trace entry", objective_trace, (None,), nonneg=True)
+        trace = tuple(a.tolist())
         first = trace[0] if trace else 0.0
         slack = max(1e-12, _TRACE_SLACK_ULPS * np.finfo(np.float64).eps * first)
-        for i in range(len(trace) - 1):
-            if trace[i + 1] > trace[i] + slack:
-                raise ConfigError(
-                    f"objective trace increases at step {i + 1}: "
-                    f"{trace[i]:.6g} -> {trace[i + 1]:.6g}")
+        rises = np.flatnonzero(a[1:] > a[:-1] + slack)
+        if rises.size:
+            i = int(rises[0])
+            raise ConfigError(
+                f"objective trace increases at step {i + 1}: "
+                f"{trace[i]:.6g} -> {trace[i + 1]:.6g}")
         self.w = w
         self.h = h
         self.k = w.cols

@@ -399,7 +399,6 @@ _SETTINGS = {
     "lime-k-features": (lambda v: LimeConfig(k_features=v), "k_features", 1, "int"),
     # at least k_features + 2, and k_features defaults to 5
     "lime-num-samples": (lambda v: LimeConfig(num_samples=v), "num_samples", 7, "int"),
-    "lime-kernel-width": (lambda v: LimeConfig(kernel_width=v), "kernel_width", 0.0, ">"),
     "ridge-lam": (lambda v: _fit("ridge-linear", {"lam": v}), "lam", 0.0, ">="),
     "regressor-input-dim": (lambda v: RegressorModel("ridge-linear", v, 1, {}),
                             "input_dim", 1, "int"),
@@ -408,6 +407,7 @@ _SETTINGS = {
     "split-n-rows": (lambda v: split_rows(v, 0.2), "n_rows", 2, "int"),
     "split-test-frac": (lambda v: split_rows(10, v), "test_frac", 0.0, ">"),
     "hierarchy-m": (lambda v: extract_hierarchy(_STACK, 1, 0, v), "m", 1, "int"),
+    # m is one count for every level: a list of counts is refused
     "hierarchy-m-per-level": (lambda v: extract_hierarchy(_STACK, 1, 0, [v]), "m", 1, "int"),
     "ranked-n": (lambda v: RankedPrediction(np.ones(3), v), "n", 1, "int"),
     "predict-n": (lambda v: predict_labels(np.ones(2), _fit(), _STACK, n=v), "n", 1, "int"),
@@ -685,15 +685,16 @@ def test_plain_refusals_raise_a_named_class(build, tmp_path):
     assert type(exc.value) is error
 
 
-@pytest.mark.parametrize("build", [
-    lambda: DenseMatrix([["1", "2.5"]]),
-    lambda: LimeConfig(baseline="0.5"),
-    lambda: predict_latent(["1"] * 2, _fit()),
-    lambda: FeatureMatrix(np.array([[1, "2"]], dtype=object)),
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: DenseMatrix([["1", "2.5"]]), "a numeric array, got list"),
+    # the baseline is one real, checked by errors._real
+    (lambda: LimeConfig(baseline="0.5"), "a finite number, got '0.5'"),
+    (lambda: predict_latent(["1"] * 2, _fit()), "a numeric array, got list"),
+    (lambda: FeatureMatrix(np.array([[1, "2"]], dtype=object)), "a numeric array, got ndarray"),
 ], ids=["dense-matrix", "lime-baseline", "predict-latent", "object-array"])
-def test_numeric_text_is_refused_not_parsed(build):
+def test_numeric_text_is_refused_not_parsed(build, refusal):
     # each used to be parsed as numbers
-    with pytest.raises(ConfigError, match=" must be a numeric array, got (list|str|ndarray)$"):
+    with pytest.raises(ConfigError, match=f" must be {re.escape(refusal)}$"):
         build()
 
 
@@ -722,7 +723,9 @@ _ARRAYS = {
     "predict-latent": (lambda a: predict_latent(a, _fit()), "x", 2),
     "predict-labels": (lambda a: predict_labels(a, _fit(), _STACK), "x", 2),
     "decode": (lambda a: decode(a, _STACK), "w", 2),
-    "lime-baseline": (lambda a: LimeConfig(baseline=a), "baseline", 1),
+    # one real, checked by errors._real: every bad value, a vector ("ndim")
+    # among them, is refused as not a finite number
+    "lime-baseline": (lambda a: LimeConfig(baseline=a), "baseline", 0),
     "lime-row": (lambda a: lime_explain(a, lambda rows: rows.sum(axis=1),
                                         LimeConfig(num_samples=10)), "x_row", 1),
     "explain-row": (lambda a: explain_prediction(a, _fit(), _STACK), "x_row", 1),
@@ -763,6 +766,8 @@ def test_array_arguments_are_refused_by_name(build, bad):
     value, error, rest = _BAD_ARRAYS[bad]
     if build == "label-matrix-entry-value":     # the entries' values go in one list
         rest = rest.replace("got str", "got list")
+    if build == "lime-baseline":
+        error, rest = ConfigError, " must be a finite number, got "
     with pytest.raises(error, match="^" + re.escape(name) + rest) as exc:
         call(value(top))
     assert type(exc.value) is error
@@ -802,10 +807,10 @@ def test_numpy_scalar_settings_equal_python_ones():
         ae = AeTrainConfig((i(4), i(2)), max_epochs=i(5), learning_rate=r(0.5),
                            rel_tol=r(0.25), seed=i(3))
         nmf = NmfConfig(k=i(2), max_iters=i(7), rel_tol=r(0.125), seed=i(1))
-        lime = LimeConfig(num_samples=i(9), kernel_width=r(1.5), k_features=i(3))
+        lime = LimeConfig(num_samples=i(9), k_features=i(3), baseline=r(1.5))
         return [*ae.layer_dims, ae.max_epochs, ae.learning_rate, ae.rel_tol, ae.seed,
                 nmf.k, nmf.max_iters, nmf.rel_tol, nmf.seed,
-                lime.num_samples, lime.kernel_width, lime.k_features]
+                lime.num_samples, lime.k_features, lime.baseline]
     python, numpy = settings(int, float), settings(np.int64, np.float32)
     assert numpy == python
     assert [type(v) for v in numpy] == [type(v) for v in python]
@@ -967,6 +972,42 @@ def test_dense_matrix_copies_a_writeable_argument_and_keeps_a_locked_one():
     assert m.values[0, 0] == 1.0 and not m.values.flags.writeable
     a.setflags(write=False)
     assert DenseMatrix(a).values is a
+
+
+def test_a_stack_stores_its_trace_as_python_floats():
+    # the trace is checked in one errors._array call
+    h = DenseMatrix(np.ones((3, 1)))
+    stack = EncoderStack([h], training_trace=np.array([3.0, 1.0], dtype=np.float32))
+    assert stack.training_trace == (3.0, 1.0)
+    assert all(type(x) is float for x in stack.training_trace)
+    with pytest.raises(NonNegativityError,
+                       match=r"^trace entry must be >= 0, got -1\.0 in shape \(2,\)$"):
+        EncoderStack([h], training_trace=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("cls", [DenseMatrix, FeatureMatrix])
+def test_dense_matrices_are_read_only_and_so_are_their_copies(cls):
+    import copy
+    import pickle
+
+    # a stack's layer reassigned to twos used to leave the stack decoding
+    # through its cached E^T, unlike a fresh stack of the same layers
+    stack = EncoderStack([DenseMatrix(np.ones((3, 2)))])
+    assert decode(np.ones((1, 2)), stack).values.tolist() == [[2.0, 2.0, 2.0]]
+    with pytest.raises(AttributeError, match="^DenseMatrix is read-only: cannot set 'values'$"):
+        stack.layers[0].values = np.full((3, 2), 2.0)
+    assert decode(np.ones((1, 2)), stack).values.tolist() == [[2.0, 2.0, 2.0]]
+    m = cls(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is read-only: cannot delete"):
+        del m.values
+    # a copy or an unpickled matrix is rebuilt through __init__, so it is
+    # locked too (a deep copy's array used to be writeable)
+    for clone in (copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))):
+        c = clone(m)
+        assert type(c) is cls and np.array_equal(c.values, m.values)
+        assert not c.values.flags.writeable
+        with pytest.raises(AttributeError):
+            c.values = np.zeros((3, 2))
 
 
 def test_decode_block_is_the_products_own_array():

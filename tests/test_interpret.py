@@ -1,5 +1,6 @@
 """Label hierarchies and LIME-style local surrogates."""
 
+import re
 import warnings
 
 import numpy as np
@@ -87,9 +88,10 @@ def test_weight_ties_break_by_ascending_index():
 
 
 def test_two_layer_expansion_with_per_level_counts():
+    # m is the count of children at every level
     h2 = DenseMatrix(np.array([[0.6], [0.4]]))
     stack = EncoderStack([BLOCK_H1, h2])
-    node = extract_hierarchy(stack, 2, 0, m=(2, 2))
+    node = extract_hierarchy(stack, 2, 0, m=2)
     assert node.layer == 2
     assert [c.unit_index for c in node.children] == [0, 1]
     for c in node.children:
@@ -97,9 +99,9 @@ def test_two_layer_expansion_with_per_level_counts():
         assert all(g.layer == 0 for g in c.children)
 
 
-def _expand_by_full_sort(stack, layer, unit, weight, counts, labels):
+def _expand_by_full_sort(stack, layer, unit, weight, m, labels):
     """The definition: walk the whole column in rank_labels order and keep
-    the first counts[0] positive entries."""
+    the first m positive entries."""
     node = {"layer": layer, "unit": unit, "weight": weight}
     if layer == 0:
         if labels is not None:
@@ -108,10 +110,10 @@ def _expand_by_full_sort(stack, layer, unit, weight, counts, labels):
     col = stack.layers[layer - 1].values[:, unit]
     children = []
     for idx in rank_labels(col):
-        if col[idx] <= 0 or len(children) == counts[0]:
+        if col[idx] <= 0 or len(children) == m:
             break
         children.append(_expand_by_full_sort(stack, layer - 1, int(idx), float(col[idx]),
-                                             counts[1:], labels))
+                                             m, labels))
     if children:
         node["children"] = children
     return node
@@ -133,18 +135,15 @@ def test_hierarchy_matches_the_full_sort_expansion_on_tie_heavy_columns(data, wi
     stack = EncoderStack(layers)
     layer = data.draw(st.integers(1, stack.depth))
     unit = data.draw(st.integers(0, stack.layers[layer - 1].cols - 1))
-    # two m, each a single count or one count per level: the unit is asked
-    # for with the first, again, with the second, and so on, so both the
-    # first ranking and the kept one are checked, and a change of counts
-    # replaces the kept one
-    ms = data.draw(st.lists(st.integers(1, p + 1) | st.lists(
-        st.integers(1, p + 1), min_size=layer, max_size=layer), min_size=2, max_size=2))
+    # two m: the unit is asked for with the first, again, with the second,
+    # and so on, so both the first ranking and the kept one are checked, and
+    # a change of m replaces the kept one
+    ms = data.draw(st.lists(st.integers(1, p + 1), min_size=2, max_size=2))
     labels = [f"l{j}" for j in range(p)]
     for m in (ms[0], ms[0], ms[1], ms[0], ms[1], ms[1]):
-        counts = (m,) * layer if isinstance(m, int) else m
         for names in ((labels, None) if named else (None, labels)):
             got = extract_hierarchy(stack, layer, unit, m, labels=names).to_dict()
-            assert got == _expand_by_full_sort(stack, layer, unit, 1.0, counts, names)
+            assert got == _expand_by_full_sort(stack, layer, unit, 1.0, m, names)
 
 
 def _counting_top_n(monkeypatch):
@@ -161,18 +160,18 @@ def test_a_kept_hierarchy_is_returned_without_ranking_again(monkeypatch):
     stack = EncoderStack([BLOCK_H1, DenseMatrix(np.array([[0.6], [0.4]]))])
     first = extract_hierarchy(stack, 2, 0, m=2)
     assert calls == [2, 2]                          # one call per level
-    # the counts a depth-2 expansion uses are m[:2], however m is given
-    for m in (2, (2, 2), [2, 2, 9]):
+    # an equal m of any integer type finds the kept tree
+    for m in (2, np.int64(2)):
         assert extract_hierarchy(stack, 2, 0, m) is first
     named = extract_hierarchy(stack, 2, 0, 2, labels=list("abcdef"))
     assert calls == [2, 2]
     assert [g.label_name for c in named.children for g in c.children] == ["a", "b", "d", "f"]
     assert first.children[0].children[0].label_name is None
-    # other counts rank again, and replace the kept tree
-    assert extract_hierarchy(stack, 2, 0, m=(2, 1)) is not first
-    assert calls == [2, 2, 2, 1]
+    # another m ranks again, and replaces the kept tree
+    assert extract_hierarchy(stack, 2, 0, m=1) is not first
+    assert calls == [2, 2, 1, 1]
     assert extract_hierarchy(stack, 2, 0, m=2) is not first
-    assert calls == [2, 2, 2, 1, 2, 2]
+    assert calls == [2, 2, 1, 1, 2, 2]
 
 
 def test_a_stack_keeps_one_hierarchy_per_unit():
@@ -182,7 +181,7 @@ def test_a_stack_keeps_one_hierarchy_per_unit():
         node = extract_hierarchy(stack, 1, 2, m)
         assert len(node.children) == m
     assert list(stack._hierarchies) == [(1, 2)]
-    assert stack._hierarchies[1, 2][0] == (50,)
+    assert stack._hierarchies[1, 2][0] == 50
     for unit in range(3):
         extract_hierarchy(stack, 1, unit, 4)
     assert sorted(stack._hierarchies) == [(1, 0), (1, 1), (1, 2)]
@@ -241,8 +240,8 @@ def test_hierarchy_index_validation():
         extract_hierarchy(stack, 1, 2, m=3)
     with pytest.raises(ConfigError):
         extract_hierarchy(stack, 1, 0, m=0)
-    with pytest.raises(ConfigError):
-        # two expansion levels requested but only one count given
+    with pytest.raises(ConfigError, match=r"^m must be an integer, got \(3,\)$"):
+        # m is one count for every level, never a count per level
         extract_hierarchy(EncoderStack([BLOCK_H1, DenseMatrix([[0.6], [0.4]])]),
                           2, 0, m=(3,))
 
@@ -257,11 +256,12 @@ def test_render_flat_node_inlines_label_names():
 def test_render_nested_node_indents_levels():
     h2 = DenseMatrix(np.array([[0.6], [0.4]]))
     stack = EncoderStack([BLOCK_H1, h2])
-    node = extract_hierarchy(stack, 2, 0, m=(2, 1))
+    node = extract_hierarchy(stack, 2, 0, m=2)
     text = render_hierarchy(node)
     lines = text.splitlines()
     assert lines[0] == "H2, unit 0:"
     assert lines[1].startswith("  H1, unit 0: ")
+    assert lines[2].startswith("  H1, unit 1: ")
 
 
 # ---------------------------------------------------------------- lime
@@ -385,22 +385,15 @@ def test_lime_config_validation():
         LimeConfig(num_samples=5, k_features=5)
     with pytest.raises(ConfigError):
         LimeConfig(k_features=0)
-    with pytest.raises(ConfigError):
-        LimeConfig(kernel_width=0.0)
-    with pytest.raises(ConfigError):
-        LimeConfig(kernel_width=float("nan"))
-    # a NaN baseline used to surface as "predict_fn returned a non-finite value"
-    for baseline in (float("nan"), [0.0, float("inf")], "abc"):
-        with pytest.raises(ConfigError):
+    # the kernel width is 0.75 sqrt(d'), not a setting
+    with pytest.raises(TypeError, match="unexpected keyword argument 'kernel_width'"):
+        LimeConfig(kernel_width=2.0)
+    # a NaN baseline used to surface as "predict_fn returned a non-finite
+    # value"; the baseline is one real, so an array is refused too
+    for baseline in (float("nan"), [0.0, float("inf")], "abc", np.zeros((2, 2)), np.zeros(3)):
+        with pytest.raises(ConfigError, match="^baseline must be a finite number, got "):
             LimeConfig(baseline=baseline)
-    with pytest.raises(ShapeMismatchError):
-        LimeConfig(baseline=np.zeros((2, 2)))
-    # a per-feature baseline of the wrong length used to fail in np.broadcast_to
-    cfg = LimeConfig(num_samples=20, k_features=2, baseline=[0.0, 1.0, 2.0])
-    with pytest.raises(ShapeMismatchError,
-                       match=r"^baseline must have shape \(\) or \(2,\), got shape \(3,\)$"):
-        lime_explain(np.array([2.0, 2.0]), linear_fn([1.0, 1.0]), cfg)
-    lime_explain(np.array([2.0, 2.0, 2.0]), linear_fn([1.0, 1.0, 1.0]), cfg)
+    assert LimeConfig(baseline=np.float32(-0.25)).baseline == -0.25
 
 
 def test_lime_nonzero_baseline_shifts_neighborhood():
@@ -426,13 +419,17 @@ def test_lime_on_a_sparse_row_picks_its_support_in_true_order(per_feature):
     d = 300
     coefs = rng.normal(size=d)
     b = rng.uniform(-1.0, 1.0, size=d) if per_feature else np.zeros(d)
+    if per_feature:
+        # the baseline is one value for every feature: a vector is refused
+        with pytest.raises(ConfigError, match=r"^baseline must be a finite number, got array\("):
+            LimeConfig(baseline=b)
+        return
     support = np.sort(rng.choice(d, size=8, replace=False))
     effect = np.zeros(d)
     effect[support] = [4.0, -3.2, 2.5, -1.9, 1.4, 0.9, -0.5, 0.2]
     x = b.copy()
     x[support] += effect[support] / coefs[support]     # coef_j (x_j - b_j) = effect_j
-    cfg = LimeConfig(num_samples=1000, k_features=5, seed=0,
-                     baseline=b if per_feature else 0.0)
+    cfg = LimeConfig(num_samples=1000, k_features=5, seed=0, baseline=0.0)
     exp = lime_explain(x, linear_fn(coefs), cfg)
     true_top = sorted(support, key=lambda j: (-abs(effect[j]), j))[:5]
     assert [i for i, _ in exp.feature_weights] == true_top
@@ -447,9 +444,8 @@ def _support_cases(draw):
     s = draw(st.integers(k + 2, 120))
     seed = draw(st.integers(0, 2**32 - 1))
     density = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))
-    per_feature = draw(st.booleans())
-    width = draw(st.sampled_from([None, 0.5, 3.0]))
-    return d, k, s, seed, density, per_feature, width
+    baseline = draw(st.sampled_from([0.0, 0.5, -0.25]))
+    return d, k, s, seed, density, baseline
 
 
 @settings(max_examples=80, deadline=None)
@@ -458,9 +454,9 @@ def test_lime_equals_lime_on_the_support_with_a_scattering_predict_fn(case):
     # the explanation of x is that of x restricted to its support c, with a
     # predict_fn that scatters each row back among the baseline values,
     # bit for bit, with each index mapped through c
-    d, k, s, seed, density, per_feature, width = case
+    d, k, s, seed, density, baseline = case
     rng = np.random.default_rng(seed)
-    b = rng.uniform(-1.0, 1.0, size=d) if per_feature else np.full(d, 0.5)
+    b = np.full(d, baseline)
     x = b.copy()
     on = rng.random(d) < density
     x[on] += rng.uniform(0.1, 2.0, size=on.sum()) * rng.choice([-1.0, 1.0], size=on.sum())
@@ -479,12 +475,9 @@ def test_lime_equals_lime_on_the_support_with_a_scattering_predict_fn(case):
         block[:, c] = rows
         return block
 
-    def cfg(base):
-        return LimeConfig(num_samples=s, k_features=k, seed=seed, kernel_width=width,
-                          baseline=base)
-
-    full = lime_explain(x, f, cfg(b if per_feature else 0.5))
-    part = lime_explain(x[c], lambda rows: f(scatter(rows)), cfg(b[c] if per_feature else 0.5))
+    cfg = LimeConfig(num_samples=s, k_features=k, seed=seed, baseline=baseline)
+    full = lime_explain(x, f, cfg)
+    part = lime_explain(x[c], lambda rows: f(scatter(rows)), cfg)
     assert full.feature_weights == tuple((int(c[i]), wt) for i, wt in part.feature_weights)
     assert full.intercept == part.intercept
     assert full.local_fit_r2 == part.local_fit_r2
@@ -495,7 +488,7 @@ def test_lime_equals_lime_on_the_support_with_a_scattering_predict_fn(case):
 @pytest.mark.parametrize("per_feature", [False, True], ids=["scalar", "per-feature"])
 def test_lime_on_a_row_equal_to_its_baseline_is_degenerate(per_feature, width):
     # no feature can be masked: one predict_fn call on the whole block, and
-    # no division by the default width 0.75 sqrt(0)
+    # no division by the width 0.75 sqrt(0)
     b = np.linspace(-1.0, 1.0, 7) if per_feature else np.full(7, 0.25)
     blocks = []
 
@@ -503,8 +496,17 @@ def test_lime_on_a_row_equal_to_its_baseline_is_degenerate(per_feature, width):
         blocks.append(rows.copy())
         return rows.sum(axis=1)
 
-    cfg = LimeConfig(num_samples=30, k_features=3, seed=4, kernel_width=width,
-                     baseline=b if per_feature else 0.25)
+    # the width is always 0.75 sqrt(d') and the baseline one real: a width
+    # or a per-feature baseline is refused before anything is predicted
+    if width is not None:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kernel_width'"):
+            LimeConfig(num_samples=30, k_features=3, seed=4, kernel_width=width)
+    if per_feature:
+        with pytest.raises(ConfigError, match=r"^baseline must be a finite number, got array\("):
+            LimeConfig(num_samples=30, k_features=3, seed=4, baseline=b)
+    if width is not None or per_feature:
+        return
+    cfg = LimeConfig(num_samples=30, k_features=3, seed=4, baseline=0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exp = lime_explain(b.copy(), f, cfg)
@@ -672,10 +674,15 @@ def test_explain_refuses_a_row_block_before_predicting():
 
 @pytest.mark.parametrize("m", [0, [2, 0], 2.5, "5", None, []])
 def test_explain_config_checks_hierarchy_m_at_construction(m):
-    # a bad count used to pass until extract_hierarchy, after the LIME fit
-    with pytest.raises(ConfigError, match="^hierarchy_m must be "):
+    # a bad count used to pass until extract_hierarchy, after the LIME fit;
+    # an explanation's hierarchy now always takes m = 5, so ExplainConfig
+    # refuses any hierarchy_m when it is built
+    with pytest.raises(TypeError, match="unexpected keyword argument 'hierarchy_m'"):
         ExplainConfig(hierarchy_m=m)
-    assert ExplainConfig(hierarchy_m=[3, np.int64(2)]).hierarchy_m == (3, 2)
+    stack, model = _stack_and_model()
+    exp = explain_prediction(np.array([0.2, 1.5]), model, stack,
+                             ExplainConfig(lime=LimeConfig(num_samples=50, k_features=2)))
+    assert exp.hierarchy is extract_hierarchy(stack, 1, exp.latent_unit, 5)
 
 
 def test_explain_dict_round_trips_through_json():
@@ -781,13 +788,18 @@ def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 8])
 @pytest.mark.parametrize("baseline", ["zero", "scalar", "vector"])
 def test_explain_equals_lime_on_the_whole_row_bitwise(k, baseline):
-    # restricting the row and theta to the active columns changes no bit of
-    # the explanation; at k = 1 every column is kept
+    # restricting the row and theta to its nonzeros changes no bit of the
+    # explanation; at k = 1 and at a nonzero baseline every column is kept
     d = 60
     stack, model, x = _sparse_row_model(d, k, 9, seed=k)
     rng = np.random.default_rng(10 + k)
-    b = {"zero": 0.0, "scalar": 0.5,
-         "vector": np.where(rng.random(d) < 0.5, 0.0, rng.uniform(-1.0, 1.0, d))}[baseline]
+    if baseline == "vector":
+        # a per-feature baseline is refused before anything is explained
+        vector = np.where(rng.random(d) < 0.5, 0.0, rng.uniform(-1.0, 1.0, d))
+        with pytest.raises(ConfigError, match=r"^baseline must be a finite number, got array\("):
+            LimeConfig(num_samples=300, k_features=4, seed=6, baseline=vector)
+        return
+    b = {"zero": 0.0, "scalar": 0.5}[baseline]
     lime = LimeConfig(num_samples=300, k_features=4, seed=6, baseline=b)
     exp = explain_prediction(x, model, stack, ExplainConfig(lime=lime))
     unit = exp.latent_unit
@@ -799,14 +811,32 @@ def test_explain_equals_lime_on_the_whole_row_bitwise(k, baseline):
     assert len(exp.surrogate.feature_weights) == 4
 
 
-def test_explain_refuses_a_wrong_size_baseline_before_predicting(monkeypatch):
-    stack, model, x = _sparse_row_model(30, 4, 5, seed=1)
-    calls = []
-    real = xlc.interpret.predict_latent
-    monkeypatch.setattr(xlc.interpret, "predict_latent",
-                        lambda rows, m: calls.append(np.shape(rows)) or real(rows, m))
-    lime = LimeConfig(num_samples=50, seed=0, baseline=np.zeros(29))
-    with pytest.raises(ShapeMismatchError,
-                       match=r"^baseline must have shape \(\) or \(30,\), got shape \(29,\)$"):
-        explain_prediction(x, model, stack, ExplainConfig(lime=lime))
-    assert calls == []
+def test_explain_refuses_a_wrong_size_baseline_before_predicting():
+    # a (29,) baseline used to be refused for a 30-feature row by
+    # explain_prediction; the baseline is now one real, so LimeConfig refuses
+    # a vector of any size when it is built, before any explanation starts
+    for size in (29, 30):
+        with pytest.raises(ConfigError,
+                           match=r"^baseline must be a finite number, got array\(\[0\., "):
+            LimeConfig(num_samples=50, seed=0, baseline=np.zeros(size))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LimeConfig(baseline=[0.0, 0.5]), ConfigError,
+     "baseline must be a finite number, got [0.0, 0.5]"),
+    (lambda: extract_hierarchy(EncoderStack([BLOCK_H1]), 1, 0, (2,)), ConfigError,
+     "m must be an integer, got (2,)"),
+    (lambda: extract_hierarchy(EncoderStack([BLOCK_H1]), 1, 0, [2, 2]), ConfigError,
+     "m must be an integer, got [2, 2]"),
+    (lambda: ExplainConfig(hierarchy_m=5), TypeError,
+     "unexpected keyword argument 'hierarchy_m'"),
+    (lambda: LimeConfig(kernel_width=1.5), TypeError,
+     "unexpected keyword argument 'kernel_width'"),
+], ids=["vector-baseline", "tuple-m", "list-m", "hierarchy-m", "kernel-width"])
+def test_removed_explanation_settings_are_refused(call, error, message):
+    # a per-feature baseline, a count per hierarchy level, ExplainConfig's
+    # hierarchy_m and LIME's kernel width were settings no caller set: the
+    # first two are refused by name, the keywords by Python itself
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is error

@@ -191,6 +191,16 @@ def test_trace_slack_scales_with_the_objective_above_a_floor(trace, ok):
             NmfFactors(w, h, trace)
 
 
+def test_a_trace_is_checked_as_one_array_and_names_its_first_rise():
+    w, h = DenseMatrix(np.ones((2, 1))), DenseMatrix(np.ones((1, 2)))
+    with pytest.raises(ConfigError, match=r"^objective trace increases at step 2: 2 -> 2\.5$"):
+        NmfFactors(w, h, [3.0, 2.0, 2.5, 1.0, 4.0])
+    f = NmfFactors(w, h, np.array([3.0, 2.0, 2.0], dtype=np.float32))
+    assert f.objective_trace == (3.0, 2.0, 2.0)
+    assert all(type(x) is float for x in f.objective_trace)
+    assert NmfFactors(w, h, ()).objective_trace == ()
+
+
 def test_factors_reject_negative_entries():
     with pytest.raises(XlcError):
         NmfFactors(
