@@ -459,14 +459,27 @@ def _bad_values(lo, kind, hi=None):
             + ([0.0] if kind == ">" else []) + ([] if hi is None else [hi]))
 
 
+# settings that are gone, laid out as in _SETTINGS: every value they once
+# refused is now refused by Python as an unknown keyword (LIME's kernel width
+# is always 0.75*sqrt(d'))
+_REMOVED_SETTINGS = {
+    "lime-kernel-width": (lambda v: LimeConfig(kernel_width=v), "kernel_width", 0.0, ">"),
+}
+
+
 @pytest.mark.parametrize("build, value", [
-    (build, value) for build, (_, _, lo, kind) in _SETTINGS.items()
+    (build, value) for build, (_, _, lo, kind) in (_SETTINGS | _REMOVED_SETTINGS).items()
     for value in _bad_values(lo, kind, _UPPER.get(build))])
 def test_step_settings_must_be_finite_and_in_range(build, value):
     # a string, a float count or index, NaN, an infinity, a bare scalar or
     # None for a sequence, or an unknown choice must neither reach Python or
     # numpy, to fail there with a raw TypeError, IndexError or ValueError,
     # nor be truncated
+    if build in _REMOVED_SETTINGS:
+        call, name, _, _ = _REMOVED_SETTINGS[build]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'$"):
+            call(value)
+        return
     call, name, _, _ = _SETTINGS[build]
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         call(value)
