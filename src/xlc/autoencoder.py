@@ -166,21 +166,11 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
 _NOISE_ULPS = 256
 
 
-def _narrow_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_mm(a, b) bit for bit, run as _mm(b.T, a.T).T, which is faster for a
-    narrow b: the einsum's inner loop then runs along a's rows, not b's few
-    columns. A 1-column b (k_L = 1) keeps the direct form, where the
-    identity does not hold (see _mm)."""
-    if a.shape[0] < 2 or b.shape[1] < 2:
-        return _mm(a, b)
-    return _mm(b.T, a.T).T
-
-
 def _prefix_chain(mats) -> list[np.ndarray]:
     """[H_1, H_1 H_2, ..., E]: the left-to-right prefix products of the chain."""
     out = [mats[0]]
     for h in mats[1:]:
-        out.append(_narrow_mm(out[-1], h))
+        out.append(_mm(out[-1], h))
     return out
 
 
@@ -211,7 +201,7 @@ class _Objective:
     def chain_gradient(self, e, a, g, c) -> np.ndarray:
         """dLoss/dE = -2 (2 M - M C - E G) with M = V^T A, from expanded(e)."""
         m = np.asarray(self.vs.T @ a)
-        return -2.0 * (2.0 * m - _narrow_mm(m, c) - _narrow_mm(e, g))
+        return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
 
     def accurate(self, expanded_loss: float, e, a, g, c) -> float:
         """expanded_loss, or residual(e, a, g, c) when expanded_loss is
@@ -248,7 +238,7 @@ def _layer_gradients(mats, prefixes, g: np.ndarray) -> list[np.ndarray]:
     grads = []
     suffix = None                           # S_L is the identity
     for l in range(len(mats) - 1, -1, -1):
-        gl = g if l == 0 else _narrow_mm(prefixes[l - 1].T, g)
+        gl = g if l == 0 else _mm(prefixes[l - 1].T, g)
         if suffix is not None:
             gl = _mm(gl, suffix.T)
         grads.append(gl)

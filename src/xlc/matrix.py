@@ -211,17 +211,19 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first. Callers may pass views such as ``a.T``; one that reuses an
     operand across many calls makes it contiguous once itself.
 
-    When b has at least 2 columns, each entry is one running sum from +0
-    over ascending j, so dropping columns of a that are +-0 in every row
-    (with the matching rows of a finite b) leaves the result bitwise the
-    same. A 1-column b takes a dot kernel that splits the sum into lanes,
-    whose bits depend on the inner length, so this does not hold there.
-    So when b has at least 2 columns and a at least 2 rows (the columns of
-    a.T, the right operand of the swapped form), _mm(b.T, a.T).T equals
-    _mm(a, b) bit for bit: each entry is still one running sum over the
-    same j, in ascending order, of products that commute. A tall a and a
-    narrow b run faster that way round.
+    When a has more rows than b has columns, the product runs as
+    einsum(b.T, a.T).T and returns that transposed view, so einsum's inner
+    loop runs along the longer side. Either way einsum's right operand has
+    at least 2 columns unless the product is 1 x 1, so each entry of any
+    other product is one running sum from +0 over ascending j of products
+    that commute: its bits do not depend on the orientation, and dropping
+    columns of a that are +-0 in every row (with the matching rows of a
+    finite b) changes none. A 1 x 1 product takes einsum's dot kernel,
+    which splits the sum into lanes whose bits depend on the inner length.
     """
+    if a.shape[0] > b.shape[1]:
+        return np.einsum("ij,jk->ik", np.ascontiguousarray(b.T),
+                         np.ascontiguousarray(a.T), optimize=False).T
     return np.einsum("ij,jk->ik", np.ascontiguousarray(a),
                      np.ascontiguousarray(b), optimize=False)
 

@@ -957,9 +957,11 @@ def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
 
 @pytest.mark.parametrize("dims", [(6, 1), (12, 5, 1), (8, 2), (16, 8), (24, 12, 8)])
 def test_transposed_narrow_products_train_the_direct_products_bits(dims):
-    # the chain, P^T g, M C and E G run as (B^T A^T)^T where the right
-    # operand has >= 2 columns; k_L = 1 keeps the direct form. Layers,
-    # trace, W and the gradients must equal those of the direct products
+    # _mm runs a product with more rows in a than columns in b as
+    # (B^T A^T)^T: the chain, W, P^T g, M C and E G among them, k_L = 1
+    # included. Layers, trace, W and the gradients must equal those of the
+    # direct products, a one-column b padded to two columns so that each
+    # entry is a running sum as in _mm, unless a has one row (1 x 1)
     rng = np.random.default_rng(len(dims) + dims[-1])
     n, p = 90, 40
     r, c = np.nonzero(rng.random((n, p)) < 0.15)
@@ -972,7 +974,13 @@ def test_transposed_narrow_products_train_the_direct_products_bits(dims):
                 encode(v, stack).values.tobytes(), stack.chain_t().tobytes(),
                 [ae_gradient(v, stack, l).values.tobytes() for l in range(1, len(dims) + 1)])
 
-    with mock.patch.object(xlc.autoencoder, "_narrow_mm", xlc.autoencoder._mm):
+    def direct(a, b):
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        if b.shape[1] == 1 and a.shape[0] > 1:
+            return np.einsum("ij,jk->ik", a, np.hstack([b, b]), optimize=False)[:, :1]
+        return np.einsum("ij,jk->ik", a, b, optimize=False)
+
+    with mock.patch.object(xlc.autoencoder, "_mm", direct):
         want = run()
     assert run() == want
 
@@ -1037,9 +1045,9 @@ def test_decode_block_is_the_products_own_array():
 
 
 def test_an_epoch_forms_the_collapsed_chain_once():
-    # each epoch needs E = H_1 H_2 for its loss, formed transposed as
-    # (H_2^T H_1^T)^T (k_2 x k_1 @ k_1 x p); the layer gradients need only
-    # the suffix products S_2 .. S_L, never E
+    # each epoch needs E = H_1 H_2 for its loss (p x k_1 @ k_1 x k_2, which
+    # _mm runs transposed); the layer gradients need only the suffix
+    # products S_2 .. S_L, never E
     n, p, dims = 60, 30, (8, 3)
     _, v, _ = make_block_dataset(3, n, p // 3, 0.1, seed=4)
     products = []
@@ -1054,7 +1062,7 @@ def test_an_epoch_forms_the_collapsed_chain_once():
                             rel_tol=0.0, seed=4)
         with mock.patch.object(xlc.autoencoder, "_mm", counted):
             assert len(train_autoencoder(v, cfg).training_trace) == epochs + 1
-        return products.count(((dims[1], dims[0]), (dims[0], p)))
+        return products.count(((p, dims[0]), (dims[0], dims[1])))
 
     assert chain_products(5) - chain_products(2) == 3
 

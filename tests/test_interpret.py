@@ -771,8 +771,11 @@ def _sparse_row_model(d, k, nnz, seed):
     return stack, RegressorModel("ridge-linear", d, k, params), x
 
 
-def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch):
-    stack, model, x = _sparse_row_model(300, 8, 8, seed=3)
+@pytest.mark.parametrize("k", [1, 8])
+def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch, k):
+    # a 1-unit model too: the 400 x 8 sample block is no 1 x 1 product, so
+    # _mm sums its entries as it does on all 300 columns
+    stack, model, x = _sparse_row_model(300, k, 8, seed=3)
     calls = []
     real = xlc.interpret.predict_latent
     monkeypatch.setattr(xlc.interpret, "predict_latent",
@@ -789,7 +792,7 @@ def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch):
 @pytest.mark.parametrize("baseline", ["zero", "scalar", "vector"])
 def test_explain_equals_lime_on_the_whole_row_bitwise(k, baseline):
     # restricting the row and theta to its nonzeros changes no bit of the
-    # explanation; at k = 1 and at a nonzero baseline every column is kept
+    # explanation; at a nonzero baseline every column is kept
     d = 60
     stack, model, x = _sparse_row_model(d, k, 9, seed=k)
     rng = np.random.default_rng(10 + k)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import centered_normal_equations, random_label_matrix
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import xlc.matrix
@@ -104,11 +104,14 @@ def _spread(rng, shape):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 1000), st.integers(1, 64),
-       st.integers(2, 32), st.floats(0.0, 1.0))
+       st.integers(1, 32), st.floats(0.0, 1.0))
+@example(seed=3, r=40, n=60, k=1, keep=0.2)
 def test_matmul_bits_do_not_depend_on_columns_of_a_that_are_zero(seed, r, n, k, keep):
     # explain_prediction predicts LIME's samples on the explained row's
-    # active columns only and relies on this: with k >= 2 each entry sums
-    # from +0 in ascending column order, so a +-0 term changes no bit
+    # active columns only and relies on this: each entry of any product but
+    # a 1 x 1 one sums from +0 in ascending column order, so a +-0 term
+    # changes no bit
+    assume(r > 1 or k > 1)
     rng = np.random.default_rng(seed)
     c = np.flatnonzero(rng.random(n) < keep)
     if c.size == 0:
@@ -120,17 +123,51 @@ def test_matmul_bits_do_not_depend_on_columns_of_a_that_are_zero(seed, r, n, k, 
     assert np.array_equal(full.view(np.uint64), part.view(np.uint64))
 
 
+def _running_sum_product(a, b):
+    """a @ b with each entry one running sum from +0.0 over ascending j."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for j in range(a.shape[1]):
+        out = out + np.multiply.outer(a[:, j], b[j])
+    return out
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.integers(2, 300), st.integers(1, 40), st.integers(1, 4)),    # tall-narrow
+    st.tuples(st.just(1), st.integers(1, 40), st.integers(2, 40)),            # one row
+    st.tuples(st.integers(2, 300), st.integers(1, 40), st.just(1)),           # one column
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
+    .filter(lambda s: s[0] * s[2] > 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), _SHAPES)
+@example(seed=1, shape=(200, 30, 1))
+@example(seed=2, shape=(1, 30, 8))
+def test_matmul_is_a_running_sum_over_ascending_j(seed, shape):
+    # every product but a 1 x 1 one: entry (i, k) adds a_ij b_jk to +0.0
+    # for j = 0, 1, ..., n - 1, one rounding each, whichever way _mm runs it
+    r, n, k = shape
+    rng = np.random.default_rng(seed)
+    a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
+    got = _mm(a, b)
+    assert got.shape == (r, k)
+    assert np.array_equal(got.view(np.uint64), _running_sum_product(a, b).view(np.uint64))
+
+
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-300, 1e300, -1e300, 1.7e308)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(1, 40),
-       st.integers(2, 40), st.floats(0.0, 0.3), st.integers(0, 3), st.integers(0, 3))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40),
+       st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 3), st.integers(0, 3))
+@example(seed=5, r=1, n=30, k=1, extreme=0.0, la=0, lb=0)
+@example(seed=6, r=200, n=30, k=1, extreme=0.1, la=1, lb=2)
 def test_matmul_equals_its_transposed_form_bit_for_bit(seed, r, n, k, extreme, la, lb):
-    # the autoencoder forms its narrow chain products as (B^T A^T)^T and
-    # relies on this: with >= 2 rows in a and >= 2 columns in b, each entry
-    # is one running sum over the same index, in ascending order, of
-    # products that commute; overflow to inf and NaN included
+    # _mm runs a product with more rows in a than columns in b as
+    # (B^T A^T)^T and relies on this: each entry is one running sum over
+    # the same index, in ascending order, of products that commute, and a
+    # 1 x 1 product's lanes take the same products in the same order;
+    # overflow to inf and NaN included
     rng = np.random.default_rng(seed)
     a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
     for m in (a, b):

@@ -348,6 +348,22 @@ def test_block_predict_labels_equals_per_row_bitwise():
             assert not b.scores.flags.writeable
 
 
+def test_a_one_unit_model_predicts_a_row_alone_as_in_a_block():
+    # _mm sums a 1 x 1 product in lanes and a taller one's entries in
+    # running sums; a lone row of a k = 1 model must still get the bits
+    # that row gets in any block
+    rng = np.random.default_rng(8)
+    d = 60
+    m = RegressorModel("ridge-linear", d, 1,
+                       {"theta": rng.normal(size=(d, 1)), "intercept": np.array([3.0])})
+    x = rng.normal(size=(40, d))
+    block = predict_latent(x, m)
+    for i, row in enumerate(x):
+        assert predict_latent(row, m).tobytes() == block[i].tobytes()
+        assert predict_latent(x[i:i + 1], m).tobytes() == block[i:i + 1].tobytes()
+        assert predict_latent(x[i:i + 2], m)[0].tobytes() == block[i].tobytes()
+
+
 def test_ranking_invariant_under_positive_scaling():
     rng = np.random.default_rng(31)
     scores = rng.uniform(size=50)
