@@ -377,11 +377,11 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     restricted to its nonzeros, with the model restricted to the matching
     rows of theta. Every other column is 0 in every perturbed row and adds
     an exact +-0 to each product (theta is finite), which _mm sums in
-    ascending feature order (the S >= 3 samples make no 1 x 1 product), so
-    the explanation is bitwise the one of the whole row, while predicting
-    the S samples costs O(S k) per nonzero instead of per feature. A
-    nonzero baseline can be masked into every column, so it keeps every
-    column.
+    ascending feature order when k >= 2, so the explanation is bitwise the
+    one of the whole row, while predicting the S samples costs O(S k) per
+    nonzero instead of per feature. With k = 1 _mm's summation order
+    depends on the column count, and a nonzero baseline can be masked into
+    every column, so both keep every column.
     """
     cfg = ExplainConfig() if cfg is None else _instance("cfg", cfg, ExplainConfig)
     x_row = _feature_row(x_row)
@@ -391,7 +391,7 @@ def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,
     degenerate = bool(latent[unit] == 0.0)
 
     cols = np.flatnonzero(x_row)
-    if cfg.lime.baseline != 0.0 or cols.size == 0:
+    if cfg.lime.baseline != 0.0 or m.output_dim < 2 or cols.size == 0:
         cols = np.arange(x_row.size)
     sub = RegressorModel(m.kind, cols.size, m.output_dim,
                          {"theta": _lock(m.params["theta"][cols]),

@@ -201,6 +201,13 @@ def _check_labels(v, p: int | None = None) -> LabelMatrix:
     return v
 
 
+# The most columns of b that _mm runs transposed. That form took 0.2-1.0 of
+# the direct time at 2-16 columns and 200-3379 rows of a, but 1.2-1.7x from
+# 5000 rows and 64 columns of a on, 0.6-1.2x at 32+ columns of b, and 2.9x
+# with fewer rows in b than columns (4096 x 4 x 16; one x86-64 thread).
+_NARROW = 16
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic dense product of two float64 2-D arrays.
 
@@ -211,17 +218,17 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     first. Callers may pass views such as ``a.T``; one that reuses an
     operand across many calls makes it contiguous once itself.
 
-    When a has more rows than b has columns, the product runs as
-    einsum(b.T, a.T).T and returns that transposed view, so einsum's inner
-    loop runs along the longer side. Either way einsum's right operand has
-    at least 2 columns unless the product is 1 x 1, so each entry of any
-    other product is one running sum from +0 over ascending j of products
-    that commute: its bits do not depend on the orientation, and dropping
-    columns of a that are +-0 in every row (with the matching rows of a
-    finite b) changes none. A 1 x 1 product takes einsum's dot kernel,
-    which splits the sum into lanes whose bits depend on the inner length.
+    When b has at least 2 columns, each entry is one running sum from +0
+    over ascending j, so dropping columns of a that are +-0 in every row
+    (with the matching rows of a finite b) leaves the result bitwise the
+    same, and when a has at least 2 rows einsum(b.T, a.T).T gives the same
+    bits, each entry the same running sum of products that commute; where
+    that is faster (see _NARROW) _mm returns its transposed view. A
+    1-column b takes a dot kernel that splits the sum into lanes, whose
+    bits depend on the inner length, so it always runs as einsum(a, b).
     """
-    if a.shape[0] > b.shape[1]:
+    n, k = b.shape
+    if a.shape[0] > k >= 2 and k <= n and k <= _NARROW:
         return np.einsum("ij,jk->ik", np.ascontiguousarray(b.T),
                          np.ascontiguousarray(a.T), optimize=False).T
     return np.einsum("ij,jk->ik", np.ascontiguousarray(a),

@@ -60,11 +60,7 @@ class RegressorModel:
         self.params = {"theta": theta, "intercept": b}
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Identity-head outputs for a dense row block, no clamping. One
-        row of a k = 1 model runs as a block of that row twice: _mm sums a
-        1 x 1 product in lanes, a taller one's entries in running sums."""
-        if rows.shape[0] == 1 and self.output_dim == 1:
-            return self.raw_outputs(np.vstack([rows, rows]))[:1]
+        """Identity-head outputs for a dense row block, no clamping."""
         return _mm(rows, self.params["theta"]) + self.params["intercept"]
 
     def __repr__(self):

@@ -957,11 +957,10 @@ def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
 
 @pytest.mark.parametrize("dims", [(6, 1), (12, 5, 1), (8, 2), (16, 8), (24, 12, 8)])
 def test_transposed_narrow_products_train_the_direct_products_bits(dims):
-    # _mm runs a product with more rows in a than columns in b as
-    # (B^T A^T)^T: the chain, W, P^T g, M C and E G among them, k_L = 1
-    # included. Layers, trace, W and the gradients must equal those of the
-    # direct products, a one-column b padded to two columns so that each
-    # entry is a running sum as in _mm, unless a has one row (1 x 1)
+    # _mm runs a narrow product with more rows in a than columns in b as
+    # (B^T A^T)^T: the chain, P^T g, M C and E G among them; a one-column
+    # b (k_L = 1) keeps the direct form. Layers, trace, W and the gradients
+    # must equal those of the direct products
     rng = np.random.default_rng(len(dims) + dims[-1])
     n, p = 90, 40
     r, c = np.nonzero(rng.random((n, p)) < 0.15)
@@ -975,10 +974,8 @@ def test_transposed_narrow_products_train_the_direct_products_bits(dims):
                 [ae_gradient(v, stack, l).values.tobytes() for l in range(1, len(dims) + 1)])
 
     def direct(a, b):
-        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-        if b.shape[1] == 1 and a.shape[0] > 1:
-            return np.einsum("ij,jk->ik", a, np.hstack([b, b]), optimize=False)[:, :1]
-        return np.einsum("ij,jk->ik", a, b, optimize=False)
+        return np.einsum("ij,jk->ik", np.ascontiguousarray(a), np.ascontiguousarray(b),
+                         optimize=False)
 
     with mock.patch.object(xlc.autoencoder, "_mm", direct):
         want = run()
@@ -1032,6 +1029,8 @@ def test_dense_matrices_are_read_only_and_so_are_their_copies(cls):
 
 
 def test_decode_block_is_the_products_own_array():
+    # more rows than labels too: a decode product runs directly, so its
+    # C-ordered result is kept, not copied
     stack = EncoderStack([DenseMatrix(np.random.default_rng(2).uniform(size=(6, 3)))])
     made = []
 
@@ -1039,9 +1038,10 @@ def test_decode_block_is_the_products_own_array():
         made.append(xlc.matrix._mm(a, b))
         return made[-1]
 
-    with mock.patch.object(xlc.autoencoder, "_mm", product):
-        out = decode(np.ones((4, 3)), stack)
-    assert out.values is made[-1]
+    for n in (4, 100):
+        with mock.patch.object(xlc.autoencoder, "_mm", product):
+            out = decode(np.ones((n, 3)), stack)
+        assert out.values is made[-1]
 
 
 def test_an_epoch_forms_the_collapsed_chain_once():

@@ -773,8 +773,8 @@ def _sparse_row_model(d, k, nnz, seed):
 
 @pytest.mark.parametrize("k", [1, 8])
 def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch, k):
-    # a 1-unit model too: the 400 x 8 sample block is no 1 x 1 product, so
-    # _mm sums its entries as it does on all 300 columns
+    # a 1-unit model predicts on all 300 columns: _mm sums a one-column
+    # product in lanes whose bits depend on the column count
     stack, model, x = _sparse_row_model(300, k, 8, seed=3)
     calls = []
     real = xlc.interpret.predict_latent
@@ -783,7 +783,7 @@ def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch, k)
     exp = explain_prediction(x, model, stack,
                              ExplainConfig(lime=LimeConfig(num_samples=400, seed=2)))
     # the latent code on the whole row, then the mask block on its 8 nonzeros
-    assert calls == [(300,), (400, 8)]
+    assert calls == [(300,), (400, 300 if k == 1 else 8)]
     assert exp.surrogate.feature_weights
     assert all(x[j] != 0.0 for j, _ in exp.surrogate.feature_weights)
 
@@ -792,7 +792,7 @@ def test_explain_predicts_the_samples_on_the_rows_active_columns(monkeypatch, k)
 @pytest.mark.parametrize("baseline", ["zero", "scalar", "vector"])
 def test_explain_equals_lime_on_the_whole_row_bitwise(k, baseline):
     # restricting the row and theta to its nonzeros changes no bit of the
-    # explanation; at a nonzero baseline every column is kept
+    # explanation; at k = 1 and at a nonzero baseline every column is kept
     d = 60
     stack, model, x = _sparse_row_model(d, k, 9, seed=k)
     rng = np.random.default_rng(10 + k)

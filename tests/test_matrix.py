@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import centered_normal_equations, random_label_matrix
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xlc.matrix
@@ -104,14 +104,12 @@ def _spread(rng, shape):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 1000), st.integers(1, 64),
-       st.integers(1, 32), st.floats(0.0, 1.0))
-@example(seed=3, r=40, n=60, k=1, keep=0.2)
+       st.integers(2, 32), st.floats(0.0, 1.0))
+@example(seed=3, r=40, n=60, k=8, keep=0.2)
 def test_matmul_bits_do_not_depend_on_columns_of_a_that_are_zero(seed, r, n, k, keep):
     # explain_prediction predicts LIME's samples on the explained row's
-    # active columns only and relies on this: each entry of any product but
-    # a 1 x 1 one sums from +0 in ascending column order, so a +-0 term
-    # changes no bit
-    assume(r > 1 or k > 1)
+    # active columns only and relies on this: with k >= 2 each entry sums
+    # from +0 in ascending column order, so a +-0 term changes no bit
     rng = np.random.default_rng(seed)
     c = np.flatnonzero(rng.random(n) < keep)
     if c.size == 0:
@@ -132,20 +130,19 @@ def _running_sum_product(a, b):
 
 
 _SHAPES = st.one_of(
-    st.tuples(st.integers(2, 300), st.integers(1, 40), st.integers(1, 4)),    # tall-narrow
+    st.tuples(st.integers(2, 300), st.integers(1, 40), st.integers(2, 16)),   # tall, narrow b
     st.tuples(st.just(1), st.integers(1, 40), st.integers(2, 40)),            # one row
-    st.tuples(st.integers(2, 300), st.integers(1, 40), st.just(1)),           # one column
-    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
-    .filter(lambda s: s[0] * s[2] > 1))
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(2, 40)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), _SHAPES)
-@example(seed=1, shape=(200, 30, 1))
-@example(seed=2, shape=(1, 30, 8))
+@example(seed=1, shape=(200, 30, 16))
+@example(seed=2, shape=(200, 30, 17))
+@example(seed=3, shape=(1, 30, 8))
 def test_matmul_is_a_running_sum_over_ascending_j(seed, shape):
-    # every product but a 1 x 1 one: entry (i, k) adds a_ij b_jk to +0.0
-    # for j = 0, 1, ..., n - 1, one rounding each, whichever way _mm runs it
+    # b with >= 2 columns: entry (i, k) adds a_ij b_jk to +0.0 for
+    # j = 0, 1, ..., n - 1, one rounding each, whichever way _mm runs it
     r, n, k = shape
     rng = np.random.default_rng(seed)
     a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
@@ -157,26 +154,36 @@ def test_matmul_is_a_running_sum_over_ascending_j(seed, shape):
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-300, 1e300, -1e300, 1.7e308)
 
 
+def _einsum(a, b):
+    return np.einsum("ij,jk->ik", np.ascontiguousarray(a), np.ascontiguousarray(b),
+                     optimize=False)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40),
        st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 3), st.integers(0, 3))
-@example(seed=5, r=1, n=30, k=1, extreme=0.0, la=0, lb=0)
+@example(seed=5, r=1, n=30, k=1, extreme=0.1, la=0, lb=0)
 @example(seed=6, r=200, n=30, k=1, extreme=0.1, la=1, lb=2)
+@example(seed=7, r=200, n=30, k=8, extreme=0.1, la=2, lb=1)
+@example(seed=8, r=3, n=30, k=40, extreme=0.1, la=3, lb=0)
 def test_matmul_equals_its_transposed_form_bit_for_bit(seed, r, n, k, extreme, la, lb):
-    # _mm runs a product with more rows in a than columns in b as
-    # (B^T A^T)^T and relies on this: each entry is one running sum over
-    # the same index, in ascending order, of products that commute, and a
-    # 1 x 1 product's lanes take the same products in the same order;
-    # overflow to inf and NaN included
+    # _mm runs a narrow b (see _NARROW) with more rows in a as (B^T A^T)^T
+    # and any other product directly; either way it must give the bits of
+    # einsum(a, b). With >= 2 rows in a and >= 2 columns in b the
+    # transposed form gives them too: each entry is one running sum over
+    # the same index, in ascending order, of products that commute;
+    # overflow to inf and NaN included. A one-column b is summed in lanes,
+    # which only the direct form keeps.
     rng = np.random.default_rng(seed)
     a, b = _spread(rng, (r, n)), _spread(rng, (n, k))
     for m in (a, b):
         hit = rng.random(m.shape) < extreme
         m[hit] = rng.choice(_EXTREMES, size=int(hit.sum()))
         m[rng.random(m.shape) < extreme / 4] *= 1e-310        # subnormal
-    want = _mm(a, b).view(np.uint64)
-    got = _mm(_layouts(b)[lb].T, _layouts(a)[la].T).T
-    assert np.array_equal(got.view(np.uint64), want)
+    want = _einsum(a, b).view(np.uint64)
+    assert np.array_equal(_mm(_layouts(a)[la], _layouts(b)[lb]).view(np.uint64), want)
+    if r >= 2 and k >= 2:
+        assert np.array_equal(_einsum(b.T, a.T).T.view(np.uint64), want)
 
 
 # ---------------------------------------------------------------- solves

@@ -349,9 +349,9 @@ def test_block_predict_labels_equals_per_row_bitwise():
 
 
 def test_a_one_unit_model_predicts_a_row_alone_as_in_a_block():
-    # _mm sums a 1 x 1 product in lanes and a taller one's entries in
-    # running sums; a lone row of a k = 1 model must still get the bits
-    # that row gets in any block
+    # _mm runs every one-column product directly, whose lanes sum each row
+    # alike: a lone row of a k = 1 model gets the bits that row gets in any
+    # block (running the block transposed would break this)
     rng = np.random.default_rng(8)
     d = 60
     m = RegressorModel("ridge-linear", d, 1,
