@@ -1,9 +1,10 @@
 """Tied-weight deep non-negative autoencoder over a label matrix.
 
 The model is a chain of non-negative coefficient matrices H_1 (p x k_1)
-through H_L (k_{L-1} x k_L) with strictly narrowing widths. Encoding is the
-left-product V H_1 ... H_L; decoding is the transposed chain, so the
-training objective is
+through H_L (k_{L-1} x k_L) with strictly narrowing widths. Encoding is
+the one product V E with the collapsed chain E = H_1 ... H_L, which a
+stack keeps once computed; decoding is through E^T, so the training
+objective is
 
     Loss(H_1..H_L) = || V - V H_1...H_L H_L^T...H_1^T ||_F^2
                    = || V - V E E^T ||_F^2,   E = H_1...H_L,
@@ -31,8 +32,8 @@ O(nnz(V) k_L + (n + p) k_L^2). It falls back to the direct residual over
 fixed-size row blocks of V, O(n p k_L), where its rounding bound would
 exceed the direct sum's: for a model that explains more than about
 max(1 - M / D, 1/2) of ||V||^2 (see _lowrank_sq_error), as near exact
-reconstruction, and on V denser than 1/16. The latent code W_L needs no
-projection: it is a product of non-negative factors.
+reconstruction, and on V denser than 1/16. The latent code W_L = V E is
+the objective's A, bit for bit, and needs no projection.
 """
 
 from __future__ import annotations
@@ -90,23 +91,20 @@ class EncoderStack(_ReadOnly):
     def latent_dim(self) -> int:
         return self.layer_dims[-1]
 
-    def chain(self) -> np.ndarray:
-        """Collapsed product E = H_1 ... H_L (p x k_L), left to right."""
-        return _prefix_chain([h.values for h in self.layers])[-1]
-
     def chain_t(self) -> np.ndarray:
-        """Read-only E^T (k_L x p), computed on first use and kept: the
-        layers are immutable, so it never goes stale."""
+        """Read-only E^T (k_L x p), E = H_1 ... H_L, kept once computed (the
+        layers are immutable); a trained stack holds its last epoch's E."""
         if self._chain_t is None:
-            self._set(_chain_t=_lock(np.ascontiguousarray(self.chain().T)))
+            self._set(_chain_t=_lock(np.ascontiguousarray(
+                _prefix_chain([h.values for h in self.layers])[-1].T)))
         return self._chain_t
 
     def __repr__(self):
         return f"EncoderStack(p={self.p}, dims={list(self.layer_dims)})"
 
 
-class AeTrainConfig:
-    """Training settings for the autoencoder."""
+class AeTrainConfig(_ReadOnly):
+    """Training settings for the autoencoder, read-only."""
 
     INIT_SCHEMES = ("random-uniform", "nmf-greedy")
 
@@ -117,13 +115,17 @@ class AeTrainConfig:
                  learning_rate: float = 1e-3, rel_tol: float = 1e-7,
                  init_scheme: str = "random-uniform",
                  seed: int = 0):
-        self.layer_dims = _integers("layer_dims", layer_dims, 1, item="layer width")
-        _check_widths(self.layer_dims)
-        self.max_epochs = _integer("max_epochs", max_epochs, 1)
-        self.learning_rate = _real("learning_rate", learning_rate, 0.0, above=True)
-        self.rel_tol = _real("rel_tol", rel_tol, 0.0)
-        self.init_scheme = _choice("init_scheme", init_scheme, self.INIT_SCHEMES)
-        self.seed = _integer("seed", seed, 0, 2**64 - 1)
+        dims = _integers("layer_dims", layer_dims, 1, item="layer width")
+        _check_widths(dims)
+        self._set(layer_dims=dims, max_epochs=_integer("max_epochs", max_epochs, 1),
+                  learning_rate=_real("learning_rate", learning_rate, 0.0, above=True),
+                  rel_tol=_real("rel_tol", rel_tol, 0.0),
+                  init_scheme=_choice("init_scheme", init_scheme, self.INIT_SCHEMES),
+                  seed=_integer("seed", seed, 0, 2**64 - 1))
+
+    def __reduce__(self):
+        return AeTrainConfig, (self.layer_dims, self.max_epochs, self.learning_rate,
+                               self.rel_tol, self.init_scheme, self.seed)
 
 
 def _check_widths(dims, p=None) -> None:
@@ -136,15 +138,13 @@ def _check_widths(dims, p=None) -> None:
 
 
 def encode(v: LabelMatrix, stack: EncoderStack) -> DenseMatrix:
-    """W_L = V H_1 ... H_L, entrywise >= 0.
-
-    Row-independent: permuting input rows permutes output rows bitwise.
-    """
+    """W_L = V E, entrywise >= 0: one sequential CSR product through the
+    stack's kept E, bitwise the training objective's A. Each entry is one
+    running sum over the row's stored labels, so permuting input rows
+    permutes output rows bitwise."""
     _instance("stack", stack, EncoderStack)
-    w = np.asarray(_check_labels(v, stack.p).to_csr() @ stack.layers[0].values)
-    for h in stack.layers[1:]:
-        w = _mm(w, h.values)
-    return DenseMatrix(_lock(w))
+    return DenseMatrix(_lock(np.asarray(_check_labels(v, stack.p).to_csr()
+                                        @ stack.chain_t().T)))
 
 
 def decode(w, stack: EncoderStack) -> DenseMatrix:
@@ -228,7 +228,7 @@ def reconstruction_loss(v, stack: EncoderStack) -> float:
     explains most of ||V||^2) or V is more than 1/16 dense."""
     _instance("stack", stack, EncoderStack)
     obj = _Objective(_check_labels(v, stack.p).to_csr())
-    e = stack.chain()
+    e = stack.chain_t().T
     return obj.residual(e, *obj.expanded(e)[1:])
 
 
@@ -280,10 +280,7 @@ def _rescale_init(obj: _Objective, layers: list[np.ndarray]) -> list[np.ndarray]
     den = float(np.einsum("ij,ij->", g, c, optimize=False))
     if den <= 0.0:
         return layers
-    s = float(np.trace(g)) / den
-    if s <= 0.0:
-        return layers
-    t = s ** (0.5 / len(layers))
+    t = (float(np.trace(g)) / den) ** (0.5 / len(layers))
     return [h * t for h in layers]
 
 
@@ -316,7 +313,7 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     _Objective.residual where the expanded form is down to rounding noise
     (see _NOISE_ULPS), and the last entry is always that residual, from the
     last epoch's A = V E, G and C, so it equals reconstruction_loss of the
-    returned stack bitwise and no entry is negative.
+    returned stack, which keeps that E, bitwise and no entry is negative.
     Stops when the relative change of those recorded losses falls below
     cfg.rel_tol or when max_epochs is reached. A non-finite loss, or a
     stack whose collapsed chain E ends all zero (a fixpoint of the clamped
@@ -358,4 +355,6 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
             f"every entry of the collapsed chain E is zero after epoch {epoch}: "
             f"the steps clamped the stack to the all-zero model; lower the "
             f"learning rate (currently {lr})", epoch=epoch)
-    return EncoderStack([DenseMatrix(_lock(h)) for h in layers], training_trace=trace)
+    stack = EncoderStack([DenseMatrix(_lock(h)) for h in layers], training_trace=trace)
+    stack._set(_chain_t=_lock(np.ascontiguousarray(chain[-1].T)))
+    return stack

@@ -135,8 +135,8 @@ def _tree(layer, unit, levels, labels) -> HierarchyNode:
     return node(layer, unit, 1.0)
 
 
-class LimeConfig:
-    """Perturbation and fit settings for the local surrogate.
+class LimeConfig(_ReadOnly):
+    """Perturbation and fit settings for the local surrogate, read-only.
 
     num_samples must be at least k_features + 2. baseline is the one
     finite value substituted for every masked-off feature.
@@ -146,10 +146,14 @@ class LimeConfig:
 
     def __init__(self, num_samples: int = 1000, k_features: int = 5, seed: int = 0,
                  baseline: float = 0.0):
-        self.k_features = _integer("k_features", k_features, 1)
-        self.num_samples = _integer("num_samples", num_samples, self.k_features + 2)
-        self.seed = _integer("seed", seed, 0, 2**64 - 1)
-        self.baseline = _real("baseline", baseline, -np.inf)
+        k_features = _integer("k_features", k_features, 1)
+        self._set(k_features=k_features,
+                  num_samples=_integer("num_samples", num_samples, k_features + 2),
+                  seed=_integer("seed", seed, 0, 2**64 - 1),
+                  baseline=_real("baseline", baseline, -np.inf))
+
+    def __reduce__(self):
+        return LimeConfig, (self.num_samples, self.k_features, self.seed, self.baseline)
 
 
 class SurrogateExplanation:
@@ -354,15 +358,19 @@ class Explanation:
         return "\n".join(lines)
 
 
-class ExplainConfig:
-    """Settings for a full prediction explanation: its hierarchy takes
-    _HIERARCHY_M children per node."""
+class ExplainConfig(_ReadOnly):
+    """Settings for a full prediction explanation, read-only: its hierarchy
+    takes _HIERARCHY_M children per node."""
 
     __slots__ = ("lime", "label_names")
 
     def __init__(self, lime: LimeConfig | None = None, label_names=None):
-        self.lime = LimeConfig() if lime is None else _instance("lime", lime, LimeConfig)
-        self.label_names = None if label_names is None else _names("label_names", label_names)
+        self._set(lime=LimeConfig() if lime is None else _instance("lime", lime, LimeConfig),
+                  label_names=None if label_names is None
+                  else tuple(_names("label_names", label_names)))
+
+    def __reduce__(self):
+        return ExplainConfig, (self.lime, self.label_names)
 
 
 def explain_prediction(x_row, m: RegressorModel, stack: EncoderStack,

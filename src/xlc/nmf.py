@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _instance,
                      _integer, _real)
-from .matrix import (DenseMatrix, LabelMatrix, _check_labels, _lock, _lowrank_sq_error, _mm,
-                     make_rng)
+from .matrix import (DenseMatrix, LabelMatrix, _ReadOnly, _check_labels, _lock,
+                     _lowrank_sq_error, _mm, make_rng)
 
 _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
 # Near convergence a Lee-Seung step can rise by a few ulps of the objective
@@ -22,8 +22,8 @@ _EPSILON = 1e-12        # keeps the multiplicative-update denominators > 0
 _TRACE_SLACK_ULPS = 64
 
 
-class NmfConfig:
-    """Settings for one factorization run.
+class NmfConfig(_ReadOnly):
+    """Settings for one factorization run, read-only.
 
     k must satisfy 1 <= k < min(n, p); rel_tol must be finite and >= 0.
     """
@@ -32,10 +32,12 @@ class NmfConfig:
 
     def __init__(self, k: int, max_iters: int = 5000, rel_tol: float = 1e-6,
                  seed: int = 0):
-        self.k = _integer("k", k, 1)
-        self.max_iters = _integer("max_iters", max_iters, 1)
-        self.rel_tol = _real("rel_tol", rel_tol, 0.0)
-        self.seed = _integer("seed", seed, 0, 2**64 - 1)
+        self._set(k=_integer("k", k, 1), max_iters=_integer("max_iters", max_iters, 1),
+                  rel_tol=_real("rel_tol", rel_tol, 0.0),
+                  seed=_integer("seed", seed, 0, 2**64 - 1))
+
+    def __reduce__(self):
+        return NmfConfig, (self.k, self.max_iters, self.rel_tol, self.seed)
 
 
 class NmfFactors:

@@ -18,14 +18,15 @@ order, with no loop over the rows.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
 from .autoencoder import EncoderStack, decode
 from .errors import (ConfigError, NonNegativityError, ShapeMismatchError, _array, _choice,
                      _instance, _integer, _real)
-from .matrix import (DenseMatrix, _centered_normal_equations, _cholesky_solve, _frozen,
-                     _lock, _mm, make_rng)
+from .matrix import (DenseMatrix, _ReadOnly, _centered_normal_equations, _cholesky_solve,
+                     _frozen, _lock, _mm, make_rng)
 
 
 class FeatureMatrix(DenseMatrix):
@@ -36,12 +37,13 @@ class FeatureMatrix(DenseMatrix):
         return self.cols
 
 
-class RegressorModel:
+class RegressorModel(_ReadOnly):
     """Fitted feature-to-latent map: ridge-linear, X Theta + intercept.
 
     The parameters are exactly theta (d x k) and intercept (length k), both
-    finite. They are read-only, and a caller's writeable array is copied,
-    not locked. Predictions pass through an identity output head.
+    finite. The model, its params mapping and the arrays are read-only, and
+    a caller's writeable array is copied, not locked. Predictions pass
+    through an identity output head.
     """
 
     KINDS = ("ridge-linear",)
@@ -49,15 +51,18 @@ class RegressorModel:
     __slots__ = ("kind", "input_dim", "output_dim", "params")
 
     def __init__(self, kind: str, input_dim: int, output_dim: int, params):
-        self.kind = _choice("kind", kind, self.KINDS)
-        self.input_dim = _integer("input_dim", input_dim, 1)
-        self.output_dim = _integer("output_dim", output_dim, 1)
+        kind = _choice("kind", kind, self.KINDS)
+        d = _integer("input_dim", input_dim, 1)
+        k = _integer("output_dim", output_dim, 1)
         if sorted(params) != ["intercept", "theta"]:
             raise ConfigError(f"{kind} parameters must be intercept and theta, "
                               f"got {sorted(params)}")
-        theta = _frozen("theta", params["theta"], (self.input_dim, self.output_dim))
-        b = _frozen("intercept", params["intercept"], (self.output_dim,))
-        self.params = {"theta": theta, "intercept": b}
+        self._set(kind=kind, input_dim=d, output_dim=k, params=MappingProxyType({
+            "theta": _frozen("theta", params["theta"], (d, k)),
+            "intercept": _frozen("intercept", params["intercept"], (k,))}))
+
+    def __reduce__(self):
+        return RegressorModel, (self.kind, self.input_dim, self.output_dim, dict(self.params))
 
     def raw_outputs(self, rows: np.ndarray) -> np.ndarray:
         """Identity-head outputs for a dense row block, no clamping."""

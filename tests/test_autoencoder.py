@@ -197,6 +197,49 @@ def test_decode_through_cached_chain_matches_layer_by_layer_oracle():
         assert decode(w[i:i + 1], stack).values.tobytes() == decode(w, stack).values[i].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_encode_is_the_objectives_product_through_the_kept_chain(seed, depth):
+    # encode is one CSR product V E through the stack's kept E: bitwise the
+    # A that the training objective forms from the collapsed chain, and the
+    # dense layer walk V H_1 ... H_L to rounding
+    rng = np.random.default_rng(seed)
+    n, widths = int(rng.integers(1, 12)), [int(rng.integers(depth + 1, 14))]
+    for l in range(1, depth + 1):                      # k_l >= depth - l + 1
+        widths.append(int(rng.integers(depth - l + 1, widths[-1])))
+    layers = [rng.uniform(size=(a, b)) for a, b in zip(widths, widths[1:])]
+    for h in layers:
+        h[rng.random(h.shape) < 0.3] = 0.0
+    v, dense = random_label_matrix(n, widths[0], seed=seed % 1000)
+    stack = EncoderStack([DenseMatrix(h) for h in layers])
+    w = encode(v, stack).values
+    a = _Objective(v.to_csr()).expanded(xlc.autoencoder._prefix_chain(layers)[-1])[1]
+    assert w.shape == a.shape and w.tobytes() == np.ascontiguousarray(a).tobytes()
+    walk = dense
+    for h in layers:
+        walk = walk @ h
+    np.testing.assert_allclose(w, walk, rtol=1e-13)
+
+
+@pytest.mark.parametrize("dims", [(4,), (1,), (6, 3), (6, 1), (8, 4, 2)])
+def test_a_trained_stack_keeps_its_last_epochs_chain(dims):
+    # train_autoencoder hands its last E to the stack, so neither encode nor
+    # decode nor reconstruction_loss collapses the chain again, and the
+    # kept E^T is bitwise the one a stack of the same layers computes
+    v, _ = random_label_matrix(30, 12, seed=len(dims) + dims[-1])
+    stack = train_autoencoder(v, AeTrainConfig(dims, max_epochs=4, rel_tol=0.0, seed=1))
+    kept = stack._chain_t
+    assert kept is not None and not kept.flags.writeable
+    fresh = EncoderStack(stack.layers, stack.training_trace)
+    assert kept.tobytes() == fresh.chain_t().tobytes()
+    with mock.patch.object(xlc.autoencoder, "_prefix_chain") as collapse:
+        w = encode(v, stack)
+        decode(w, stack)
+        assert stack.training_trace[-1] == reconstruction_loss(v, stack)
+    assert collapse.call_count == 0 and stack.chain_t() is kept
+    assert w.values.tobytes() == encode(v, fresh).values.tobytes()
+
+
 def test_decode_rejects_wrong_latent_width():
     with pytest.raises(ShapeMismatchError):
         decode(DenseMatrix(np.ones((2, 3))), EncoderStack([H1]))
@@ -334,7 +377,7 @@ def test_expanded_loss_and_gradient_match_dense_oracle(seed, near_exact):
 
     rec = dense @ e @ e.T
     scale = float(np.sum(dense * dense) + np.sum(rec * rec))
-    loss = _Objective(v.to_csr()).expanded(stack.chain())[0]
+    loss = _Objective(v.to_csr()).expanded(stack.chain_t().T)[0]
     assert abs(loss - want_loss) <= 1e-12 * scale
     assert abs(reconstruction_loss(v, stack) - want_loss) <= 1e-6 * want_loss + 1e-20 * scale
 
@@ -372,6 +415,68 @@ def test_train_config_validation():
         AeTrainConfig(layer_dims=[4], max_epochs=0)
     with pytest.raises(ConfigError):
         AeTrainConfig(layer_dims=[4], init_scheme="xavier")
+
+
+def test_a_fitted_scale_that_overflows_to_zero_is_refused_as_diverged():
+    # with entries near 1e152, tr(G C) overflows to inf while tr(G) stays
+    # finite, so _rescale_init's least-squares scale tr(G) / tr(G C) is 0
+    # and training refuses the all-zero stack it starts from
+    rng = np.random.default_rng(0)
+    v = LabelMatrix.from_dense_array((rng.random((40, 30)) < 0.3) * 3e152)
+    with pytest.raises(TrainingDivergedError, match="every entry of the collapsed chain"):
+        train_autoencoder(v, AeTrainConfig([4], max_epochs=5))
+
+
+_READ_ONLY = {
+    "ae": lambda: AeTrainConfig((6, 2), max_epochs=3, learning_rate=1e-2, rel_tol=0.0,
+                                init_scheme="nmf-greedy", seed=5),
+    "nmf": lambda: NmfConfig(k=2, max_iters=7, rel_tol=0.0, seed=3),
+    "lime": lambda: LimeConfig(num_samples=50, k_features=3, seed=2, baseline=0.5),
+    "explain": lambda: ExplainConfig(LimeConfig(num_samples=40), label_names=["a", "b"]),
+    "regressor": lambda: RegressorModel("ridge-linear", 3, 2, {
+        "theta": np.arange(6.0).reshape(3, 2), "intercept": np.ones(2)}),
+}
+
+
+def _state(obj):
+    """obj's fields as comparable values: a nested LimeConfig by its own
+    fields, and a regressor's arrays by shape and bytes."""
+    out = {}
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        if isinstance(value, LimeConfig):
+            value = _state(value)
+        elif name == "params":
+            value = {k: (a.shape, a.tobytes()) for k, a in value.items()}
+        out[name] = value
+    return out
+
+
+@pytest.mark.parametrize("build", _READ_ONLY.values(), ids=_READ_ONLY.keys())
+def test_settings_and_regressors_are_read_only_and_so_are_their_copies(build):
+    import copy
+    import pickle
+
+    # an assignment used to skip every check: init_scheme = "bogus" trained
+    # nmf-greedy, and a regressor's theta set to shape (1, 1) predicted the
+    # intercept alone
+    obj = build()
+    cls = type(obj).__name__
+    for name in type(obj).__slots__:
+        with pytest.raises(AttributeError, match=f"^{cls} is read-only: cannot set '{name}'$"):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError, match=f"^{cls} is read-only: cannot delete '{name}'$"):
+            delattr(obj, name)
+    # a copy or an unpickled object is rebuilt through __init__ and its checks
+    for clone in (copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))):
+        c = clone(obj)
+        assert type(c) is type(obj) and _state(c) == _state(obj)
+        with pytest.raises(AttributeError):
+            setattr(c, type(obj).__slots__[0], None)
+    if isinstance(obj, RegressorModel):
+        with pytest.raises(TypeError):
+            obj.params["theta"] = np.zeros((1, 1))
+        assert not any(a.flags.writeable for a in clone(obj).params.values())
 
 
 def _fit(kind="ridge-linear", hyper=None):
@@ -951,7 +1056,7 @@ def test_sparse_training_trace_ends_at_the_split_residual_bitwise():
     assert direct.call_count == 0
     assert stack.training_trace[-1] == loss
     dense = v.to_csr().toarray()
-    e = stack.chain()
+    e = stack.chain_t().T
     assert loss == pytest.approx(float(np.sum((dense - dense @ e @ e.T) ** 2)), rel=1e-12)
 
 
