@@ -19,8 +19,12 @@ V is never densified. With A = V E, M = V^T A, G = A^T A and C = E^T E,
     dLoss/dE = -2 (2 M - M C - E G),
 
 so an epoch costs one sparse product V E and one V^T A, O(nnz(V) k_L),
-plus O(n k_L^2) for G and the dense chain products over the p x k_l
-layers, in O(nnz(V) + (n + p) k_1) memory. The per-layer gradient
+plus O(min(n, p) k_L^2) for G and the dense chain products over the
+p x k_l layers, in O(nnz(V) + (n + p) k_1) memory. G = A^T A = E^T M, so
+when V has more rows than labels (n > p) the epoch takes G from the side
+of the labels, as E^T M in O(p k_L^2) from the M the gradient reads
+anyway, and otherwise from the side of the rows, as A^T A in O(n k_L^2);
+the choice reads only V's shape. The per-layer gradient
 follows by the chain rule as P_l^T (dLoss/dE) S_l^T where P_l and S_l
 are the prefix and suffix products around H_l. The expanded loss cancels
 catastrophically near exact reconstruction, so every reported loss
@@ -161,8 +165,10 @@ def decode(w, stack: EncoderStack) -> DenseMatrix:
 
 
 # The expanded loss adds and subtracts terms of size ||V||^2, so its error
-# is a few ulps of ||V||^2 (at most 12 on 200 random exact low-rank inputs);
-# below this many, the training loop uses the direct residual instead.
+# is a few ulps of ||V||^2: on random exact low-rank inputs of depth 1-3, at
+# most 14 on 1000 with n > p (G = E^T M; 15 with G = A^T A there) and at most
+# 9 on 1000 with n <= p. Below this many, the training loop uses the direct
+# residual instead.
 _NOISE_ULPS = 256
 
 
@@ -178,45 +184,60 @@ class _Objective:
     """Loss = ||V - V E E^T||_F^2 and its chain gradient, V held as CSR.
 
     ``expanded`` and ``chain_gradient`` are the training forms; ``residual``
-    is the accurate form that every reported loss comes from.
+    is the accurate form that every reported loss comes from. G = A^T A
+    comes from whichever side of V is shorter (see the module docstring):
+    ``tall`` (n > p) forms it as E^T M in O(p k^2) and hands M on to the
+    gradient; otherwise it is A^T A in O(n k^2) and M is left to the
+    gradient. Each method takes expanded(e)'s A, G, C and M.
     """
 
-    __slots__ = ("vs", "sq_norm")
+    __slots__ = ("vs", "sq_norm", "tall")
 
     def __init__(self, vs):
         self.vs = vs
         self.sq_norm = float(np.einsum("i,i->", vs.data, vs.data, optimize=False))
+        self.tall = vs.shape[0] > vs.shape[1]
 
     def expanded(self, e: np.ndarray):
-        """(Loss, A, G, C) at chain E, with A = V E, G = A^T A, C = E^T E and
+        """(Loss, A, G, C, M) at chain E, with A = V E, G = A^T A, C = E^T E and
         Loss = ||V||^2 - 2 tr(G) + tr(G C); C is symmetric, so tr(G C) is
-        the entrywise sum of G * C."""
+        the entrywise sum of G * C. When tall, M = V^T A and G = E^T M;
+        otherwise M is None and G = A^T A."""
         a = np.asarray(self.vs @ e)
-        g = _mm(a.T, a)
+        if self.tall:
+            m = np.asarray(self.vs.T @ a)
+            g = _mm(e.T, m)
+        else:
+            m = None
+            g = _mm(a.T, a)
         c = _mm(e.T, e)
         loss = (self.sq_norm - 2.0 * float(np.trace(g))
                 + float(np.einsum("ij,ij->", g, c, optimize=False)))
-        return loss, a, g, c
+        return loss, a, g, c, m
 
-    def chain_gradient(self, e, a, g, c) -> np.ndarray:
+    def chain_gradient(self, e, a, g, c, m) -> np.ndarray:
         """dLoss/dE = -2 (2 M - M C - E G) with M = V^T A, from expanded(e)."""
-        m = np.asarray(self.vs.T @ a)
+        if m is None:
+            m = np.asarray(self.vs.T @ a)
         return -2.0 * (2.0 * m - _mm(m, c) - _mm(e, g))
 
-    def accurate(self, expanded_loss: float, e, a, g, c) -> float:
-        """expanded_loss, or residual(e, a, g, c) when expanded_loss is
+    def accurate(self, expanded_loss: float, e, a, g, c, m) -> float:
+        """expanded_loss, or residual(e, a, g, c, m) when expanded_loss is
         below _NOISE_ULPS ulps of ||V||^2 and so is rounding noise."""
         if expanded_loss < _NOISE_ULPS * np.finfo(np.float64).eps * self.sq_norm:
-            return self.residual(e, a, g, c)
+            return self.residual(e, a, g, c, m)
         return expanded_loss
 
-    def residual(self, e: np.ndarray, a, g, c) -> float:
-        """Loss as ||V - A E^T||^2 by _lowrank_sq_error, from expanded(e)'s
-        A = V E, G = A^T A and C = E^T E.
+    def residual(self, e: np.ndarray, a, g, c, m) -> float:
+        """Loss as ||V - A E^T||^2 by _lowrank_sq_error, from expanded(e).
 
         The expanded form cancels catastrophically near exact
-        reconstruction; this one stays accurate there.
+        reconstruction; this one stays accurate there. Its certificate
+        takes G as A^T A exactly as _mm forms it, so a tall objective,
+        whose G is E^T M, forms A^T A here.
         """
+        if m is not None:
+            g = _mm(a.T, a)
         return _lowrank_sq_error(self.vs, a, e.T, grams=(g, c))
 
 
@@ -255,9 +276,25 @@ def ae_gradient(v, stack: EncoderStack, layer_index: int) -> DenseMatrix:
     obj = _Objective(_check_labels(v, stack.p).to_csr())
     mats = [h.values for h in stack.layers]
     chain = _prefix_chain(mats)
-    _, a, g, c = obj.expanded(chain[-1])
-    grads = _layer_gradients(mats, chain, obj.chain_gradient(chain[-1], a, g, c))
+    _, *state = obj.expanded(chain[-1])
+    grads = _layer_gradients(mats, chain, obj.chain_gradient(chain[-1], *state))
     return DenseMatrix(_lock(grads[layer_index - 1]))
+
+
+def _check_scale(obj: _Objective, g=None, c=None) -> None:
+    """Raise TrainingDivergedError with epoch 0 unless ||V||^2 and, given
+    G and C at the starting chain, tr(G) and tr(G C) are finite. Where one
+    overflows, the labels' own scale is past float64's range before any
+    step, so no learning rate mends it."""
+    sums = {"||V||^2": obj.sq_norm}
+    if g is not None:
+        sums["tr(G)"] = float(np.trace(g))
+        sums["tr(G C)"] = float(np.einsum("ij,ij->", g, c, optimize=False))
+    if not np.isfinite(list(sums.values())).all():
+        raise TrainingDivergedError(
+            "the label values are too large for float64: at initialization "
+            + ", ".join(f"{name} = {value:.3g}" for name, value in sums.items())
+            + "; scale the labels down", epoch=0)
 
 
 def _init_random(p, layer_dims, rng) -> list[np.ndarray]:
@@ -275,10 +312,12 @@ def _rescale_init(obj: _Objective, layers: list[np.ndarray]) -> list[np.ndarray]
     Guarantees the starting loss is at most ||V||_F^2, so the all-zero
     stack (a fixpoint of the projected update) is never downhill from the
     start. Scale-free: each layer gets the L-th root of the chain factor.
+    The stack is returned unscaled when tr(G C) is 0 or overflows; in the
+    latter case train_autoencoder's _check_scale refuses it.
     """
-    _, _, g, c = obj.expanded(_prefix_chain(layers)[-1])
+    _, _, g, c, _ = obj.expanded(_prefix_chain(layers)[-1])
     den = float(np.einsum("ij,ij->", g, c, optimize=False))
-    if den <= 0.0:
+    if not 0.0 < den < np.inf:
         return layers
     t = (float(np.trace(g)) / den) ** (0.5 / len(layers))
     return [h * t for h in layers]
@@ -318,13 +357,16 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
     cfg.rel_tol or when max_epochs is reached. A non-finite loss, or a
     stack whose collapsed chain E ends all zero (a fixpoint of the clamped
     update, so training cannot leave it), raises TrainingDivergedError with
-    the epoch index (the usual cause is a too-large learning rate).
+    the epoch index (the usual cause is a too-large learning rate). Labels
+    so large that ||V||^2, or tr(G) or tr(G C) at the starting chain,
+    overflow raise it with epoch 0 before any step (see _check_scale).
     """
     p = _check_labels(v).n_labels
     _check_widths(_instance("cfg", cfg, AeTrainConfig).layer_dims, p)
 
     rng = make_rng(cfg.seed)
     obj = _Objective(v.to_csr())
+    _check_scale(obj)
     if cfg.init_scheme == "random-uniform":
         layers = _rescale_init(obj, _init_random(p, cfg.layer_dims, rng))
     else:
@@ -332,24 +374,24 @@ def train_autoencoder(v: LabelMatrix, cfg: AeTrainConfig) -> EncoderStack:
 
     lr = cfg.learning_rate
     chain = _prefix_chain(layers)
-    loss, a, g, c = obj.expanded(chain[-1])
-    trace = [obj.accurate(loss, chain[-1], a, g, c)]
+    loss, *state = obj.expanded(chain[-1])      # state: A, G, C and M
+    _check_scale(obj, *state[1:3])
+    trace = [obj.accurate(loss, chain[-1], *state)]
     for epoch in range(1, cfg.max_epochs + 1):
-        grads = _layer_gradients(layers, chain,
-                                 obj.chain_gradient(chain[-1], a, g, c))
+        grads = _layer_gradients(layers, chain, obj.chain_gradient(chain[-1], *state))
         layers = [np.maximum(h - lr * gl, 0.0) for h, gl in zip(layers, grads)]
         chain = _prefix_chain(layers)
-        cur, a, g, c = obj.expanded(chain[-1])
+        cur, *state = obj.expanded(chain[-1])
         if not np.isfinite(cur):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}; "
                 f"lower the learning rate (currently {lr})", epoch=epoch)
-        cur = obj.accurate(cur, chain[-1], a, g, c)
+        cur = obj.accurate(cur, chain[-1], *state)
         prev = trace[-1]
         trace.append(cur)
         if abs(prev - cur) <= cfg.rel_tol * max(prev, 1e-300):
             break
-    trace[-1] = obj.residual(chain[-1], a, g, c)
+    trace[-1] = obj.residual(chain[-1], *state)
     if not chain[-1].any():
         raise TrainingDivergedError(
             f"every entry of the collapsed chain E is zero after epoch {epoch}: "

@@ -320,7 +320,9 @@ def _lowrank_sq_error(vs, a: np.ndarray, b: np.ndarray, grams=None) -> float:
     (A^T A, B B^T) exactly as _mm computes them, so a caller that already
     has them saves their O((n + p) k^2). The dot products (A B)_ij on S are
     gathered in chunks of at most _BLOCK_ENTRIES values, so memory stays
-    bounded.
+    bounded: A's rows by repeating each row of the chunk as many times as
+    it holds entries there, and B's columns as rows of one C-ordered copy
+    of B^T.
 
     Certificate. Every sum in the split form has non-negative terms, so
     its rounding error, beyond that of the products (A B)_ij which the
@@ -350,12 +352,17 @@ def _lowrank_sq_error(vs, a: np.ndarray, b: np.ndarray, grams=None) -> float:
             or a.min(initial=0.0) < 0.0 or b.min(initial=0.0) < 0.0):
         return _direct_sq_error(vs, a, b)
     step = _BLOCK_ENTRIES // max(k, 1)
+    bt = np.ascontiguousarray(b.T)          # every chunk gathers its rows: copy it once
     on = on_support_sq = 0.0
     for lo in range(0, vs.nnz, step):
         hi = min(lo + step, vs.nnz)
-        rows = np.searchsorted(vs.indptr, np.arange(lo, hi), side="right") - 1
-        ab = np.einsum("ij,ij->i", np.ascontiguousarray(a[rows]),
-                       np.ascontiguousarray(b.T[vs.indices[lo:hi]]), optimize=False)
+        # the chunk's entries lie in rows first .. last - 1, and row i holds
+        # counts[i - first] of them: its indptr range clipped to [lo, hi)
+        first = int(np.searchsorted(vs.indptr, lo, side="right")) - 1
+        last = int(np.searchsorted(vs.indptr, hi - 1, side="right"))
+        counts = np.diff(np.clip(vs.indptr[first:last + 1], lo, hi))
+        ab = np.einsum("ij,ij->i", np.repeat(a[first:last], counts, axis=0),
+                       bt.take(vs.indices[lo:hi], axis=0), optimize=False)
         r = vs.data[lo:hi] - ab
         on += float(np.einsum("i,i->", r, r, optimize=False))
         on_support_sq += float(np.einsum("i,i->", ab, ab, optimize=False))

@@ -389,6 +389,86 @@ def test_expanded_loss_and_gradient_match_dense_oracle(seed, near_exact):
         assert np.abs(got - want).max() <= 1e-12 * _to_layer(layers, i, terms).max()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_the_gram_from_either_side_matches_the_dense_oracle(seed, depth, tall):
+    # with more rows than labels (n > p) the objective takes G = A^T A as
+    # E^T M from the gradient's M = V^T A, at p k^2; otherwise as A^T A, at
+    # n k^2, bitwise as _mm forms it. Either way the loss and the chain
+    # gradient match the dense oracle at the tolerances of
+    # test_expanded_loss_and_gradient_match_dense_oracle, and the trace
+    # still ends at reconstruction_loss bitwise
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(depth + 2, 12))
+    n = int(rng.integers(p + 1, 3 * p + 1)) if tall else int(rng.integers(2, p + 1))
+    widths = [p]
+    for l in range(1, depth + 1):                      # k_l >= depth - l + 1
+        widths.append(int(rng.integers(depth - l + 1, widths[-1])))
+    layers = [rng.uniform(size=(a, b)) for a, b in zip(widths, widths[1:])]
+    v, dense = random_label_matrix(n, p, seed=seed % 1000, density=0.4)
+    obj = _Objective(v.to_csr())
+    e = xlc.autoencoder._prefix_chain(layers)[-1]
+    loss, a, g, c, m = obj.expanded(e)
+    assert obj.tall == tall
+    if tall:
+        assert g.tobytes() == xlc.matrix._mm(e.T, np.asarray(obj.vs.T @ a)).tobytes()
+    else:
+        assert m is None and g.tobytes() == xlc.matrix._mm(a.T, a).tobytes()
+
+    r = dense - dense @ e @ e.T
+    rec = dense @ e @ e.T
+    scale = float(np.sum(dense * dense) + np.sum(rec * rec))
+    assert abs(loss - float(np.sum(r * r))) <= 1e-12 * scale
+    want_chain = -2.0 * (dense.T @ r @ e + r.T @ dense @ e)
+    mm = dense.T @ dense @ e
+    terms = 2.0 * mm + mm @ (e.T @ e) + e @ (e.T @ mm)
+    got_chain = obj.chain_gradient(e, a, g, c, m)
+    assert np.abs(got_chain - want_chain).max() <= 1e-12 * terms.max()
+
+    cfg = AeTrainConfig(widths[1:], max_epochs=3, learning_rate=1e-3, rel_tol=0.0,
+                        seed=seed % 1000)
+    stack = train_autoencoder(v, cfg)
+    assert stack.training_trace[-1] == reconstruction_loss(v, stack)
+
+
+def test_a_tall_epoch_takes_its_gram_from_the_gradients_product():
+    # n = 90 rows > p = 30 labels: an epoch forms M = V^T A once, for G =
+    # E^T M and for the gradient, and no (k x n) (n x k) product A^T A; the
+    # last trace entry's residual forms A^T A once, after the last epoch
+    import scipy.sparse as sp
+
+    n, p, dims = 90, 30, (8, 3)
+    _, v, _ = make_block_dataset(3, n, p // 3, 0.1, seed=4)
+    products, transposes = [], []
+
+    class Spy(sp.csr_matrix):
+        """V, counting the transposes V^T that the objective multiplies by A."""
+
+        @property
+        def T(self):
+            transposes.append(self.shape)
+            return super().T
+
+    def counted(a, b):
+        products.append((a.shape, b.shape))
+        return xlc.matrix._mm(a, b)
+
+    def run(epochs):
+        products.clear()
+        transposes.clear()
+        cfg = AeTrainConfig(list(dims), max_epochs=epochs, learning_rate=1e-4,
+                            rel_tol=0.0, seed=4)
+        with mock.patch.object(xlc.autoencoder, "_mm", counted), \
+                mock.patch.object(xlc.matrix, "_csr", lambda *args: Spy(args[:3], shape=args[3])):
+            assert len(train_autoencoder(v, cfg).training_trace) == epochs + 1
+        grams = sum(a == (b[1], b[0]) and a[1] == n for a, b in products)
+        return grams, len(transposes)
+
+    (grams5, vt5), (grams2, vt2) = run(5), run(2)
+    assert grams5 == grams2 == 1
+    assert vt5 - vt2 == 3
+
+
 @pytest.mark.parametrize("layer_index", [0, 3, -1])
 def test_gradient_layer_index_out_of_range(layer_index):
     v, _ = random_label_matrix(4, 3, seed=0)
@@ -419,12 +499,53 @@ def test_train_config_validation():
 
 def test_a_fitted_scale_that_overflows_to_zero_is_refused_as_diverged():
     # with entries near 1e152, tr(G C) overflows to inf while tr(G) stays
-    # finite, so _rescale_init's least-squares scale tr(G) / tr(G C) is 0
-    # and training refuses the all-zero stack it starts from
+    # finite, so _rescale_init's least-squares scale tr(G) / tr(G C) would
+    # be 0; training refuses the labels' scale before any step
     rng = np.random.default_rng(0)
     v = LabelMatrix.from_dense_array((rng.random((40, 30)) < 0.3) * 3e152)
-    with pytest.raises(TrainingDivergedError, match="every entry of the collapsed chain"):
+    with pytest.raises(TrainingDivergedError, match="label values are too large"):
         train_autoencoder(v, AeTrainConfig([4], max_epochs=5))
+
+
+@pytest.mark.parametrize("init, scale, overflow", [
+    ("random-uniform", 3e152, "tr(G C) = inf"),
+    ("random-uniform", 1e200, "||V||^2 = inf"),
+    ("nmf-greedy", 1e200, "||V||^2 = inf"),
+])
+def test_labels_that_overflow_at_initialization_are_blamed_on_their_scale(init, scale, overflow):
+    # ||V||^2 or tr(G C) at the starting chain overflows before any step, so
+    # no learning rate helps: the error names the label scale at epoch 0.
+    # ||V||^2 is checked before nmf-greedy runs NMF on V
+    rng = np.random.default_rng(0)
+    v = LabelMatrix.from_dense_array((rng.random((40, 30)) < 0.3) * scale)
+    with pytest.raises(TrainingDivergedError) as err:
+        train_autoencoder(v, AeTrainConfig([4], max_epochs=5, init_scheme=init))
+    assert err.value.epoch == 0
+    message = str(err.value)
+    assert message.startswith("the label values are too large for float64")
+    assert overflow in message and "learning rate" not in message
+
+
+def test_large_labels_whose_sums_stay_finite_train_at_a_rate_scaled_to_them():
+    # at 1e150 ||V||^2, tr(G) and tr(G C) are finite (about 1e302 to 1e304)
+    # and the gradient scales with ||V||^2: the default rate overflows at
+    # epoch 1 and says to lower it, and a rate of 1e-3 / 1e300 trains the
+    # same relative trace as the unit labels at 1e-3. So do nmf-greedy's
+    # unit-norm columns at 3e152, which keep tr(G C) finite
+    rng = np.random.default_rng(0)
+    mask = (rng.random((40, 30)) < 0.3) * 1.0
+    big = LabelMatrix.from_dense_array(mask * 1e150)
+    with pytest.raises(TrainingDivergedError, match="lower the learning rate") as err:
+        train_autoencoder(big, AeTrainConfig([4], max_epochs=5))
+    assert err.value.epoch == 1
+    with pytest.raises(TrainingDivergedError, match="lower the learning rate"):
+        train_autoencoder(LabelMatrix.from_dense_array(mask * 3e152),
+                          AeTrainConfig([4], max_epochs=5, init_scheme="nmf-greedy"))
+    unit = train_autoencoder(LabelMatrix.from_dense_array(mask),
+                             AeTrainConfig([4], max_epochs=20))
+    scaled = train_autoencoder(big, AeTrainConfig([4], max_epochs=20, learning_rate=1e-303))
+    assert np.allclose(np.array(scaled.training_trace) / 1e300, unit.training_trace,
+                       rtol=1e-12, atol=0.0)
 
 
 _READ_ONLY = {

@@ -22,6 +22,8 @@ from xlc import (
     ShapeMismatchError,
     XlcError,
     make_rng,
+    nmf_factorize,
+    nmf_objective,
 )
 from xlc.matrix import (
     _BLOCK_ENTRIES,
@@ -409,6 +411,77 @@ def test_split_residual_allocates_a_few_blocks():
             tracemalloc.stop()
     assert direct.call_count == 0
     assert peak <= 3 * _BLOCK_ENTRIES * 8
+
+
+def _per_entry_split_sq_error(vs, a, b, step):
+    """The split residual summed as _lowrank_sq_error sums it, each stored
+    entry's row found by its own searchsorted of indptr and A's rows and
+    B's columns gathered by fancy indexing, in chunks of step entries."""
+    on = on_support_sq = 0.0
+    for lo in range(0, vs.nnz, step):
+        hi = min(lo + step, vs.nnz)
+        rows = np.searchsorted(vs.indptr, np.arange(lo, hi), side="right") - 1
+        ab = np.einsum("ij,ij->i", np.ascontiguousarray(a[rows]),
+                       np.ascontiguousarray(b.T[vs.indices[lo:hi]]), optimize=False)
+        r = vs.data[lo:hi] - ab
+        on += float(np.einsum("i,i->", r, r, optimize=False))
+        on_support_sq += float(np.einsum("i,i->", ab, ab, optimize=False))
+    trace = float(np.einsum("ij,ij->", _mm(a.T, a), _mm(b, b.T), optimize=False))
+    return on + (trace - on_support_sq)
+
+
+def _rows_across_chunks(n, p, long_row, seed):
+    """n x p labels with the first and last rows empty, row 1 holding
+    long_row entries and the rows between up to 4 each."""
+    rng = np.random.default_rng(seed)
+    counts = np.concatenate(([0, long_row], rng.integers(0, 5, size=n - 3), [0]))
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.concatenate([rng.choice(p, size=c, replace=False) for c in counts])
+    return LabelMatrix.from_coo(n, p, rows, cols, rng.integers(1, 4, size=rows.size))
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 5, 13, 64])
+@pytest.mark.parametrize("b_order", ["C", "F"])
+def test_split_residual_gathers_rows_across_chunks_bitwise(step, b_order):
+    # chunks of step entries split rows, row 1's 13 entries span several
+    # chunks at step < 13 and the first and last rows are empty: A's rows,
+    # repeated by each row's count in the chunk, and the rows of one
+    # C-ordered B^T give the per-entry searchsorted gather's bits. B comes
+    # C-ordered (NMF's H) or as the transpose of a C-ordered E (training)
+    n, p, k = 14, 90, 3
+    vs = _rows_across_chunks(n, p, 13, seed=step).to_csr()
+    rng = np.random.default_rng(step + 1)
+    a = rng.random((n, k)) * 0.2
+    b = rng.random((k, p)) * 0.2 if b_order == "C" else (rng.random((p, k)) * 0.2).T
+    with mock.patch.object(xlc.matrix, "_BLOCK_ENTRIES", step * k), \
+            mock.patch.object(xlc.matrix, "_direct_sq_error") as direct:
+        got = _lowrank_sq_error(vs, a, b)
+    assert direct.call_count == 0
+    assert got == _per_entry_split_sq_error(vs, a, b, step)
+    # dense: within twice the split form's certificate gamma_M (on + T),
+    # which also covers the rounding of the oracle's own products and sum
+    dense = vs.toarray()
+    ab = a @ b
+    on = float(np.sum((dense - ab)[dense > 0] ** 2))
+    total_ab = float(np.sum(ab * ab))
+    chunks = -(-vs.nnz // step)
+    depth = n + p + k * k + 2 * k + min(step, vs.nnz) + chunks + 3
+    want = float(np.sum((dense - ab) ** 2))
+    assert abs(got - want) <= 2.0 * xlc.matrix._gamma(depth) * (on + total_ab)
+
+
+@pytest.mark.parametrize("step", [1, 4, 7])
+def test_nmf_records_its_objective_through_small_chunks(step):
+    # every NMF iteration sums its objective through the split residual's
+    # chunks; nmf_objective forms the grams itself and gets the same bits
+    v = _rows_across_chunks(40, 120, 11, seed=step)
+    k = 4
+    with mock.patch.object(xlc.matrix, "_BLOCK_ENTRIES", step * k), \
+            mock.patch.object(xlc.matrix, "_direct_sq_error") as direct:
+        f = nmf_factorize(v, NmfConfig(k=k, max_iters=30, rel_tol=0.0, seed=step))
+        assert nmf_objective(v, f) == f.objective_trace[-1]
+    assert direct.call_count == 0
+    assert len(f.objective_trace) == 30
 
 
 # ---------------------------------------------------------------- ridge normal equations
